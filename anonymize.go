@@ -8,6 +8,7 @@ import (
 
 	"incognito/internal/baseline"
 	"incognito/internal/core"
+	"incognito/internal/hierarchy"
 	"incognito/internal/metrics"
 	"incognito/internal/relation"
 	"incognito/internal/resilience"
@@ -472,27 +473,37 @@ func AnonymizeContext(ctx context.Context, t *Table, qi []QI, cfg Config) (*Resu
 // which is what guarantees a worker counts exactly the generalizations
 // the coordinator asks about.
 func bindQI(t *Table, qi []QI) ([]core.QIAttr, []string, error) {
+	attrs, names, _, err := bindQISpecs(t, qi)
+	return attrs, names, err
+}
+
+// bindQISpecs is bindQI that also returns the hierarchy specs it built,
+// for callers that bind the same specs again (AnonymizeDelta binds them to
+// the delta rows too): building a spec can read a file, binding cannot.
+func bindQISpecs(t *Table, qi []QI) ([]core.QIAttr, []string, []*hierarchy.Spec, error) {
 	attrs := make([]core.QIAttr, 0, len(qi))
 	names := make([]string, len(qi))
+	specs := make([]*hierarchy.Spec, len(qi))
 	for i, q := range qi {
 		col := t.rel.ColumnIndex(q.Column)
 		if col < 0 {
-			return nil, nil, fmt.Errorf("incognito: table has no column %q", q.Column)
+			return nil, nil, nil, fmt.Errorf("incognito: table has no column %q", q.Column)
 		}
 		if q.Hierarchy == nil {
-			return nil, nil, fmt.Errorf("incognito: attribute %q has no hierarchy", q.Column)
+			return nil, nil, nil, fmt.Errorf("incognito: attribute %q has no hierarchy", q.Column)
 		}
 		if q.Hierarchy.err != nil {
-			return nil, nil, fmt.Errorf("incognito: attribute %q: %w", q.Column, q.Hierarchy.err)
+			return nil, nil, nil, fmt.Errorf("incognito: attribute %q: %w", q.Column, q.Hierarchy.err)
 		}
-		h, err := q.Hierarchy.build(q.Column).Bind(t.rel.Dict(col))
+		specs[i] = q.Hierarchy.build(q.Column)
+		h, err := specs[i].Bind(t.rel.Dict(col))
 		if err != nil {
-			return nil, nil, fmt.Errorf("incognito: attribute %q: %w", q.Column, err)
+			return nil, nil, nil, fmt.Errorf("incognito: attribute %q: %w", q.Column, err)
 		}
 		attrs = append(attrs, core.QIAttr{Col: col, H: h})
 		names[i] = q.Column
 	}
-	return attrs, names, nil
+	return attrs, names, specs, nil
 }
 
 // buildMaterialized runs the view-selection phase under a recover guard:

@@ -24,11 +24,18 @@
 //     must re-scan at most 10% of the cold run's rows and revalidate at
 //     most 10% of its nodes.
 //
-// For -kind parallel, -min-speedup additionally gates measured speedups on
-// multi-core runners: a comma-separated list of per-algorithm floors
-// (short names, as -algos takes them). A gated cell must be identical AND
-// meet its floor. With -min-speedup, -golden becomes optional, because the
-// multi-core job gates timing ratios, not machine-specific counters.
+// -min-speedup additionally gates wall-clock ratios measured inside one
+// process, so it holds on any runner:
+//
+//   - for -kind parallel, a comma-separated list of per-algorithm floors
+//     (short names, as -algos takes them) on the serial/parallel speedup;
+//   - for -kind incremental, one floor on cold_ms/delta_ms that every cell
+//     must meet — counters alone once let delta runs ship slower than the
+//     cold runs they replace.
+//
+// A gated cell must be identical AND meet its floor. With -min-speedup,
+// -golden becomes optional, because the gate checks timing ratios, not
+// machine-specific counters.
 //
 // Usage:
 //
@@ -53,6 +60,10 @@
 //
 //	bench -experiment parallel -parallelism 4 -quiet -json > multicore.json
 //	benchcheck -got multicore.json -min-speedup 'basic=1.5,superroots=1.5,cube=1.0'
+//
+//	bench -experiment incremental -rows 8000 -landsend-rows 100000 -seed 1 \
+//	  -quiet -json > multicore-incremental.json
+//	benchcheck -kind incremental -got multicore-incremental.json -min-speedup 1.0
 //
 // Exit status: 0 when every cell matches, 1 on any drift (each difference
 // is reported), 2 on usage errors.
@@ -85,16 +96,17 @@ func main() {
 	golden := flag.String("golden", "", "path to the golden report (required unless -min-speedup is given)")
 	got := flag.String("got", "", "path to the freshly generated report (required)")
 	kind := flag.String("kind", validKinds[0], "report kind: "+kindList())
-	minSpeedup := flag.String("min-speedup", "", "per-algorithm speedup floors for -kind parallel, e.g. basic=1.5,superroots=1.5,cube=1.0; gated cells must be identical and meet their floor")
+	minSpeedup := flag.String("min-speedup", "", "speedup floors: per algorithm for -kind parallel (e.g. basic=1.5,superroots=1.5,cube=1.0), one cold_ms/delta_ms floor for every cell of -kind incremental (e.g. 1.0); gated cells must be identical and meet their floor")
 	flag.Parse()
-	goldenOptional := *kind == "parallel" && *minSpeedup != ""
-	if (*golden == "" && !goldenOptional) || *got == "" || flag.NArg() > 0 {
-		fmt.Fprintln(os.Stderr, "benchcheck: -golden (unless -min-speedup is given) and -got are required, and take no positional arguments")
+	speedupKind := *kind == "parallel" || *kind == "incremental"
+	goldenOptional := speedupKind && *minSpeedup != ""
+	if *minSpeedup != "" && !speedupKind {
+		fmt.Fprintln(os.Stderr, "benchcheck: -min-speedup applies to -kind parallel and incremental only")
 		fmt.Fprintln(os.Stderr, "run 'benchcheck -help' for usage")
 		os.Exit(2)
 	}
-	if *minSpeedup != "" && *kind != "parallel" {
-		fmt.Fprintln(os.Stderr, "benchcheck: -min-speedup applies to -kind parallel only")
+	if (*golden == "" && !goldenOptional) || *got == "" || flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "benchcheck: -golden (unless -min-speedup is given) and -got are required, and take no positional arguments")
 		fmt.Fprintln(os.Stderr, "run 'benchcheck -help' for usage")
 		os.Exit(2)
 	}
@@ -143,15 +155,26 @@ func main() {
 		}
 		diffs, cells = compareKernel(want, have), len(want.Cells)+len(want.Micro)
 	case "incremental":
-		want, err := loadIncremental(*golden)
-		if err != nil {
-			fatal(err)
-		}
 		have, err := loadIncremental(*got)
 		if err != nil {
 			fatal(err)
 		}
-		diffs, cells = compareIncremental(want, have), len(want.Cells)
+		cells = len(have.Cells)
+		if *golden != "" {
+			want, err := loadIncremental(*golden)
+			if err != nil {
+				fatal(err)
+			}
+			diffs, cells = compareIncremental(want, have), len(want.Cells)
+		}
+		if *minSpeedup != "" {
+			floor, err := parseFloor(*minSpeedup)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "benchcheck: "+err.Error())
+				os.Exit(2)
+			}
+			diffs = append(diffs, gateIncrementalSpeedups(have, floor)...)
+		}
 	default:
 		fmt.Fprintf(os.Stderr, "benchcheck: unknown -kind %q (want %s)\n", *kind, kindList())
 		os.Exit(2)
@@ -261,6 +284,37 @@ func gateSpeedups(r *bench.ParallelReport, floors map[string]float64) []string {
 	}
 	if gated == 0 {
 		diffs = append(diffs, "no report cell matches any -min-speedup algorithm")
+	}
+	return diffs
+}
+
+// parseFloor parses the single -min-speedup floor of -kind incremental.
+func parseFloor(spec string) (float64, error) {
+	floor, err := strconv.ParseFloat(strings.TrimSpace(spec), 64)
+	if err != nil || floor <= 0 {
+		return 0, fmt.Errorf("-min-speedup %q for -kind incremental (want one positive number, e.g. 1.0)", spec)
+	}
+	return floor, nil
+}
+
+// gateIncrementalSpeedups enforces the wall-clock floor on an incremental
+// report: every cell's delta run must have reproduced the cold run exactly
+// AND run at least floor times as fast (cold_ms/delta_ms).
+func gateIncrementalSpeedups(r *bench.IncrementalReport, floor float64) []string {
+	var diffs []string
+	for i, c := range r.Cells {
+		key := fmt.Sprintf("incremental cell %d (%s rows=%d qi=%d k=%d %s p=%d)", i, c.Dataset, c.Rows, c.QISize, c.K, c.Kernel, c.Parallelism)
+		if !c.Identical {
+			diffs = append(diffs, key+": delta run was not identical to the cold run")
+		}
+		if c.DeltaMS <= 0 {
+			diffs = append(diffs, fmt.Sprintf("%s: delta_ms %.3f is not a measured time", key, c.DeltaMS))
+			continue
+		}
+		if ratio := c.ColdMS / c.DeltaMS; ratio < floor {
+			diffs = append(diffs, fmt.Sprintf("%s: cold_ms/delta_ms %.2fx below the %.2fx floor (cold %.1fms, delta %.1fms)",
+				key, ratio, floor, c.ColdMS, c.DeltaMS))
+		}
 	}
 	return diffs
 }

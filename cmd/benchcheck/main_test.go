@@ -331,6 +331,91 @@ func TestCompareIncrementalGatesRatios(t *testing.T) {
 	}
 }
 
+// TestGateIncrementalSpeedups pins the wall-clock gate: every cell must be
+// identical and have cold_ms/delta_ms at or above the floor.
+func TestGateIncrementalSpeedups(t *testing.T) {
+	report := goldenIncrementalReport() // cold 80ms, delta 40ms: 2.0x
+	if diffs := gateIncrementalSpeedups(report, 2.0); len(diffs) != 0 {
+		t.Fatalf("cell at exactly its floor gated: %v", diffs)
+	}
+	slow := goldenIncrementalReport()
+	slow.Cells = append(slow.Cells, slow.Cells[0])
+	slow.Cells[1].DeltaMS = 100 // 0.8x
+	slow.Cells[1].Speedup = 9   // the gate reads the times, not this field
+	slow.Cells[0].Identical = false
+	diffs := gateIncrementalSpeedups(slow, 1.0)
+	if len(diffs) != 2 {
+		t.Fatalf("got %d diffs, want 2: %v", len(diffs), diffs)
+	}
+	if !strings.Contains(diffs[0], "not identical") || !strings.Contains(diffs[1], "0.80x below the 1.00x floor") {
+		t.Fatalf("unexpected diff messages: %v", diffs)
+	}
+	unmeasured := goldenIncrementalReport()
+	unmeasured.Cells[0].DeltaMS = 0
+	if diffs := gateIncrementalSpeedups(unmeasured, 1.0); len(diffs) != 1 || !strings.Contains(diffs[0], "not a measured time") {
+		t.Fatalf("zero delta_ms not flagged: %v", diffs)
+	}
+
+	if f, err := parseFloor(" 1.25 "); err != nil || f != 1.25 {
+		t.Fatalf("parseFloor(1.25) = %v, %v", f, err)
+	}
+	for _, bad := range []string{"", "0", "-1", "fast", "basic=1.5"} {
+		if _, err := parseFloor(bad); err == nil {
+			t.Errorf("floor %q accepted", bad)
+		}
+	}
+}
+
+// TestCLIIncrementalSpeedupGate runs the real binary the way the
+// multi-core CI job does: no golden file, one floor for every cell.
+func TestCLIIncrementalSpeedupGate(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "benchcheck")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building benchcheck: %v\n%s", err, out)
+	}
+	report := goldenIncrementalReport()
+	report.Cells = append(report.Cells, report.Cells[0])
+	report.Cells[1].ColdMS, report.Cells[1].DeltaMS = 30, 20 // 1.5x
+	raw, err := json.Marshal(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := filepath.Join(dir, "got.json")
+	if err := os.WriteFile(got, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	exitCode := func(args ...string) (int, string) {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err == nil {
+			return 0, string(out)
+		}
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("running benchcheck %v: %v", args, err)
+		}
+		return ee.ExitCode(), string(out)
+	}
+	if code, out := exitCode("-kind", "incremental", "-got", got, "-min-speedup", "1.0"); code != 0 ||
+		!strings.Contains(out, "2 cells pass the speedup gate") {
+		t.Fatalf("passing report: exit %d\n%s", code, out)
+	}
+	if code, out := exitCode("-kind", "incremental", "-got", got, "-min-speedup", "1.6"); code != 1 ||
+		!strings.Contains(out, "1.50x below the 1.60x floor") {
+		t.Fatalf("slow cell: exit %d\n%s", code, out)
+	}
+	if code, out := exitCode("-kind", "incremental", "-got", got, "-min-speedup", "basic=1.0"); code != 2 {
+		t.Fatalf("per-algorithm floor for -kind incremental: exit %d\n%s", code, out)
+	}
+	if code, out := exitCode("-kind", "kernel", "-got", got, "-min-speedup", "1.0"); code != 2 ||
+		!strings.Contains(out, "parallel and incremental only") {
+		t.Fatalf("-min-speedup with -kind kernel: exit %d\n%s", code, out)
+	}
+	if code, out := exitCode("-kind", "incremental", "-got", got); code != 2 {
+		t.Fatalf("incremental without -golden or -min-speedup: exit %d\n%s", code, out)
+	}
+}
+
 func TestLoaders(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {

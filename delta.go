@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"incognito/internal/core"
+	"incognito/internal/hierarchy"
 	"incognito/internal/relation"
 	"incognito/internal/resilience"
 )
@@ -146,15 +147,11 @@ func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *R
 	if err != nil {
 		return nil, err
 	}
-	attrs, names, err := bindQI(edited, qi)
+	attrs, names, specs, err := bindQISpecs(edited, qi)
 	if err != nil {
 		return nil, err
 	}
-	added, err := deltaRowsFor(edited, qi, add)
-	if err != nil {
-		return nil, err
-	}
-	removed, err := deltaRowsFor(edited, qi, del)
+	added, removed, err := deltaRowsFor(edited, qi, specs, add, del)
 	if err != nil {
 		return nil, err
 	}
@@ -190,6 +187,7 @@ func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *R
 	res := &Result{in: in, qiNames: names, heights: in.Heights(), complete: true}
 	res.solutions = r.Solutions
 	res.stats = wrapStats(r.Stats)
+	sp := in.StartSpan("delta.capture")
 	res.state = &resilience.RunState{
 		Fingerprint: in.Fingerprint(cfg.Algorithm.String()),
 		Cols:        append([]string(nil), state.Cols...),
@@ -199,6 +197,7 @@ func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *R
 		Base:        run.BaseGroups(),
 		Records:     append(capture.Records(), run.UntouchedRecords(&in)...),
 	}
+	sp.End()
 	out := &DeltaResult{Result: res, Table: edited}
 	if r.Delta != nil {
 		out.Counters = *r.Delta
@@ -224,15 +223,16 @@ func runStateOf(in *core.Input, capture *core.StateCapture, alg string) *RunStat
 	}
 }
 
-// deltaRowsFor pre-generalizes full-schema delta rows through hierarchies
-// bound to a scratch dictionary holding exactly the delta rows' values.
-// The scratch binding is what lets a DELETED value generalize even when it
-// no longer occurs in the edited table (and so is absent from its
-// dictionaries): the level functions are pure functions of the base
-// string, so any binding yields the same generalized values.
-func deltaRowsFor(edited *Table, qi []QI, rows [][]string) ([]core.DeltaRow, error) {
+// deltaRowsFor pre-generalizes the full-schema added and removed rows
+// through the QI's specs bound to a scratch dictionary holding exactly the
+// delta rows' values. The scratch binding is what lets a DELETED value
+// generalize even when it no longer occurs in the edited table (and so is
+// absent from its dictionaries): the level functions are pure functions of
+// the base string, so any binding yields the same generalized values.
+func deltaRowsFor(edited *Table, qi []QI, specs []*hierarchy.Spec, add, del [][]string) (added, removed []core.DeltaRow, err error) {
+	rows := append(append([][]string(nil), add...), del...)
 	if len(rows) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	out := make([]core.DeltaRow, len(rows))
 	for r := range out {
@@ -241,29 +241,29 @@ func deltaRowsFor(edited *Table, qi []QI, rows [][]string) ([]core.DeltaRow, err
 	for d, q := range qi {
 		col := edited.rel.ColumnIndex(q.Column)
 		if col < 0 {
-			return nil, fmt.Errorf("incognito: table has no column %q", q.Column)
+			return nil, nil, fmt.Errorf("incognito: table has no column %q", q.Column)
 		}
 		dict := relation.NewDict()
 		for _, row := range rows {
 			dict.Encode(row[col])
 		}
-		h, err := q.Hierarchy.build(q.Column).Bind(dict)
+		h, err := specs[d].Bind(dict)
 		if err != nil {
-			return nil, fmt.Errorf("incognito: attribute %q: %w", q.Column, err)
+			return nil, nil, fmt.Errorf("incognito: attribute %q: %w", q.Column, err)
 		}
 		for r, row := range rows {
 			gen := make([]string, h.Height()+1)
 			for l := 0; l <= h.Height(); l++ {
 				g, err := h.GeneralizeValue(l, row[col])
 				if err != nil {
-					return nil, fmt.Errorf("incognito: attribute %q: %w", q.Column, err)
+					return nil, nil, fmt.Errorf("incognito: attribute %q: %w", q.Column, err)
 				}
 				gen[l] = g
 			}
 			out[r].Gen[d] = gen
 		}
 	}
-	return out, nil
+	return out[:len(add)], out[len(add):], nil
 }
 
 // packRow encodes a row as a single collision-free string key

@@ -2,8 +2,10 @@ package incognito_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -283,5 +285,75 @@ func TestAnonymizeDeltaWithCheckpoint(t *testing.T) {
 	}
 	if !reflect.DeepEqual(solutionLevels(got.Result), solutionLevels(want)) || got.Stats() != want.Stats() {
 		t.Fatal("checkpointed delta run diverged from cold run")
+	}
+}
+
+// goldenNotes are free-text values chosen to stress the persisted group
+// order: the empty string, bytes ≥ 0x80, and lengths on both sides of 256,
+// where a little-endian length prefix stops ordering like the length.
+var goldenNotes = []string{
+	"", "a", "b", "\x80", "é", "\xff\xfe",
+	strings.Repeat("x", 255), strings.Repeat("x", 256), strings.Repeat("a", 257),
+	strings.Repeat("z", 511), strings.Repeat("m", 512),
+}
+
+// TestRunStateBytesGolden pins the exact bytes SaveRunState writes for a
+// seeded capture and for the state one delta run chains from it. The
+// hashes were recorded when states were still keyed by packed value
+// strings, so any change to the stored group, record, or band order — or
+// to what the delta run re-captures — shows up here.
+func TestRunStateBytesGolden(t *testing.T) {
+	const (
+		wantCapture = "1e6c850b7f13ed4eda5b495f16ab2aece6ad923d90453c6365cd3419d4060d6a"
+		wantDelta   = "670d173cdb97556854791fc314180452beaf94e9541e048ef1ea8ffd81482a24"
+	)
+	rng := rand.New(rand.NewSource(61))
+	row := func() []string {
+		return append(censusRow(rng)[:3], goldenNotes[rng.Intn(len(goldenNotes))])
+	}
+	recs := make([][]string, 300)
+	for i := range recs {
+		recs[i] = row()
+	}
+	tab, err := incognito.NewTable([]string{"Birthdate", "Sex", "Zipcode", "Note"}, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qi := append(patientsQI(), incognito.QI{Column: "Note", Hierarchy: incognito.Suppression()})
+	cfg := incognito.Config{K: 3, MaxSuppressed: 2}
+	retain := cfg
+	retain.RetainState = true
+	cold, err := incognito.Anonymize(tab, qi, retain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var del, add [][]string
+	for i := 0; i < tab.NumRows(); i += 37 {
+		del = append(del, tab.Row(i))
+	}
+	for i := 0; i < 4; i++ {
+		add = append(add, row())
+	}
+	got, err := incognito.AnonymizeDelta(context.Background(), tab, qi, cfg, cold.State(), add, del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	hash := func(name string, s *incognito.RunState) string {
+		path := filepath.Join(dir, name)
+		if err := incognito.SaveRunState(path, s); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x", sha256.Sum256(raw))
+	}
+	if h := hash("capture.state", cold.State()); h != wantCapture {
+		t.Errorf("captured state hashes to %s, want %s", h, wantCapture)
+	}
+	if h := hash("delta.state", got.State()); h != wantDelta {
+		t.Errorf("delta run's state hashes to %s, want %s", h, wantDelta)
 	}
 }

@@ -23,15 +23,27 @@ package core
 // the same points. Solutions and Stats are therefore bit-identical to a
 // cold recomputation by construction; only the work (rows scanned, nodes
 // materialized) shrinks, which DeltaCounters reports separately.
+//
+// Value strings exist only at the RunState boundary. prepare translates the
+// state's base groups into the edited table's dictionary codes, one lookup
+// per value per column, and interns each delta row's generalized values
+// once per (attribute, level); codeGroups.render turns codes back into
+// strings, in the persisted order, when the follow-on state is assembled.
+// In between, the patched base set, the per-node delta groups and the root
+// frequency sets are keyed by codes, the way relation.FreqSet is.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"incognito/internal/lattice"
 	"incognito/internal/relation"
@@ -48,37 +60,23 @@ const captureBandSlack = 64
 // then leans on the floor for the dropped groups).
 const captureBandCap = 1024
 
-// packStrings packs value strings into one length-prefixed map key (the
-// string analogue of relation's packKey; value strings may contain any
-// byte, so a separator would not be safe).
-func packStrings(vals []string) string {
-	var b strings.Builder
-	var n [4]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint32(n[:], uint32(len(v)))
-		b.Write(n[:])
-		b.WriteString(v)
-	}
-	return b.String()
-}
-
 // nodeRecKey identifies a lattice node across runs and bindings.
 func nodeRecKey(dims, levels []int) string {
-	var b strings.Builder
+	b := make([]byte, 0, 4*(len(dims)+len(levels)))
 	for i, d := range dims {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", d)
+		b = strconv.AppendInt(b, int64(d), 10)
 	}
-	b.WriteByte('|')
+	b = append(b, '|')
 	for i, l := range levels {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", l)
+		b = strconv.AppendInt(b, int64(l), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // StateCapture collects NodeRecords as a run checks nodes, for persisting
@@ -124,10 +122,20 @@ func (c *StateCapture) Records() []resilience.NodeRecord {
 	return out
 }
 
+// sortRecords orders records by nodeRecKey, building each key once.
 func sortRecords(recs []resilience.NodeRecord) {
-	sort.Slice(recs, func(i, j int) bool {
-		return nodeRecKey(recs[i].Dims, recs[i].Levels) < nodeRecKey(recs[j].Dims, recs[j].Levels)
-	})
+	type keyed struct {
+		key string
+		rec resilience.NodeRecord
+	}
+	ks := make([]keyed, len(recs))
+	for i, r := range recs {
+		ks[i] = keyed{nodeRecKey(r.Dims, r.Levels), r}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i := range ks {
+		recs[i] = ks[i].rec
+	}
 }
 
 // buildRecord summarizes a node's frequency set: the exact suppression
@@ -202,10 +210,95 @@ func cmpVals(a, b []string) int {
 	return 0
 }
 
+func cmpBand(a, b resilience.BandEntry) int { return cmpVals(a.V, b.V) }
+
 func sortBand(band []resilience.BandEntry) {
-	sort.Slice(band, func(i, j int) bool {
-		return cmpVals(band[i].V, band[j].V) < 0
+	if !slices.IsSortedFunc(band, cmpBand) {
+		slices.SortFunc(band, cmpBand)
+	}
+}
+
+// cmpPacked orders two value strings as their length-prefixed encodings
+// (4-byte little-endian length, then the bytes) compare bytewise. Unequal
+// lengths decide at their lowest-order differing length byte — so 256
+// sorts before 1 — and equal lengths by content. The encoding once keyed
+// the base groups, and its order, lifted element by element to value
+// tuples, remains the persisted order of RunState.Base; this reproduces it
+// without building a key.
+func cmpPacked(a, b string) int {
+	for la, lb := uint32(len(a)), uint32(len(b)); la != lb; la, lb = la>>8, lb>>8 {
+		if x, y := byte(la), byte(lb); x != y {
+			return cmp.Compare(x, y)
+		}
+	}
+	return strings.Compare(a, b)
+}
+
+// packedRanks ranks a dictionary's values in cmpPacked order (ranks[c] is
+// code c's position), so code tuples sort like their value tuples with
+// integer comparisons only.
+func packedRanks(d *relation.Dict) []int32 {
+	vals := d.Values()
+	order := make([]int32, len(vals))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmpPacked(vals[a], vals[b]) })
+	ranks := make([]int32, len(vals))
+	for r, c := range order {
+		ranks[c] = int32(r)
+	}
+	return ranks
+}
+
+// codeGroups is a full-quasi-identifier base-level frequency set held as
+// flat dictionary-code tuples: group i is codes[i*width:(i+1)*width] with
+// count counts[i]. Groups are in no particular order.
+type codeGroups struct {
+	width  int
+	codes  []int32
+	counts []int64
+}
+
+func (g *codeGroups) tuple(i int) []int32 { return g.codes[i*g.width : (i+1)*g.width] }
+
+func (g *codeGroups) add(codes []int32, n int64) {
+	g.codes = append(g.codes, codes...)
+	g.counts = append(g.counts, n)
+}
+
+// render decodes the groups through the base dictionaries of qi into
+// value-string groups in RunState.Base order. Value strings exist only
+// here, at the output boundary.
+func (g *codeGroups) render(qi []QIAttr) []resilience.BaseGroup {
+	w := g.width
+	ranks := make([][]int32, w)
+	for i, q := range qi {
+		ranks[i] = packedRanks(q.H.Dict(0))
+	}
+	order := make([]int32, len(g.counts))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(x, y int32) int {
+		a, b := g.tuple(int(x)), g.tuple(int(y))
+		for i, r := range ranks {
+			if ra, rb := r[a[i]], r[b[i]]; ra != rb {
+				return int(ra - rb)
+			}
+		}
+		return 0
 	})
+	vals := make([]string, len(g.codes))
+	out := make([]resilience.BaseGroup, len(order))
+	for j, gi := range order {
+		v := vals[j*w : (j+1)*w : (j+1)*w]
+		for i, c := range g.tuple(int(gi)) {
+			v[i] = qi[i].H.Value(0, c)
+		}
+		out[j] = resilience.BaseGroup{V: v, N: g.counts[gi]}
+	}
+	return out
 }
 
 // CaptureBase renders the table's base-level frequency set over the full
@@ -218,16 +311,9 @@ func CaptureBase(in *Input) []resilience.BaseGroup {
 		dims[i] = i
 	}
 	f := relation.GroupCount(in.Table, in.cols(dims), nil)
-	var out []resilience.BaseGroup
-	f.Each(func(codes []int32, count int64) {
-		vals := make([]string, len(dims))
-		for i, d := range dims {
-			vals[i] = in.QI[d].H.Value(0, codes[i])
-		}
-		out = append(out, resilience.BaseGroup{V: vals, N: count})
-	})
-	sort.Slice(out, func(i, j int) bool { return packStrings(out[i].V) < packStrings(out[j].V) })
-	return out
+	g := codeGroups{width: len(dims), codes: make([]int32, 0, f.Len()*len(dims)), counts: make([]int64, 0, f.Len())}
+	f.Each(g.add)
+	return g.render(in.QI)
 }
 
 // DeltaRow is one added or removed row of a delta, pre-generalized:
@@ -284,12 +370,7 @@ func (d *DeltaRun) Counters() DeltaCounters {
 // BaseGroups returns the patched base-level frequency set as canonical
 // value-string groups — the Base of the state describing the edited table.
 func (d *DeltaRun) BaseGroups() []resilience.BaseGroup {
-	out := make([]resilience.BaseGroup, 0, len(d.st.f0))
-	for _, e := range d.st.f0 {
-		out = append(out, resilience.BaseGroup{V: e.vals, N: e.count})
-	}
-	sort.Slice(out, func(i, j int) bool { return packStrings(out[i].V) < packStrings(out[j].V) })
-	return out
+	return d.st.f0.render(d.st.qi)
 }
 
 // UntouchedRecords returns the prior state's records for nodes this run
@@ -314,22 +395,23 @@ func (d *DeltaRun) UntouchedRecords(in *Input) []resilience.NodeRecord {
 	return out
 }
 
-// f0Entry is one group of the patched base-level frequency set, carried in
-// both forms: value strings (binding-independent, for the output state)
-// and the edited table's dictionary codes (for building root sets).
-type f0Entry struct {
-	vals  []string
-	codes []int32
-	count int64
-}
-
-// deltaState is the runtime of one delta run.
+// deltaState is the runtime of one delta run. Between the RunState it was
+// prepared from and the RunState it renders, it holds no value strings
+// beyond the interned delta rows: the patched base set is keyed by the
+// edited table's dictionary codes.
 type deltaState struct {
 	records map[string]*resilience.NodeRecord
-	f0      []f0Entry
-	added   []DeltaRow
-	removed []DeltaRow
-	// addedOld[i] reports whether added row i's full-QI base-level group
+	qi      []QIAttr
+	f0      codeGroups // the patched base-level set
+
+	// The delta rows, interned: rows [0, nAdded) are the added rows, the
+	// rest the removed ones. ids[d][l][r] identifies row r's value in QI
+	// attribute d at hierarchy level l, and vals[d][l][id] is that value.
+	nAdded int
+	nRows  int
+	ids    [][][]int32
+	vals   [][][]string
+	// addedOld[r] reports whether added row r's full-QI base-level group
 	// existed in the prior table. When it did, every node-level group the
 	// row lands in existed too (projection and generalization only merge
 	// groups), which turns pure additions to off-band groups into exact
@@ -342,22 +424,87 @@ type deltaState struct {
 	rowsRescanned atomic.Int64
 	screened      atomic.Int64
 	revalidated   atomic.Int64
+	screenNS      atomic.Int64 // wall time spent in screen, for the search span
+}
+
+// baseCoder translates base-level value strings to the edited table's
+// dictionary codes. A value the table no longer holds (a deleted row's
+// value, say) gets a placeholder code past the end of its dictionary, so
+// deletions can still cancel it out; any group left holding a placeholder
+// is an error.
+type baseCoder struct {
+	dicts  []*relation.Dict
+	absent []map[string]int32
+	extra  [][]string // extra[i][c-dicts[i].Len()] is placeholder c's value
+}
+
+func newBaseCoder(qi []QIAttr) *baseCoder {
+	b := &baseCoder{
+		dicts:  make([]*relation.Dict, len(qi)),
+		absent: make([]map[string]int32, len(qi)),
+		extra:  make([][]string, len(qi)),
+	}
+	for i, q := range qi {
+		b.dicts[i] = q.H.Dict(0)
+	}
+	return b
+}
+
+func (b *baseCoder) code(i int, v string) int32 {
+	if c, ok := b.dicts[i].Code(v); ok {
+		return c
+	}
+	if c, ok := b.absent[i][v]; ok {
+		return c
+	}
+	if b.absent[i] == nil {
+		b.absent[i] = make(map[string]int32)
+	}
+	c := int32(b.dicts[i].Len() + len(b.extra[i]))
+	b.absent[i][v] = c
+	b.extra[i] = append(b.extra[i], v)
+	return c
+}
+
+// placeholder reports whether c stands for a value absent from column i.
+func (b *baseCoder) placeholder(i int, c int32) bool { return int(c) >= b.dicts[i].Len() }
+
+func (b *baseCoder) value(i int, c int32) string {
+	if b.placeholder(i, c) {
+		return b.extra[i][int(c)-b.dicts[i].Len()]
+	}
+	return b.dicts[i].Value(c)
+}
+
+// packCodes writes codes into buf as a map key (4 bytes per code).
+func packCodes(buf []byte, codes []int32) []byte {
+	buf = buf[:0]
+	for _, c := range codes {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
+	}
+	return buf
 }
 
 // prepare validates the state against the input and builds the runtime:
-// the record index and the patched base-level set encoded against the
-// edited table's dictionaries.
+// the record index, the interned delta rows, and the patched base-level
+// set encoded against the edited table's dictionaries.
 func (d *DeltaRun) prepare(in *Input) error {
 	st := d.State
 	if st == nil {
 		return fmt.Errorf("core: delta run has no prior state")
 	}
+	sp := in.StartSpan("delta.prepare")
+	defer sp.End()
+	sp.SetAttr("base_groups", len(st.Base))
+	sp.SetAttr("added", len(d.Added))
+	sp.SetAttr("removed", len(d.Removed))
 	if st.K != in.K || st.MaxSuppress != in.MaxSuppress {
 		return fmt.Errorf("core: saved state has k=%d, suppress=%d; this run has k=%d, suppress=%d",
 			st.K, st.MaxSuppress, in.K, in.MaxSuppress)
 	}
-	if len(st.Cols) != len(in.QI) {
-		return fmt.Errorf("core: saved state covers %d QI attributes, this run has %d", len(st.Cols), len(in.QI))
+	w := len(in.QI)
+	if len(st.Cols) != w {
+		return fmt.Errorf("core: saved state covers %d QI attributes, this run has %d", len(st.Cols), w)
 	}
 	for i, q := range in.QI {
 		if st.Cols[i] != q.H.Attr() {
@@ -368,17 +515,29 @@ func (d *DeltaRun) prepare(in *Input) error {
 		return fmt.Errorf("core: saved state covers %d rows and the delta nets %+d, but the table has %d rows",
 			st.Rows, len(d.Added)-len(d.Removed), in.Table.NumRows())
 	}
-	for _, rows := range [][]DeltaRow{d.Added, d.Removed} {
-		for _, r := range rows {
-			if len(r.Gen) != len(in.QI) {
-				return fmt.Errorf("core: delta row generalizes %d attributes, the QI has %d", len(r.Gen), len(in.QI))
+	rows := make([]DeltaRow, 0, len(d.Added)+len(d.Removed))
+	rows = append(append(rows, d.Added...), d.Removed...)
+	for _, r := range rows {
+		if len(r.Gen) != w {
+			return fmt.Errorf("core: delta row generalizes %d attributes, the QI has %d", len(r.Gen), w)
+		}
+		for i, q := range in.QI {
+			if len(r.Gen[i]) != q.H.NumLevels() {
+				return fmt.Errorf("core: delta row generalizes %s to %d levels, its hierarchy has %d",
+					q.H.Attr(), len(r.Gen[i]), q.H.NumLevels())
 			}
+		}
+	}
+	for _, g := range st.Base {
+		if len(g.V) != w {
+			return fmt.Errorf("core: saved state base group %v has %d values, the QI has %d", g.V, len(g.V), w)
 		}
 	}
 	rt := &deltaState{
 		records: make(map[string]*resilience.NodeRecord, len(st.Records)),
-		added:   d.Added,
-		removed: d.Removed,
+		qi:      in.QI,
+		nAdded:  len(d.Added),
+		nRows:   len(rows),
 		touched: make(map[string]bool),
 	}
 	for i := range st.Records {
@@ -388,74 +547,174 @@ func (d *DeltaRun) prepare(in *Input) error {
 		sortBand(rec.Band)
 		rt.records[nodeRecKey(rec.Dims, rec.Levels)] = rec
 	}
+	rt.internRows(in, rows)
+	if err := rt.patchBase(in, st.Base); err != nil {
+		return err
+	}
+	if err := checkMarginals(in, &rt.f0); err != nil {
+		return err
+	}
+	rt.rowsRescanned.Store(int64(len(rows)))
+	d.st = rt
+	return nil
+}
 
-	// Patch the base-level set: state groups plus ±1 per delta row, pruned
-	// at zero, then encoded once against the edited table's dictionaries.
-	type acc struct {
-		vals  []string
-		count int64
-	}
-	groups := make(map[string]*acc, len(st.Base))
-	oldBase := make(map[string]bool, len(st.Base))
-	for _, g := range st.Base {
-		key := packStrings(g.V)
-		groups[key] = &acc{vals: g.V, count: g.N}
-		oldBase[key] = true
-	}
-	rt.addedOld = make([]bool, len(d.Added))
-	for i, r := range d.Added {
-		vals := make([]string, len(r.Gen))
-		for j := range r.Gen {
-			vals[j] = r.Gen[j][0]
+// patchBase builds the patched base-level set: the state's groups plus
+// ±1 per delta row, pruned at zero, in the edited table's codes. It folds
+// the delta rows into net per-group changes first, then streams the
+// state's groups past them, so a state group costs one dictionary lookup
+// per column and one probe of the small change index — never a key of its
+// own. It also fills addedOld.
+func (st *deltaState) patchBase(in *Input, base []resilience.BaseGroup) error {
+	w := len(in.QI)
+	coder := newBaseCoder(in.QI)
+	// Each delta row's base-level codes, one lookup per distinct value.
+	rowCodes := make([]int32, st.nRows*w)
+	for i := 0; i < w; i++ {
+		valCodes := make([]int32, len(st.vals[i][0]))
+		for id, v := range st.vals[i][0] {
+			valCodes[id] = coder.code(i, v)
 		}
-		rt.addedOld[i] = oldBase[packStrings(vals)]
-	}
-	bump := func(row DeltaRow, by int64) {
-		vals := make([]string, len(row.Gen))
-		for i := range row.Gen {
-			vals[i] = row.Gen[i][0]
-		}
-		key := packStrings(vals)
-		a := groups[key]
-		if a == nil {
-			a = &acc{vals: vals}
-			groups[key] = a
-		}
-		a.count += by
-		if a.count == 0 {
-			delete(groups, key)
+		for r, id := range st.ids[i][0] {
+			rowCodes[r*w+i] = valCodes[id]
 		}
 	}
-	for _, r := range d.Added {
-		bump(r, 1)
+	type change struct {
+		codes []int32
+		net   int64
+		at    int // index of the matching state group, or -1
 	}
-	for _, r := range d.Removed {
-		bump(r, -1)
-	}
-	var total int64
-	for _, a := range groups {
-		if a.count < 0 {
-			return fmt.Errorf("core: delta removes more %v rows than the saved state holds", a.vals)
+	var changes []change
+	index := make(map[string]int, st.nRows)
+	rowChange := make([]int, st.nRows)
+	buf := make([]byte, 0, 4*w)
+	for r := range rowChange {
+		codes := rowCodes[r*w : (r+1)*w]
+		key := packCodes(buf, codes)
+		j, ok := index[string(key)]
+		if !ok {
+			j = len(changes)
+			index[string(key)] = j
+			changes = append(changes, change{codes: codes, at: -1})
 		}
-		codes := make([]int32, len(in.QI))
-		for i, q := range in.QI {
-			c, ok := q.H.Dict(0).Code(a.vals[i])
-			if !ok {
-				return fmt.Errorf("core: saved state group value %q is absent from the edited table", a.vals[i])
+		if r < st.nAdded {
+			changes[j].net++
+		} else {
+			changes[j].net--
+		}
+		rowChange[r] = j
+	}
+	f0 := codeGroups{width: w, codes: make([]int32, len(base)*w, (len(base)+len(changes))*w), counts: make([]int64, len(base), len(base)+len(changes))}
+	for gi, g := range base {
+		codes := f0.tuple(gi)
+		for i, v := range g.V {
+			codes[i] = coder.code(i, v)
+		}
+		f0.counts[gi] = g.N
+		if len(changes) > 0 {
+			if j, ok := index[string(packCodes(buf, codes))]; ok && changes[j].at < 0 {
+				changes[j].at = gi
 			}
-			codes[i] = c
 		}
-		rt.f0 = append(rt.f0, f0Entry{vals: a.vals, codes: codes, count: a.count})
-		total += a.count
 	}
+	st.addedOld = make([]bool, st.nAdded)
+	for r := range st.addedOld {
+		st.addedOld[r] = changes[rowChange[r]].at >= 0
+	}
+	for _, c := range changes {
+		if c.at >= 0 {
+			f0.counts[c.at] += c.net
+		} else {
+			f0.add(c.codes, c.net)
+		}
+	}
+
+	for gi, n := range f0.counts {
+		if n < 0 {
+			vals := make([]string, w)
+			for i, c := range f0.tuple(gi) {
+				vals[i] = coder.value(i, c)
+			}
+			return fmt.Errorf("core: delta removes more %v rows than the saved state holds", vals)
+		}
+	}
+	kept := 0
+	var total int64
+	for gi, n := range f0.counts {
+		if n == 0 {
+			continue
+		}
+		codes := f0.tuple(gi)
+		for i, c := range codes {
+			if coder.placeholder(i, c) {
+				return fmt.Errorf("core: saved state group value %q is absent from the edited table", coder.value(i, c))
+			}
+		}
+		copy(f0.codes[kept*w:], codes)
+		f0.counts[kept] = n
+		kept++
+		total += n
+	}
+	f0.codes, f0.counts = f0.codes[:kept*w], f0.counts[:kept]
 	if total != int64(in.Table.NumRows()) {
 		return fmt.Errorf("core: patched base state covers %d rows, the edited table has %d — the state does not describe this table",
 			total, in.Table.NumRows())
 	}
-	sort.Slice(rt.f0, func(i, j int) bool { return packStrings(rt.f0[i].vals) < packStrings(rt.f0[j].vals) })
-	rt.rowsRescanned.Store(int64(len(d.Added) + len(d.Removed)))
-	d.st = rt
+	st.f0 = f0
 	return nil
+}
+
+// checkMarginals compares, column by column, how many rows of the patched
+// base set hold each value with how many rows of the edited table do. A
+// state captured from a different table of the same size fails here,
+// naming a value whose count differs. One pass over each column's codes.
+func checkMarginals(in *Input, f0 *codeGroups) error {
+	for i, q := range in.QI {
+		table := make([]int64, q.H.LevelSize(0))
+		for _, c := range in.Table.Codes(q.Col) {
+			table[c]++
+		}
+		state := make([]int64, len(table))
+		for gi, n := range f0.counts {
+			state[f0.codes[gi*f0.width+i]] += n
+		}
+		for c := range table {
+			if table[c] != state[c] {
+				return fmt.Errorf("core: saved state holds %d rows with %s = %q, the edited table has %d — the state does not describe this table",
+					state[c], q.H.Attr(), q.H.Value(0, int32(c)), table[c])
+			}
+		}
+	}
+	return nil
+}
+
+// internRows interns every delta row's generalized value once per
+// (attribute, level), so the per-node grouping keys rows by small IDs.
+func (st *deltaState) internRows(in *Input, rows []DeltaRow) {
+	st.ids = make([][][]int32, len(in.QI))
+	st.vals = make([][][]string, len(in.QI))
+	for d, q := range in.QI {
+		nl := q.H.NumLevels()
+		st.ids[d] = make([][]int32, nl)
+		st.vals[d] = make([][]string, nl)
+		flat := make([]int32, nl*len(rows))
+		for l := 0; l < nl; l++ {
+			ids := flat[l*len(rows) : (l+1)*len(rows)]
+			seen := make(map[string]int32)
+			var vals []string
+			for r, row := range rows {
+				v := row.Gen[d][l]
+				id, ok := seen[v]
+				if !ok {
+					id = int32(len(vals))
+					seen[v] = id
+					vals = append(vals, v)
+				}
+				ids[r] = id
+			}
+			st.ids[d][l], st.vals[d][l] = ids, vals
+		}
+	}
 }
 
 // gdelta is the net contribution of the delta rows to one group of a node.
@@ -467,39 +726,55 @@ type gdelta struct {
 	// added row landing in it had a pre-existing base-level group (see
 	// deltaState.addedOld). Deletions imply existence on their own.
 	pre bool
+	row int // a delta row in the group, which renders vals
 }
 
 // groupDeltas folds the delta rows into per-group contributions at the
-// node's generalization, keyed by packed generalized value strings.
-func (st *deltaState) groupDeltas(node *lattice.Node) map[string]*gdelta {
-	out := make(map[string]*gdelta)
-	vals := make([]string, len(node.Dims))
-	at := func(row DeltaRow) string {
+// node's generalization, keyed by the rows' interned value IDs. All row
+// keys live in one string, so a new group costs no key allocation.
+func (st *deltaState) groupDeltas(node *lattice.Node) []gdelta {
+	n := len(node.Dims)
+	cols := make([][]int32, n)
+	for i, d := range node.Dims {
+		cols[i] = st.ids[d][node.Levels[i]]
+	}
+	var b strings.Builder
+	b.Grow(4 * n * st.nRows)
+	var id [4]byte
+	for r := 0; r < st.nRows; r++ {
+		for _, ids := range cols {
+			binary.LittleEndian.PutUint32(id[:], uint32(ids[r]))
+			b.Write(id[:])
+		}
+	}
+	keys := b.String()
+	index := make(map[string]int)
+	var out []gdelta
+	for r := 0; r < st.nRows; r++ {
+		key := keys[4*n*r : 4*n*(r+1)]
+		j, ok := index[key]
+		if !ok {
+			j = len(out)
+			index[key] = j
+			out = append(out, gdelta{row: r})
+		}
+		g := &out[j]
+		if r < st.nAdded {
+			g.add++
+			if st.addedOld[r] {
+				g.pre = true
+			}
+		} else {
+			g.del++
+		}
+	}
+	vals := make([]string, len(out)*n)
+	for j := range out {
+		v := vals[j*n : (j+1)*n : (j+1)*n]
 		for i, d := range node.Dims {
-			vals[i] = row.Gen[d][node.Levels[i]]
+			v[i] = st.vals[d][node.Levels[i]][cols[i][out[j].row]]
 		}
-		return packStrings(vals)
-	}
-	for i, r := range st.added {
-		key := at(r)
-		g := out[key]
-		if g == nil {
-			g = &gdelta{vals: append([]string(nil), vals...)}
-			out[key] = g
-		}
-		g.add++
-		if st.addedOld[i] {
-			g.pre = true
-		}
-	}
-	for _, r := range st.removed {
-		key := at(r)
-		g := out[key]
-		if g == nil {
-			g = &gdelta{vals: append([]string(nil), vals...)}
-			out[key] = g
-		}
-		g.del++
+		out[j].vals = v
 	}
 	return out
 }
@@ -516,8 +791,8 @@ const (
 // verdict when the updated tally bounds decide it. Band hits update
 // exactly; groups covered only by the floor widen the tally bounds by the
 // worst case a group near k can contribute. All updates are commutative,
-// so map iteration order cannot change the result.
-func updateRecord(rec *resilience.NodeRecord, deltas map[string]*gdelta, k, maxSuppress int64) (resilience.NodeRecord, int) {
+// so the order of deltas cannot change the result.
+func updateRecord(rec *resilience.NodeRecord, deltas []gdelta, k, maxSuppress int64) (resilience.NodeRecord, int) {
 	contrib := func(x int64) int64 {
 		if x > 0 && x < k {
 			return x
@@ -525,31 +800,38 @@ func updateRecord(rec *resilience.NodeRecord, deltas map[string]*gdelta, k, maxS
 		return 0
 	}
 	// The band is kept sorted by cmpVals, so each delta group resolves by
-	// binary search — no per-node key packing or map build.
-	newBand := make([]resilience.BandEntry, len(rec.Band))
-	copy(newBand, rec.Band)
-	inBand := func(vals []string) *resilience.BandEntry {
-		i := sort.Search(len(newBand), func(i int) bool { return cmpVals(newBand[i].V, vals) >= 0 })
-		if i < len(newBand) && cmpVals(newBand[i].V, vals) == 0 {
-			return &newBand[i]
+	// binary search — no per-node key packing or map build. Count edits
+	// never reorder it, and it is copied only once an entry changes.
+	band, copied := rec.Band, false
+	inBand := func(vals []string) int {
+		i, found := slices.BinarySearchFunc(band, vals, func(e resilience.BandEntry, v []string) int { return cmpVals(e.V, v) })
+		if !found {
+			return -1
 		}
-		return nil
+		return i
 	}
 	lo, hi := int64(0), int64(0)
 	floor := rec.Floor
 	inconsistent := false
-	for _, gd := range deltas {
+	for i := range deltas {
+		gd := &deltas[i]
 		delta := gd.add - gd.del
-		if e := inBand(gd.vals); e != nil {
-			nn := e.N + delta
+		if j := inBand(gd.vals); j >= 0 {
+			old := band[j].N
+			nn := old + delta
 			if nn < 0 {
 				inconsistent = true
 				nn = 0
 			}
-			ch := contrib(nn) - contrib(e.N)
+			ch := contrib(nn) - contrib(old)
 			lo += ch
 			hi += ch
-			e.N = nn
+			if nn != old {
+				if !copied {
+					band, copied = slices.Clone(band), true
+				}
+				band[j].N = nn
+			}
 			continue
 		}
 		if gd.del > 0 {
@@ -612,12 +894,13 @@ func updateRecord(rec *resilience.NodeRecord, deltas map[string]*gdelta, k, maxS
 	if upd.TallyLo < 0 {
 		upd.TallyLo = 0
 	}
-	for _, e := range newBand {
-		if e.N != 0 {
-			upd.Band = append(upd.Band, e)
+	if slices.ContainsFunc(band, func(e resilience.BandEntry) bool { return e.N == 0 }) {
+		if !copied {
+			band = slices.Clone(band)
 		}
+		band = slices.DeleteFunc(band, func(e resilience.BandEntry) bool { return e.N == 0 })
 	}
-	sortBand(upd.Band)
+	upd.Band = band
 	verdict := verdictUnknown
 	if !inconsistent {
 		switch {
@@ -643,6 +926,8 @@ func min64(a, b int64) int64 {
 // bounds straddle the threshold). On success the updated record is fed to
 // the input's capture, so the new state reflects the edited table.
 func (st *deltaState) screen(in *Input, node *lattice.Node) (pass, ok bool) {
+	start := time.Now()
+	defer func() { st.screenNS.Add(int64(time.Since(start))) }()
 	key := nodeRecKey(node.Dims, node.Levels)
 	rec := st.records[key]
 	if rec == nil {
@@ -685,15 +970,16 @@ func (st *deltaState) rootFromF0(in *Input, n *lattice.Node) *relation.FreqSet {
 	}
 	maps := in.recodeTables(n.Dims, n.Levels)
 	codes := make([]int32, len(n.Dims))
-	for _, e := range st.f0 {
+	for gi, count := range st.f0.counts {
+		e := st.f0.tuple(gi)
 		for i, d := range n.Dims {
-			c := e.codes[d]
+			c := e[d]
 			if m := maps[i]; m != nil {
 				c = m[c]
 			}
 			codes[i] = c
 		}
-		f.Add(codes, e.count)
+		f.Add(codes, count)
 	}
 	st.rowsRescanned.Add(int64(in.Table.NumRows()))
 	return f

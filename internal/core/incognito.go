@@ -203,6 +203,9 @@ func runSearch(in *Input, maker rootFreqMaker, label string) (*Result, error) {
 	sp.SetAttr("algorithm", label)
 	in.Progress.SetPhase(label)
 	defer sp.End()
+	if in.Delta != nil {
+		defer func() { sp.Add(CounterDeltaScreenNS, in.Delta.st.screenNS.Load()) }()
+	}
 	var stats Stats
 	n := len(in.QI)
 	ids := lattice.NewIDGen()

@@ -58,6 +58,10 @@ const (
 	CounterTableScans   = "table_scans"
 	CounterRollups      = "rollups"
 	CounterCubeFreqSets = "cube_freq_sets"
+	// CounterDeltaScreenNS is the wall time a delta run's search spent
+	// deciding nodes from their saved records (nanoseconds, summed over
+	// workers); it is recorded on the search span and has no Stats twin.
+	CounterDeltaScreenNS = "delta_screen_ns"
 )
 
 // RecordStatsDelta records after − before on sp, for algorithm drivers in

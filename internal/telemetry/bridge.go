@@ -95,12 +95,13 @@ func (m *RunMetrics) ObserveRollup(fromGroups, toGroups int) {
 // counterHelp documents the known trace counters in the exposition; an
 // unknown counter gets a generic line rather than being dropped.
 var counterHelp = map[string]string{
-	"nodes_checked":  "Generalization nodes whose k-anonymity was tested explicitly.",
-	"nodes_marked":   "Nodes skipped via the generalization property.",
-	"candidates":     "Candidate nodes across all iterations.",
-	"table_scans":    "Frequency sets built by scanning the base table.",
-	"rollups":        "Frequency sets derived from other frequency sets.",
-	"cube_freq_sets": "Zero-generalization frequency sets materialized by the cube.",
+	"nodes_checked":   "Generalization nodes whose k-anonymity was tested explicitly.",
+	"nodes_marked":    "Nodes skipped via the generalization property.",
+	"candidates":      "Candidate nodes across all iterations.",
+	"table_scans":     "Frequency sets built by scanning the base table.",
+	"rollups":         "Frequency sets derived from other frequency sets.",
+	"cube_freq_sets":  "Zero-generalization frequency sets materialized by the cube.",
+	"delta_screen_ns": "Nanoseconds delta runs spent deciding nodes from their saved records.",
 }
 
 // RecordTrace folds an exported trace document into the registry: every

@@ -11,6 +11,7 @@ import (
 
 	incognito "incognito"
 	"incognito/internal/telemetry"
+	"incognito/internal/trace"
 )
 
 var allAlgorithms = []incognito.Algorithm{
@@ -163,5 +164,54 @@ func TestAnonymizeTelemetryTransparent(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "incognito_freqset_groups_count") {
 		t.Errorf("registry missing run-metric observations:\n%s", sb.String())
+	}
+}
+
+// TestAnonymizeDeltaTraceLayers: with a tracer set, a delta run's trace
+// shows the delta layers — delta.prepare with its base-group and
+// delta-row counts, the screen time on the search span, and delta.capture
+// around the follow-on state — in run order.
+func TestAnonymizeDeltaTraceLayers(t *testing.T) {
+	tab := censusTable(t, 200, 71)
+	cold, err := incognito.Anonymize(tab, patientsQI(), incognito.Config{K: 3, RetainState: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := [][]string{tab.Row(7)}
+	del := [][]string{tab.Row(0), tab.Row(50)}
+	tracer := incognito.NewTracer()
+	got, err := incognito.AnonymizeDelta(context.Background(), tab, patientsQI(),
+		incognito.Config{K: 3, Tracer: tracer}, cold.State(), add, del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := tracer.Export()
+	one := func(name string) *trace.SpanDoc {
+		t.Helper()
+		spans := doc.Find(name)
+		if len(spans) != 1 {
+			t.Fatalf("trace has %d %q spans, want 1", len(spans), name)
+		}
+		return spans[0]
+	}
+	prepare, search, capture := one("delta.prepare"), one("search"), one("delta.capture")
+	for attr, want := range map[string]int{
+		"base_groups": len(cold.State().Base),
+		"added":       len(add),
+		"removed":     len(del),
+	} {
+		if got := prepare.Attrs[attr]; got != want {
+			t.Errorf("delta.prepare attr %s = %v, want %d", attr, got, want)
+		}
+	}
+	if got.Counters.NodesScreened == 0 {
+		t.Fatal("delta run screened no nodes")
+	}
+	if ns := search.Counters["delta_screen_ns"]; ns <= 0 {
+		t.Errorf("search span delta_screen_ns = %d after %d screened nodes", ns, got.Counters.NodesScreened)
+	}
+	if !(prepare.StartUS <= search.StartUS && search.StartUS <= capture.StartUS) {
+		t.Errorf("delta spans out of order: prepare@%dus search@%dus capture@%dus",
+			prepare.StartUS, search.StartUS, capture.StartUS)
 	}
 }
