@@ -1,11 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"incognito/internal/trace"
 )
 
 // writeDeltaFixture writes a base CSV, a delta-add CSV, a delta-del CSV
@@ -206,5 +209,51 @@ func TestCLIDeltaFlagValidation(t *testing.T) {
 	}
 	if out, code := runCLI(t, "-input", base, "-qi", qi, "-state-in", state, "-delta-add", badDelta); code != 1 {
 		t.Errorf("mismatched delta header: exit %d, want 1\n%s", code, out)
+	}
+}
+
+// TestCLIDeltaTracesStateFile: with -trace, a delta run shows the state
+// file's load and save as state.load and state.save spans, each carrying
+// the file's size as a bytes attribute rather than a counter.
+func TestCLIDeltaTracesStateFile(t *testing.T) {
+	dir := t.TempDir()
+	base, addFile, delFile, _ := writeDeltaFixture(t, dir)
+	state1 := filepath.Join(dir, "s1.state")
+	state2 := filepath.Join(dir, "s2.state")
+	tracePath := filepath.Join(dir, "trace.json")
+	qi := "Zip=round:2;Sex=suppress"
+
+	if out, code := runCLI(t, "-input", base, "-qi", qi, "-k", "2", "-state-out", state1,
+		"-output", filepath.Join(dir, "o0.csv")); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	if out, code := runCLI(t, "-input", base, "-qi", qi, "-k", "2",
+		"-state-in", state1, "-delta-add", addFile, "-delta-del", delFile,
+		"-state-out", state2, "-trace", tracePath, "-output", filepath.Join(dir, "o1.csv")); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc trace.Document
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	for span, file := range map[string]string{"state.load": state1, "state.save": state2} {
+		fi, err := os.Stat(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := doc.Find(span)
+		if len(found) != 1 {
+			t.Fatalf("trace has %d %s spans, want 1", len(found), span)
+		}
+		if got, ok := found[0].Attrs["bytes"].(float64); !ok || int64(got) != fi.Size() {
+			t.Errorf("%s span bytes = %v, want the file size %d", span, found[0].Attrs["bytes"], fi.Size())
+		}
+		if len(found[0].Counters) != 0 {
+			t.Errorf("%s span carries counters %v, want none", span, found[0].Counters)
+		}
 	}
 }

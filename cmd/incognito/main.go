@@ -27,7 +27,8 @@
 // -stats are bit-identical to a single-process run.
 //
 // Observability: -trace FILE writes a JSON execution trace (the span tree
-// of every search phase, with per-phase wall time and work counters),
+// of every search phase, with per-phase wall time and work counters, plus
+// state.load and state.save spans around -state-in and -state-out),
 // -trace-chrome FILE the same trace as Chrome trace-event JSON for
 // Perfetto, -metrics-addr serves live Prometheus metrics plus pprof over
 // HTTP, -metrics-out writes the final metrics snapshot, -v emits periodic
@@ -444,6 +445,19 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
+// endStateSpan closes a state.load or state.save span, recording the state
+// file's size as an attribute: a counter would join the trace's counter
+// totals, which must equal -stats.
+func endStateSpan(sp *incognito.Span, path string) {
+	sp.End()
+	if sp == nil {
+		return
+	}
+	if fi, err := os.Stat(path); err == nil {
+		sp.SetAttr("bytes", fi.Size())
+	}
+}
+
 // anonymizeFile is the main CSV-in, CSV-out path.
 func anonymizeFile(ctx context.Context, o *options, ins instruments) error {
 	table, err := incognito.LoadCSV(o.input)
@@ -479,7 +493,9 @@ func anonymizeFile(ctx context.Context, o *options, ins instruments) error {
 	}
 	var res *incognito.Result
 	if o.stateIn != "" {
+		sp := ins.tracer.Start("state.load")
 		state, serr := incognito.LoadRunState(o.stateIn)
+		endStateSpan(sp, o.stateIn)
 		if serr != nil {
 			return serr
 		}
@@ -522,7 +538,10 @@ func anonymizeFile(ctx context.Context, o *options, ins instruments) error {
 		}
 	}
 	if o.stateOut != "" {
-		if serr := incognito.SaveRunState(o.stateOut, res.State()); serr != nil {
+		sp := ins.tracer.Start("state.save")
+		serr := incognito.SaveRunState(o.stateOut, res.State())
+		endStateSpan(sp, o.stateOut)
+		if serr != nil {
 			return serr
 		}
 		fmt.Fprintf(os.Stderr, "wrote run state to %s\n", o.stateOut)

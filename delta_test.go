@@ -357,3 +357,50 @@ func TestRunStateBytesGolden(t *testing.T) {
 		t.Errorf("delta run's state hashes to %s, want %s", h, wantDelta)
 	}
 }
+
+// TestDeltaExplainsNonUTF8StateValues: a state file stores values as JSON
+// strings, so a value that is not valid UTF-8 comes back as U+FFFD and no
+// longer matches the table. Whether prepare then finds the value absent,
+// a removal it cannot place, or a column count mismatch (when the table
+// also holds a real U+FFFD), the error from the loaded file must say so;
+// the same delta from the in-memory state succeeds.
+func TestDeltaExplainsNonUTF8StateValues(t *testing.T) {
+	for _, notes := range [][2]string{{"ok", "\x80"}, {"\ufffd", "\x80"}} {
+		rng := rand.New(rand.NewSource(71))
+		recs := make([][]string, 200)
+		for i := range recs {
+			recs[i] = append(censusRow(rng)[:3], notes[i%2])
+		}
+		tab, err := incognito.NewTable([]string{"Birthdate", "Sex", "Zipcode", "Note"}, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qi := append(patientsQI(), incognito.QI{Column: "Note", Hierarchy: incognito.Suppression()})
+		cfg := incognito.Config{K: 2}
+		retain := cfg
+		retain.RetainState = true
+		cold, err := incognito.Anonymize(tab, qi, retain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "run.state")
+		if err := incognito.SaveRunState(path, cold.State()); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := incognito.LoadRunState(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, del := range [][][]string{{tab.Row(0)}, {tab.Row(1)}} {
+			if _, err := incognito.AnonymizeDelta(context.Background(), tab, qi, cfg, cold.State(), nil, del); err != nil {
+				t.Fatalf("notes %q, deleting %q from the in-memory state: %v", notes, del[0][3], err)
+			}
+			_, err = incognito.AnonymizeDelta(context.Background(), tab, qi, cfg, loaded, nil, del)
+			if err == nil || !strings.Contains(err.Error(), "not valid UTF-8 were saved as U+FFFD") ||
+				!strings.Contains(err.Error(), "in-memory states") {
+				t.Fatalf("notes %q, deleting %q from a loaded state: got %v, want an error explaining the U+FFFD substitution",
+					notes, del[0][3], err)
+			}
+		}
+	}
+}

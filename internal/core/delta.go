@@ -44,6 +44,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"incognito/internal/lattice"
 	"incognito/internal/relation"
@@ -635,7 +636,7 @@ func (st *deltaState) patchBase(in *Input, base []resilience.BaseGroup) error {
 			for i, c := range f0.tuple(gi) {
 				vals[i] = coder.value(i, c)
 			}
-			return fmt.Errorf("core: delta removes more %v rows than the saved state holds", vals)
+			return fmt.Errorf("core: delta removes more %v rows than the saved state holds%s", vals, utf8Note(vals...))
 		}
 	}
 	kept := 0
@@ -647,7 +648,8 @@ func (st *deltaState) patchBase(in *Input, base []resilience.BaseGroup) error {
 		codes := f0.tuple(gi)
 		for i, c := range codes {
 			if coder.placeholder(i, c) {
-				return fmt.Errorf("core: saved state group value %q is absent from the edited table", coder.value(i, c))
+				v := coder.value(i, c)
+				return fmt.Errorf("core: saved state group value %q is absent from the edited table%s", v, utf8Note(v))
 			}
 		}
 		copy(f0.codes[kept*w:], codes)
@@ -680,12 +682,26 @@ func checkMarginals(in *Input, f0 *codeGroups) error {
 		}
 		for c := range table {
 			if table[c] != state[c] {
-				return fmt.Errorf("core: saved state holds %d rows with %s = %q, the edited table has %d — the state does not describe this table",
-					state[c], q.H.Attr(), q.H.Value(0, int32(c)), table[c])
+				v := q.H.Value(0, int32(c))
+				return fmt.Errorf("core: saved state holds %d rows with %s = %q, the edited table has %d — the state does not describe this table%s",
+					state[c], q.H.Attr(), v, table[c], utf8Note(v))
 			}
 		}
 	}
 	return nil
+}
+
+// utf8Note explains a mismatch over a value that holds U+FFFD or bytes
+// that are not valid UTF-8: a state file cannot carry such bytes, so the
+// state may be right and the file lossy.
+func utf8Note(vals ...string) string {
+	for _, v := range vals {
+		if strings.ContainsRune(v, utf8.RuneError) {
+			return "; state files store values as JSON strings, so bytes that were not valid UTF-8 were saved as U+FFFD" +
+				" (in-memory states, in the daemon or chained through DeltaResult.State(), are unaffected)"
+		}
+	}
+	return ""
 }
 
 // internRows interns every delta row's generalized value once per

@@ -130,6 +130,29 @@ func checksum(payload []byte) string {
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
+// writeAtomic replaces path with data: it writes a temp file named by
+// pattern in the same directory, fsyncs it and renames it over path, so a
+// crash mid-write leaves any previous file intact.
+func writeAtomic(path, pattern string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
+	if err != nil {
+		return err
+	}
+	if _, err = tmp.Write(data); err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
 // Checkpointer serializes snapshots to one file with atomic replace
 // semantics (write to a temp file in the same directory, fsync, rename), so
 // a crash mid-save leaves the previous snapshot intact. Safe for concurrent
@@ -196,25 +219,7 @@ func (c *Checkpointer) Save(s *Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("resilience: encoding checkpoint: %w", err)
 	}
-	dir := filepath.Dir(c.path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return fmt.Errorf("resilience: writing checkpoint: %w", err)
-	}
-	if _, err := tmp.Write(env); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("resilience: writing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("resilience: writing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path); err != nil {
-		os.Remove(tmp.Name())
+	if err := writeAtomic(c.path, ".ckpt-*", env); err != nil {
 		return fmt.Errorf("resilience: writing checkpoint: %w", err)
 	}
 	c.seq.Add(1)
