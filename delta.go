@@ -54,45 +54,64 @@ type DeltaResult struct {
 
 // ApplyRowDelta builds the edited table a delta describes: each row of del
 // deletes one matching tuple (full-row string equality; duplicates are
-// deleted once per del entry), each row of add appends one tuple. It is
-// the canonical edit AnonymizeDelta performs internally — exposed so
-// callers can produce the same bytes for a cold-run comparison. Deleting a
-// row the table does not contain (or contains fewer times than del asks)
-// is an error.
+// deleted once per del entry, first occurrences first), each row of add
+// appends one tuple. It is the canonical edit AnonymizeDelta performs
+// internally — exposed so callers can produce the same bytes for a
+// cold-run comparison. Deleting a row the table does not contain (or
+// contains fewer times than del asks) is an error.
+//
+// The edit runs on dictionary codes: deleted rows are matched by their
+// code tuples and the kept rows' code vectors are copied, so a row costs
+// a few code reads and one map probe, never a string.
 func ApplyRowDelta(t *Table, add, del [][]string) (*Table, error) {
 	if t == nil {
 		return nil, fmt.Errorf("incognito: nil table")
 	}
-	cols := t.rel.Columns()
+	cols := t.rel.NumCols()
 	for _, r := range append(append([][]string{}, add...), del...) {
-		if len(r) != len(cols) {
-			return nil, fmt.Errorf("incognito: delta row has %d values, table has %d columns", len(r), len(cols))
+		if len(r) != cols {
+			return nil, fmt.Errorf("incognito: delta row has %d values, table has %d columns", len(r), cols)
 		}
 	}
+	// keys[i] packs del[i]'s codes, four bytes per column. It stays empty
+	// when del[i] holds a value the table lacks, so it matches no row.
+	keys := make([]string, len(del))
 	pending := make(map[string]int, len(del))
-	for _, r := range del {
-		pending[packRow(r)]++
-	}
-	out := relation.MustNewTable(cols...)
-	for i := 0; i < t.rel.NumRows(); i++ {
-		row := t.rel.Row(i)
-		if key := packRow(row); pending[key] > 0 {
-			pending[key]--
-			continue
+	buf := make([]byte, 4*cols)
+next:
+	for i, r := range del {
+		for c, v := range r {
+			code, ok := t.rel.Dict(c).Code(v)
+			if !ok {
+				continue next
+			}
+			binary.LittleEndian.PutUint32(buf[4*c:], uint32(code))
 		}
-		if err := out.AppendRow(row); err != nil {
-			return nil, err
+		keys[i] = string(buf)
+		pending[keys[i]]++
+	}
+	drop := make([]bool, t.rel.NumRows())
+	if len(pending) > 0 {
+		for row := range drop {
+			for c := 0; c < cols; c++ {
+				binary.LittleEndian.PutUint32(buf[4*c:], uint32(t.rel.Code(row, c)))
+			}
+			if n := pending[string(buf)]; n > 0 {
+				pending[string(buf)] = n - 1
+				drop[row] = true
+			}
 		}
 	}
-	for _, r := range del {
-		if pending[packRow(r)] > 0 {
-			return nil, fmt.Errorf("incognito: delta deletes row %v more times than the table contains it", r)
+	for i, key := range keys {
+		if key == "" || pending[key] > 0 {
+			return nil, fmt.Errorf("incognito: delta deletes row %v more times than the table contains it", del[i])
 		}
 	}
+	// Select re-encodes the kept rows into first-appearance dictionaries,
+	// the ones AppendRow would build from the same rows one by one.
+	out := t.rel.Select(func(row int) bool { return !drop[row] })
 	for _, r := range add {
-		if err := out.AppendRow(r); err != nil {
-			return nil, err
-		}
+		_ = out.AppendRow(r) // cannot fail: the widths are checked above
 	}
 	return &Table{rel: out}, nil
 }
@@ -143,15 +162,21 @@ func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *R
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	sp := startSpan(cfg, "delta.edit")
+	sp.SetAttr("rows_in", t.NumRows())
 	edited, err := ApplyRowDelta(t, add, del)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
+	sp.SetAttr("rows_out", edited.NumRows())
+	sp = startSpan(cfg, "delta.bind")
 	attrs, names, specs, err := bindQISpecs(edited, qi)
-	if err != nil {
-		return nil, err
+	var added, removed []core.DeltaRow
+	if err == nil {
+		added, removed, err = deltaRowsFor(edited, qi, specs, add, del)
 	}
-	added, removed, err := deltaRowsFor(edited, qi, specs, add, del)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +212,7 @@ func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *R
 	res := &Result{in: in, qiNames: names, heights: in.Heights(), complete: true}
 	res.solutions = r.Solutions
 	res.stats = wrapStats(r.Stats)
-	sp := in.StartSpan("delta.capture")
+	sp = in.StartSpan("delta.capture")
 	res.state = &resilience.RunState{
 		Fingerprint: in.Fingerprint(cfg.Algorithm.String()),
 		Cols:        append([]string(nil), state.Cols...),
@@ -266,19 +291,12 @@ func deltaRowsFor(edited *Table, qi []QI, specs []*hierarchy.Spec, add, del [][]
 	return out[:len(add)], out[len(add):], nil
 }
 
-// packRow encodes a row as a single collision-free string key
-// (length-prefixed values), for multiset matching in ApplyRowDelta.
-func packRow(vals []string) string {
-	n := 0
-	for _, v := range vals {
-		n += 4 + len(v)
+// startSpan opens a span the way core.Input.StartSpan does, for the
+// set-up steps that run before the Input exists: under cfg.ParentSpan
+// when set, else at the top of cfg.Tracer. Nil-safe like both.
+func startSpan(cfg Config, name string) *Span {
+	if cfg.ParentSpan != nil {
+		return cfg.ParentSpan.Start(name)
 	}
-	b := make([]byte, 0, n)
-	var pre [4]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint32(pre[:], uint32(len(v)))
-		b = append(b, pre[:]...)
-		b = append(b, v...)
-	}
-	return string(b)
+	return cfg.Tracer.Start(name)
 }

@@ -294,11 +294,12 @@ func captureState(ctx context.Context, t *relation.Table, cols []int, hs []*hier
 		colNames[i] = h.Attr()
 	}
 	return &resilience.RunState{
-		Cols:    colNames,
-		K:       k,
-		Rows:    t.NumRows(),
-		Base:    core.CaptureBase(&in),
-		Records: capture.Records(),
+		Fingerprint: resilience.Fingerprint{Heights: in.Heights()},
+		Cols:        colNames,
+		K:           k,
+		Rows:        t.NumRows(),
+		Base:        core.CaptureBase(&in),
+		Records:     capture.Records(),
 	}, nil
 }
 

@@ -507,9 +507,19 @@ func (d *DeltaRun) prepare(in *Input) error {
 	if len(st.Cols) != w {
 		return fmt.Errorf("core: saved state covers %d QI attributes, this run has %d", len(st.Cols), w)
 	}
+	// Records are keyed by lattice node, so a state is only valid in the
+	// lattice the heights span.
+	if len(st.Fingerprint.Heights) != w {
+		return fmt.Errorf("core: saved state records %d hierarchy heights for %d QI attributes",
+			len(st.Fingerprint.Heights), w)
+	}
 	for i, q := range in.QI {
 		if st.Cols[i] != q.H.Attr() {
 			return fmt.Errorf("core: saved state QI attribute %d is %q, this run has %q", i, st.Cols[i], q.H.Attr())
+		}
+		if h := st.Fingerprint.Heights[i]; h != q.H.Height() {
+			return fmt.Errorf("core: saved state has attribute %q under a hierarchy of height %d, this run's has height %d",
+				q.H.Attr(), h, q.H.Height())
 		}
 	}
 	if want := st.Rows + len(d.Added) - len(d.Removed); want != in.Table.NumRows() {

@@ -291,7 +291,7 @@ func TestDeltaPrepareAllocsPerBaseGroup(t *testing.T) {
 	const side = 200 // 40,000 base groups
 	orig := distinctTable(t, side)
 	origIn := NewInput(orig, []int{0, 1}, suppressionHierarchies(t, orig, 2), 1, 0)
-	state := &resilience.RunState{Cols: []string{"A", "B"}, K: 1, Rows: orig.NumRows(), Base: CaptureBase(&origIn)}
+	state := &resilience.RunState{Fingerprint: resilience.Fingerprint{Heights: origIn.Heights()}, Cols: []string{"A", "B"}, K: 1, Rows: orig.NumRows(), Base: CaptureBase(&origIn)}
 
 	// The edit: drop the first 10 rows, duplicate 10 others.
 	var add, del [][]string
@@ -347,7 +347,7 @@ func TestGroupDeltasAllocsConstant(t *testing.T) {
 			}
 		}
 		origIn := NewInput(orig, []int{0, 1}, suppressionHierarchies(t, orig, 2), 1, 0)
-		state := &resilience.RunState{Cols: []string{"A", "B"}, K: 1, Rows: orig.NumRows(), Base: CaptureBase(&origIn)}
+		state := &resilience.RunState{Fingerprint: resilience.Fingerprint{Heights: origIn.Heights()}, Cols: []string{"A", "B"}, K: 1, Rows: orig.NumRows(), Base: CaptureBase(&origIn)}
 		hs := suppressionHierarchies(t, edited, 2)
 		in := NewInput(edited, []int{0, 1}, hs, 1, 0)
 		d := &DeltaRun{State: state, Added: deltaRowsOf(t, hs, add)}

@@ -148,6 +148,7 @@ func runState(in *Input, cap *StateCapture) *resilience.RunState {
 		cols[i] = q.H.Attr()
 	}
 	return &resilience.RunState{
+		Fingerprint: resilience.Fingerprint{Heights: in.Heights()},
 		Cols:        cols,
 		K:           in.K,
 		MaxSuppress: in.MaxSuppress,
@@ -290,6 +291,7 @@ func TestDeltaChainedStates(t *testing.T) {
 			// Next hop's state: what the delta run captured plus the
 			// reconciled untouched records.
 			state = &resilience.RunState{
+				Fingerprint: state.Fingerprint,
 				Cols:        state.Cols,
 				K:           state.K,
 				MaxSuppress: state.MaxSuppress,

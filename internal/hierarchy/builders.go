@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -20,6 +21,9 @@ func SuppressionSpec(attr string) *Spec {
 	return NewSpec(attr, Suppression(attr+"1"))
 }
 
+// errNoMapping reports a base value missing from an explicit table.
+var errNoMapping = errors.New("no mapping for value")
+
 // Mapped returns a level defined by an explicit base-value → generalized
 // value table. Missing entries are an error at Bind time, which is how
 // non-total taxonomies are rejected.
@@ -27,7 +31,7 @@ func Mapped(name string, m map[string]string) Level {
 	return Level{Name: name, FromBase: func(v string) (string, error) {
 		g, ok := m[v]
 		if !ok {
-			return "", fmt.Errorf("no mapping for value")
+			return "", errNoMapping
 		}
 		return g, nil
 	}}

@@ -33,6 +33,12 @@ type Level struct {
 type Spec struct {
 	Attr   string
 	Levels []Level
+
+	// dim, set on specs read from a dimension table, is that table
+	// dictionary-encoded: column 0 holds the distinct base values (so a
+	// base value's code is its row) and column l its level-l values. Bind
+	// joins a dictionary with it by codes instead of calling FromBase.
+	dim *relation.Table
 }
 
 // NewSpec builds a Spec from generalization levels.
@@ -54,7 +60,9 @@ type Hierarchy struct {
 // domain (typically a table column's dictionary). It validates that every
 // level function is total over the base values and that each induced step
 // function is well defined: two base values that share a domain-l value must
-// also share a domain-(l+1) value, otherwise the chain is not a DGH.
+// also share a domain-(l+1) value, otherwise the chain is not a DGH. A spec
+// read from a dimension table binds by codes, with the same result as
+// evaluating its FromBase functions value by value.
 func (s *Spec) Bind(dict *relation.Dict) (*Hierarchy, error) {
 	if s.Attr == "" {
 		return nil, fmt.Errorf("hierarchy: spec has empty attribute name")
@@ -69,6 +77,7 @@ func (s *Spec) Bind(dict *relation.Dict) (*Hierarchy, error) {
 	h.names[0] = s.Attr + "0"
 	h.dicts[0] = dict
 	base := dict.Values()
+	var rows []int32 // each base value's row in s.dim, looked up once for all levels
 	for l, lev := range s.Levels {
 		if lev.Name == "" {
 			return nil, fmt.Errorf("hierarchy %s: level %d has empty name", s.Attr, l+1)
@@ -77,6 +86,20 @@ func (s *Spec) Bind(dict *relation.Dict) (*Hierarchy, error) {
 			return nil, fmt.Errorf("hierarchy %s: level %q has nil mapping", s.Attr, lev.Name)
 		}
 		h.names[l+1] = lev.Name
+		if s.dim != nil {
+			if rows == nil {
+				rows = make([]int32, len(base))
+				for b, v := range base {
+					r, ok := s.dim.Dict(0).Code(v)
+					if !ok {
+						return nil, fmt.Errorf("hierarchy %s: level %q: value %q: %w", s.Attr, lev.Name, v, errNoMapping)
+					}
+					rows[b] = r
+				}
+			}
+			h.dicts[l+1], h.mapTo[l+1] = joinLevel(s.dim, l+1, rows)
+			continue
+		}
 		d := relation.NewDict()
 		m := make([]int32, len(base))
 		for b, v := range base {
@@ -113,6 +136,28 @@ func (s *Spec) Bind(dict *relation.Dict) (*Hierarchy, error) {
 		h.step[l] = st
 	}
 	return h, nil
+}
+
+// joinLevel joins base values to column col of a dimension table by
+// codes, rows[b] being base value b's row. Level values enter the new
+// dictionary in order of first appearance over the base codes, the order
+// evaluating FromBase value by value gives, and each is decoded once.
+func joinLevel(dim *relation.Table, col int, rows []int32) (*relation.Dict, []int32) {
+	src, codes := dim.Dict(col), dim.Codes(col)
+	remap := make([]int32, src.Len())
+	for c := range remap {
+		remap[c] = -1
+	}
+	d := relation.NewDict()
+	m := make([]int32, len(rows))
+	for b, r := range rows {
+		c := codes[r]
+		if remap[c] < 0 {
+			remap[c] = d.Encode(src.Value(c))
+		}
+		m[b] = remap[c]
+	}
+	return d, m
 }
 
 // Attr returns the attribute name the hierarchy generalizes.

@@ -168,9 +168,11 @@ func TestAnonymizeTelemetryTransparent(t *testing.T) {
 }
 
 // TestAnonymizeDeltaTraceLayers: with a tracer set, a delta run's trace
-// shows the delta layers — delta.prepare with its base-group and
-// delta-row counts, the screen time on the search span, and delta.capture
-// around the follow-on state — in run order.
+// shows the delta layers — delta.edit with the table's row counts before
+// and after the edit, delta.bind around the hierarchy binding,
+// delta.prepare with its base-group and delta-row counts, the screen time
+// on the search span, and delta.capture around the follow-on state — in
+// run order.
 func TestAnonymizeDeltaTraceLayers(t *testing.T) {
 	tab := censusTable(t, 200, 71)
 	cold, err := incognito.Anonymize(tab, patientsQI(), incognito.Config{K: 3, RetainState: true})
@@ -194,7 +196,16 @@ func TestAnonymizeDeltaTraceLayers(t *testing.T) {
 		}
 		return spans[0]
 	}
+	edit, bind := one("delta.edit"), one("delta.bind")
 	prepare, search, capture := one("delta.prepare"), one("search"), one("delta.capture")
+	for attr, want := range map[string]int{
+		"rows_in":  tab.NumRows(),
+		"rows_out": got.Table.NumRows(),
+	} {
+		if got := edit.Attrs[attr]; got != want {
+			t.Errorf("delta.edit attr %s = %v, want %d", attr, got, want)
+		}
+	}
 	for attr, want := range map[string]int{
 		"base_groups": len(cold.State().Base),
 		"added":       len(add),
@@ -210,8 +221,9 @@ func TestAnonymizeDeltaTraceLayers(t *testing.T) {
 	if ns := search.Counters["delta_screen_ns"]; ns <= 0 {
 		t.Errorf("search span delta_screen_ns = %d after %d screened nodes", ns, got.Counters.NodesScreened)
 	}
-	if !(prepare.StartUS <= search.StartUS && search.StartUS <= capture.StartUS) {
-		t.Errorf("delta spans out of order: prepare@%dus search@%dus capture@%dus",
-			prepare.StartUS, search.StartUS, capture.StartUS)
+	if !(edit.StartUS+edit.DurUS <= bind.StartUS && bind.StartUS+bind.DurUS <= prepare.StartUS &&
+		prepare.StartUS <= search.StartUS && search.StartUS <= capture.StartUS) {
+		t.Errorf("delta spans out of order: edit@%dus+%d bind@%dus+%d prepare@%dus search@%dus capture@%dus",
+			edit.StartUS, edit.DurUS, bind.StartUS, bind.DurUS, prepare.StartUS, search.StartUS, capture.StartUS)
 	}
 }
