@@ -639,34 +639,32 @@ func GroupCountRange(t *Table, cols []int, recode [][]int32, card []int, lo, hi 
 	// shard's, so every shard of a parallel scan picks the same layout and
 	// the merge stays a vector add.
 	f := newFreqSetSized(cols, card, t.NumRows())
-	f.countRange(t, cols, recode, lo, hi)
+	var lut [][]int32
+	if f.dense != nil {
+		lut = scanLUT(t, cols, recode, card)
+	}
+	f.countRange(t, cols, recode, lut, lo, hi)
 	return f
 }
 
 // countRange folds the rows [lo, hi) of t into f — the body of
 // GroupCountRange, split out so a scan worker can accumulate several
-// chunks into one worker-local set without a merge per chunk.
-func (f *FreqSet) countRange(t *Table, cols []int, recode [][]int32, lo, hi int) {
-	columns := make([][]int32, len(cols))
-	for i, c := range cols {
-		columns[i] = t.Codes(c)
-	}
+// chunks into one worker-local set without a merge per chunk. lut is the
+// scan's fused lookup tables (scanLUT of f's layout), built once per scan
+// and only read here; a dense f handed a nil lut spills and counts
+// sparsely.
+func (f *FreqSet) countRange(t *Table, cols []int, recode [][]int32, lut [][]int32, lo, hi int) {
 	if f.dense != nil {
-		if lut, ok := scanLUT(t, cols, recode, f); ok {
+		if lut != nil {
 			faultinject.Point("relation.dense_scan")
-			for r := lo; r < hi; r++ {
-				idx := int64(0)
-				for i := range lut {
-					idx += lut[i][columns[i][r]]
-				}
-				if f.dense[idx] == 0 {
-					f.nonzero++
-				}
-				f.dense[idx]++
-			}
+			f.countDense(t, cols, lut, lo, hi)
 			return
 		}
 		f.spill()
+	}
+	columns := make([][]int32, len(cols))
+	for i, c := range cols {
+		columns[i] = t.Codes(c)
 	}
 	codes := make([]int32, len(cols))
 	buf := make([]byte, 4*len(cols))
@@ -682,32 +680,91 @@ func (f *FreqSet) countRange(t *Table, cols []int, recode [][]int32, lo, hi int)
 	}
 }
 
-// scanLUT builds the fused per-column scan tables for a dense group count:
-// lut[i][baseCode] is the stride-scaled generalized code, so a tuple's
-// composite code is the plain sum of its per-column lookups. ok=false if
-// any reachable code would fall outside the declared cardinalities (the
-// caller then falls back to the sparse scan).
-func scanLUT(t *Table, cols []int, recode [][]int32, f *FreqSet) ([][]int64, bool) {
-	lut := make([][]int64, len(cols))
-	for i, c := range cols {
-		d := t.Dict(c).Len()
-		col := make([]int64, d)
-		for b := 0; b < d; b++ {
+// scanBlock is the number of rows the dense scan loop takes at a time. The
+// block's composite codes live in a 4 KiB stack array that stays in L1
+// cache while every column pass streams over it.
+const scanBlock = 1024
+
+// countDense is the dense scan loop over the rows [lo, hi). It works a
+// block of rows at a time: one pass per pair of columns adds both
+// columns' lookups into the block's composite codes (a lone first pass
+// when the width is odd), then one pass bumps the cells. Each pass keeps
+// its two tables and two code slices in registers, where a loop over
+// rows would reload every column's slice headers, with their bounds
+// checks, for every row.
+func (f *FreqSet) countDense(t *Table, cols []int, lut [][]int32, lo, hi int) {
+	var block [scanBlock]int32
+	dense, nonzero := f.dense, f.nonzero
+	for b := lo; b < hi; b += scanBlock {
+		e := b + scanBlock
+		if e > hi {
+			e = hi
+		}
+		idx := block[:e-b]
+		i := len(cols) % 2
+		if i == 1 {
+			la, ca := lut[0], t.Codes(cols[0])[b:e]
+			for r, c := range ca {
+				idx[r] = la[c]
+			}
+		} else {
+			la, ca := lut[0], t.Codes(cols[0])[b:e]
+			lb, cb := lut[1], t.Codes(cols[1])[b:e]
+			cb = cb[:len(ca)]
+			for r, c := range ca {
+				idx[r] = la[c] + lb[cb[r]]
+			}
+			i = 2
+		}
+		for ; i < len(cols); i += 2 {
+			la, ca := lut[i], t.Codes(cols[i])[b:e]
+			lb, cb := lut[i+1], t.Codes(cols[i+1])[b:e]
+			cb = cb[:len(ca)]
+			for r, c := range ca {
+				idx[r] += la[c] + lb[cb[r]]
+			}
+		}
+		for _, x := range idx {
+			if dense[x] == 0 {
+				nonzero++
+			}
+			dense[x]++
+		}
+	}
+	f.nonzero = nonzero
+}
+
+// scanLUT builds the fused per-column lookup tables of a dense scan over
+// the layout card: lut[i][baseCode] is column i's generalized code times
+// its mixed-radix stride (the product of card[i+1:], as in
+// NewFreqSetWithCard), so a tuple's composite code is the plain sum of
+// its per-column lookups. The tables and the composite codes are int32:
+// card is a dense layout, so it has at most DenseMaxCells = 2^22 cells,
+// and every stride, every table entry and every partial sum of
+// code·stride terms is below 2^22. nil if any reachable code would fall
+// outside card; the scan then spills to the sparse loop.
+func scanLUT(t *Table, cols []int, recode [][]int32, card []int) [][]int32 {
+	lut := make([][]int32, len(cols))
+	stride := int32(1)
+	for i := len(cols) - 1; i >= 0; i-- {
+		col := make([]int32, t.Dict(cols[i]).Len())
+		for b := range col {
 			g := int32(b)
 			if recode != nil && recode[i] != nil {
 				if b >= len(recode[i]) {
-					return nil, false
+					return nil
 				}
 				g = recode[i][b]
 			}
-			if g < 0 || g >= f.card[i] {
-				return nil, false
+			if g < 0 || int(g) >= card[i] {
+				return nil
 			}
-			col[b] = int64(g) * f.stride[i]
+			col[b] = g * stride
 		}
 		lut[i] = col
+		stride *= int32(card[i])
 	}
-	return lut, true
+	return lut
 }
 
 // minShardRows is the smallest row range worth handing to a scan worker;
@@ -759,6 +816,13 @@ func GroupCountParallelSched(t *Table, cols []int, recode [][]int32, card []int,
 	if max := n / minShardRows; chunks > max {
 		chunks = max
 	}
+	// Every dense partial has the scan's one layout, so its lookup tables
+	// are built once, here, and every chunk only reads them. A refused
+	// layout leaves lut nil and every dense partial spills.
+	var lut [][]int32
+	if len(card) == len(cols) && DenseEligible(card, n) {
+		lut = scanLUT(t, cols, recode, card)
+	}
 	parts := make([]*FreqSet, workers)
 	// Worker panic isolation: each chunk recovers its own panic into a
 	// *resilience.PanicError naming the chunk; the coordinator rethrows the
@@ -779,7 +843,7 @@ func GroupCountParallelSched(t *Table, cols []int, recode [][]int32, card []int,
 			// all partials agree, so the final merge is a vector add.
 			parts[w] = newFreqSetSized(cols, card, t.NumRows())
 		}
-		parts[w].countRange(t, cols, recode, lo, hi)
+		parts[w].countRange(t, cols, recode, lut, lo, hi)
 	})
 	for _, pe := range panics {
 		if pe != nil {

@@ -9,8 +9,13 @@ import (
 
 // naiveGroupCount is a reference implementation using decoded strings.
 func naiveGroupCount(t *Table, cols []int, recode [][]int32) map[string]int64 {
+	return naiveRangeCount(t, cols, recode, 0, t.NumRows())
+}
+
+// naiveRangeCount is naiveGroupCount over the rows [lo, hi).
+func naiveRangeCount(t *Table, cols []int, recode [][]int32, lo, hi int) map[string]int64 {
 	out := make(map[string]int64)
-	for r := 0; r < t.NumRows(); r++ {
+	for r := lo; r < hi; r++ {
 		key := ""
 		for i, c := range cols {
 			code := t.Code(r, c)

@@ -12,26 +12,35 @@ import (
 // pseudo-random rollup chain derived from the fuzz input, the dense
 // mixed-radix kernel and the sparse map kernel must produce identical
 // groups, counts, and EachSorted orders at every step — for the base scan,
-// for every chained Recode, for DropColumn margins, and against a direct
-// rescan of the table (the rollup property, across representations).
+// for every chained Recode, for DropColumn margins, against a direct
+// rescan of the table (the rollup property, across representations), and
+// for a sharded scan at 2 and 3 workers. Tables have 1–9 columns, so the
+// dense scan takes a lone column pass and up to four column pairs, and up
+// to two full blocks of rows and part of a third.
 func FuzzKernelEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(60))
-	f.Add(int64(42), uint8(3), uint8(200))
-	f.Add(int64(-7), uint8(1), uint8(0))
-	f.Add(int64(1<<40), uint8(3), uint8(255))
-	f.Fuzz(func(t *testing.T, seed int64, ncolsRaw, rowsRaw uint8) {
+	f.Add(int64(1), uint8(2), uint16(60))
+	f.Add(int64(42), uint8(3), uint16(200))
+	f.Add(int64(-7), uint8(1), uint16(0))
+	f.Add(int64(1<<40), uint8(3), uint16(255))
+	f.Add(int64(5), uint8(4), uint16(scanBlock+1))
+	f.Add(int64(9), uint8(8), uint16(2*scanBlock+255))
+	f.Fuzz(func(t *testing.T, seed int64, ncolsRaw uint8, rowsRaw uint16) {
 		rng := rand.New(rand.NewSource(seed))
-		ncols := 1 + int(ncolsRaw%3)
-		rows := int(rowsRaw)
+		ncols := 1 + int(ncolsRaw%9)
+		rows := int(rowsRaw % (2*scanBlock + 256))
 
 		// Random hierarchies: per column a chain of many-to-one step maps,
-		// sizes[l] distinct values at level l.
-		names := []string{"a", "b", "c"}[:ncols]
+		// sizes[l] distinct values at level l. The base layout stays within
+		// DenseMinCells cells, so the dense kernel is chosen at any width
+		// and any row count.
+		names := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i"}[:ncols]
 		tab := MustNewTable(names...)
 		sizes := make([][]int, ncols)     // sizes[i][l]: domain size of column i at level l
 		steps := make([][][]int32, ncols) // steps[i][l]: level l code -> level l+1 code
+		cells := 1
 		for i := 0; i < ncols; i++ {
-			dom := 1 + rng.Intn(9)
+			dom := 1 + rng.Intn(min(9, DenseMinCells/cells))
+			cells *= dom
 			for v := 0; v < dom; v++ {
 				tab.Dict(i).Encode(string(rune('a' + v)))
 			}
@@ -95,6 +104,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 		// Base scan: dense (explicit card) vs sparse (nil card).
 		levels := append([]int(nil), zero...)
 		dense := GroupCountWithCard(tab, cols, nil, cardAt(levels))
+		if !dense.Dense() {
+			t.Fatal("the base scan must take the dense kernel")
+		}
 		sparse := GroupCountWithCard(tab, cols, nil, nil)
 		requireSameFreqSet(t, dense, sparse)
 
@@ -119,6 +131,28 @@ func FuzzKernelEquivalence(f *testing.F) {
 			direct := GroupCountWithCard(tab, cols, mapsBetween(zero, next), nil)
 			requireSameFreqSet(t, dense, direct)
 			levels = next
+		}
+
+		// Sharded scans at the last level: a table under 2·minShardRows
+		// scans sequentially, so the check scans the table repeated until
+		// every worker gets a chunk of its own.
+		if rows > 0 {
+			big := tab.Clone()
+			for big.NumRows() < 3*minShardRows {
+				for r := 0; r < rows; r++ {
+					for i := range codes {
+						codes[i] = tab.Code(r, i)
+					}
+					if err := big.AppendCoded(codes); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			maps := mapsBetween(zero, levels)
+			want := GroupCountWithCard(big, cols, maps, nil)
+			for _, workers := range []int{2, 3} {
+				requireSameFreqSet(t, GroupCountParallel(big, cols, maps, workers), want)
+			}
 		}
 
 		// Margins: dropping any column must agree across representations.
