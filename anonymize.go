@@ -271,15 +271,6 @@ type Config struct {
 	// a state missing records for the nodes validated before the kill; a
 	// later delta run simply revalidates those nodes.
 	RetainState bool
-	// Partition, when non-nil, distributes every base-table scan across the
-	// pool's worker processes: each worker counts its contiguous row range
-	// and the coordinator merges the partial frequency sets additively, so
-	// Solutions and Stats are bit-identical to a single-process run. The
-	// pool must have been built for this table (same row count); spawn one
-	// with SpawnPartitionWorkers and close it after the last use of the
-	// Result (Solution metrics like Discernibility re-scan the table).
-	// Rollups and the search itself stay in this process.
-	Partition *PartitionPool
 }
 
 // Stats reports how much work a run did, mirroring the measurements of §4.
@@ -378,17 +369,6 @@ func AnonymizeContext(ctx context.Context, t *Table, qi []QI, cfg Config) (*Resu
 		Budget:       budget,
 		Capture:      capture,
 	}
-	if pool := cfg.Partition; pool != nil {
-		if pool.Rows() != t.rel.NumRows() {
-			return nil, fmt.Errorf("incognito: partition pool was built for %d rows but the table has %d", pool.Rows(), t.rel.NumRows())
-		}
-		in.ScanOverride = func(dims, levels []int) (*relation.FreqSet, error) {
-			// Mirror cardAt's kernel choice — including the budget's sparse
-			// degradation and its fallback accounting — so the workers make
-			// the same representation decision a local scan would.
-			return pool.Scan(dims, levels, cfg.SparseKernel || !budget.DenseAllowed())
-		}
-	}
 	cfg.Tracer.SetAttr("algorithm", cfg.Algorithm.String())
 	cfg.Tracer.SetAttr("k", cfg.K)
 	cfg.Tracer.SetAttr("parallelism", cfg.Parallelism)
@@ -468,10 +448,7 @@ func AnonymizeContext(ctx context.Context, t *Table, qi []QI, cfg Config) (*Resu
 
 // bindQI resolves the public QI descriptions against the table: column
 // names to indexes, hierarchy builders to hierarchies bound to the
-// columns' dictionaries. Both the coordinator (AnonymizeContext) and the
-// partition-worker entry point (ServePartitionWorker) bind through here,
-// which is what guarantees a worker counts exactly the generalizations
-// the coordinator asks about.
+// columns' dictionaries.
 func bindQI(t *Table, qi []QI) ([]core.QIAttr, []string, error) {
 	attrs, names, _, err := bindQISpecs(t, qi)
 	return attrs, names, err

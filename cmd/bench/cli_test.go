@@ -5,43 +5,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
-
-// indexOf returns the index of the first occurrence of flag in args, or
-// -1 when absent.
-func indexOf(args []string, flag string) int {
-	for i, a := range args {
-		if a == flag {
-			return i
-		}
-	}
-	return -1
-}
 
 // binPath is the bench binary built once in TestMain for the CLI tests.
 var binPath string
 
 func TestMain(m *testing.M) {
-	// Worker dispatch for TestPartitionExperimentInProcess: when the test
-	// binary is re-exec'd by partition.SpawnSelf it carries the hidden
-	// worker flags, and must behave exactly like the bench binary's worker
-	// mode instead of running the test suite.
-	if i := indexOf(os.Args, "-partition-worker"); i >= 0 {
-		spec := os.Args[i+1]
-		ds := os.Args[indexOf(os.Args, "-partition-dataset")+1]
-		qi, _ := strconv.Atoi(os.Args[indexOf(os.Args, "-partition-qi")+1])
-		rows, _ := strconv.Atoi(os.Args[indexOf(os.Args, "-rows")+1])
-		leRows, _ := strconv.Atoi(os.Args[indexOf(os.Args, "-landsend-rows")+1])
-		seed, _ := strconv.ParseInt(os.Args[indexOf(os.Args, "-seed")+1], 10, 64)
-		if err := servePartitionWorker(spec, ds, qi, rows, leRows, seed); err != nil {
-			os.Stderr.WriteString("test worker: " + err.Error() + "\n")
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
 	dir, err := os.MkdirTemp("", "bench-cli")
 	if err != nil {
 		os.Exit(1)
@@ -84,7 +55,6 @@ func TestBenchUsageErrorsExitTwo(t *testing.T) {
 		{"-minqi", "0"},
 		{"-maxqi", "-1"},
 		{"-parallelism", "-1"},
-		{"-partitions", "0"},
 		{"-algos", "quantum"},
 		{"-definitely-not-a-flag"},
 	}
@@ -204,60 +174,6 @@ func TestBenchIncrementalExperiment(t *testing.T) {
 		if c.RowRescanRatio > 0.10 || c.NodeRevalidationRatio > 0.10 {
 			t.Errorf("cell %s p=%d: savings ratios %.4f/%.4f above the 0.10 bound",
 				key, c.Parallelism, c.RowRescanRatio, c.NodeRevalidationRatio)
-		}
-	}
-}
-
-// TestBenchPartitionExperiment exercises the full multi-process path: the
-// coordinator re-execs this very binary as scan workers, and every cell
-// must come back bit-identical to its single-process reference.
-func TestBenchPartitionExperiment(t *testing.T) {
-	stdout, stderr, code := runCLI(t,
-		"-experiment", "partition", "-rows", "200", "-landsend-rows", "300",
-		"-seed", "1", "-algos", "basic,cube", "-partitions", "2",
-		"-quiet", "-json")
-	if code != 0 {
-		t.Fatalf("exit %d, want 0:\n%s", code, stderr)
-	}
-	var report struct {
-		Partitions int `json:"partitions"`
-		Cells      []struct {
-			Algo       string `json:"algo"`
-			Partitions int    `json:"partitions"`
-			TableScans int    `json:"table_scans"`
-			Identical  bool   `json:"identical"`
-		} `json:"cells"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &report); err != nil {
-		t.Fatalf("report is not valid JSON: %v\n%s", err, stdout)
-	}
-	// Two workloads × two algorithms.
-	if len(report.Cells) != 4 || report.Partitions != 2 {
-		t.Fatalf("unexpected report shape: partitions=%d cells=%d\n%s",
-			report.Partitions, len(report.Cells), stdout)
-	}
-	for _, c := range report.Cells {
-		if !c.Identical {
-			t.Errorf("cell %s: partitioned run not identical to single-process", c.Algo)
-		}
-		if c.Partitions != 2 || c.TableScans == 0 {
-			t.Errorf("cell %s: implausible counters %+v", c.Algo, c)
-		}
-	}
-}
-
-// The worker mode rejects malformed range specs and unknown datasets
-// instead of waiting forever on stdin.
-func TestBenchPartitionWorkerBadFlagsExitOne(t *testing.T) {
-	for _, args := range [][]string{
-		{"-partition-worker", "nonsense"},
-		{"-partition-worker", "2/2"},
-		{"-partition-worker", "0/2", "-partition-dataset", "census"},
-		{"-partition-worker", "0/2", "-partition-dataset", "adults", "-partition-qi", "99"},
-	} {
-		_, stderr, code := runCLI(t, args...)
-		if code != 1 {
-			t.Errorf("args %v: exit %d, want 1\n%s", args, code, stderr)
 		}
 	}
 }

@@ -34,15 +34,12 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"incognito/internal/bench"
-	"incognito/internal/core"
 	"incognito/internal/dataset"
-	"incognito/internal/partition"
 	"incognito/internal/profiling"
 	"incognito/internal/resilience"
 	"incognito/internal/telemetry"
@@ -52,7 +49,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run: fig9, fig10-adults, fig10-landsend, fig11-adults, fig11-landsend, fig12, nodes-table, parallel, kernel, partition, incremental, or all")
+		experiment = flag.String("experiment", "all", "which experiment to run: fig9, fig10-adults, fig10-landsend, fig11-adults, fig11-landsend, fig12, nodes-table, parallel, kernel, incremental, or all")
 		adultsRows = flag.Int("rows", dataset.AdultsDefaultRows, "row count for the Adults dataset")
 		leRows     = flag.Int("landsend-rows", 200000, "row count for the Lands End dataset (the original had 4,591,581)")
 		seed       = flag.Int64("seed", 1, "generator seed")
@@ -62,29 +59,21 @@ func main() {
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		quiet      = flag.Bool("quiet", false, "suppress per-cell progress lines")
 		parallel   = flag.Int("parallelism", 0, "worker bound for the parallel experiment: 0 = all cores, n = at most n workers")
-		partitions = flag.Int("partitions", 2, "worker-process count for the partition experiment")
 		jsonOut    = flag.Bool("json", false, "emit the parallel experiment as JSON (for BENCH_parallel.json)")
 
-		// The hidden worker surface: -experiment partition re-execs this
-		// binary with these flags so each worker regenerates the exact
-		// dataset (name, rows, seed) and QI subset the coordinator uses,
-		// then serves scan requests over stdio until stdin closes.
-		partitionWorker  = flag.String("partition-worker", "", "internal: serve as partition-scan worker I/N over stdio (spawned by -experiment partition)")
-		partitionDataset = flag.String("partition-dataset", "", "internal: dataset for -partition-worker (adults or landsend)")
-		partitionQI      = flag.Int("partition-qi", 0, "internal: quasi-identifier size for -partition-worker")
-		traceOut         = flag.String("trace", "", "write a JSON execution trace (span tree + per-phase counters) to this file")
-		chromeOut        = flag.String("trace-chrome", "", "write the execution trace as Chrome trace-event JSON (open in Perfetto) to this file")
-		metricsAddr      = flag.String("metrics-addr", "", "serve live Prometheus metrics and pprof on this address (e.g. localhost:9090); empty disables")
-		metricsOut       = flag.String("metrics-out", "", "write the final Prometheus text-format metrics snapshot to this file")
-		logFormat        = flag.String("log-format", "text", "structured log format for progress events: text or json")
-		verbose          = flag.Bool("v", false, "emit periodic structured progress events to stderr")
-		showVersion      = flag.Bool("version", false, "print version information and exit")
-		cpuProfile       = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile       = flag.String("memprofile", "", "write a pprof heap profile to this file")
-		checkpoint       = flag.String("checkpoint", "", "save resumable search snapshots to this file (Incognito-variant cells only)")
-		resume           = flag.String("resume", "", "resume an interrupted sweep from a snapshot file written by -checkpoint; cells other than the interrupted one rerun fresh")
-		memBudget        = flag.String("mem-budget", "", "soft memory budget for frequency sets, e.g. 64Mi or 1Gi (empty disables); past 2x a cell stops with the solutions proven so far (exit 3)")
-		timeout          = flag.Duration("timeout", 0, "abort the sweep after this duration, flushing telemetry and exiting 124 (0 disables)")
+		traceOut    = flag.String("trace", "", "write a JSON execution trace (span tree + per-phase counters) to this file")
+		chromeOut   = flag.String("trace-chrome", "", "write the execution trace as Chrome trace-event JSON (open in Perfetto) to this file")
+		metricsAddr = flag.String("metrics-addr", "", "serve live Prometheus metrics and pprof on this address (e.g. localhost:9090); empty disables")
+		metricsOut  = flag.String("metrics-out", "", "write the final Prometheus text-format metrics snapshot to this file")
+		logFormat   = flag.String("log-format", "text", "structured log format for progress events: text or json")
+		verbose     = flag.Bool("v", false, "emit periodic structured progress events to stderr")
+		showVersion = flag.Bool("version", false, "print version information and exit")
+		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProfile  = flag.String("memprofile", "", "write a pprof heap profile to this file")
+		checkpoint  = flag.String("checkpoint", "", "save resumable search snapshots to this file (Incognito-variant cells only)")
+		resume      = flag.String("resume", "", "resume an interrupted sweep from a snapshot file written by -checkpoint; cells other than the interrupted one rerun fresh")
+		memBudget   = flag.String("mem-budget", "", "soft memory budget for frequency sets, e.g. 64Mi or 1Gi (empty disables); past 2x a cell stops with the solutions proven so far (exit 3)")
+		timeout     = flag.Duration("timeout", 0, "abort the sweep after this duration, flushing telemetry and exiting 124 (0 disables)")
 	)
 	flag.Parse()
 	if *showVersion {
@@ -105,17 +94,8 @@ func main() {
 		usageError(fmt.Errorf("-maxqi must be >= 0 (0 = dataset maximum), got %d", *maxQI))
 	case *parallel < 0:
 		usageError(fmt.Errorf("-parallelism must be >= 0 (0 = all cores), got %d", *parallel))
-	case *partitions < 1:
-		usageError(fmt.Errorf("-partitions must be >= 1, got %d", *partitions))
 	case *timeout < 0:
 		usageError(fmt.Errorf("-timeout must be >= 0, got %v", *timeout))
-	}
-	if *partitionWorker != "" {
-		if err := servePartitionWorker(*partitionWorker, *partitionDataset, *partitionQI, *adultsRows, *leRows, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "bench: "+err.Error())
-			os.Exit(1)
-		}
-		os.Exit(0)
 	}
 	budgetBytes, err := resilience.ParseByteSize(*memBudget)
 	if err != nil {
@@ -162,7 +142,6 @@ func main() {
 		algosExplicit: algosExplicit,
 		csv:           *csv,
 		parallelism:   *parallel,
-		partitions:    *partitions,
 		jsonOut:       *jsonOut,
 		progress:      progress,
 	}
@@ -342,7 +321,6 @@ type runner struct {
 	algosExplicit      bool
 	csv                bool
 	parallelism        int
-	partitions         int
 	jsonOut            bool
 	progress           bench.Progress
 
@@ -369,8 +347,6 @@ func (r *runner) dispatch(experiment string) error {
 		return r.parallel()
 	case "kernel":
 		return r.kernel()
-	case "partition":
-		return r.partition()
 	case "incremental":
 		return r.incremental()
 	case "all":
@@ -604,94 +580,6 @@ func (r *runner) incremental() error {
 		return report.WriteJSON(os.Stdout)
 	}
 	return report.WriteTable(os.Stdout)
-}
-
-// partition compares single-process scanning against multi-process
-// partitioned frequency-set counting on the headline workloads, spawning
-// -partitions copies of this binary as scan workers per dataset. With
-// -json the report is machine-readable (BENCH_partition.json).
-func (r *runner) partition() error {
-	algos := []bench.Algo{bench.BasicIncognito, bench.SuperRootsIncognito, bench.CubeIncognito}
-	if r.algosExplicit {
-		algos = r.algos
-	}
-	report := bench.NewPartitionReport(r.partitions)
-	for _, w := range []struct {
-		name string
-		d    *dataset.Dataset
-		qi   int
-	}{
-		{"adults", r.adults(), len(r.adults().QICols)},
-		{"landsend", r.landsEnd(), 6},
-	} {
-		w := w
-		pool, err := partition.SpawnSelf(w.d.Table.NumRows(), r.partitions, func(index, total int) []string {
-			return []string{
-				"-partition-worker", fmt.Sprintf("%d/%d", index, total),
-				"-partition-dataset", w.name,
-				"-partition-qi", strconv.Itoa(w.qi),
-				"-rows", strconv.Itoa(r.adultsRows),
-				"-landsend-rows", strconv.Itoa(r.leRows),
-				"-seed", strconv.FormatInt(r.seed, 10),
-			}
-		})
-		if err != nil {
-			return err
-		}
-		cells, err := bench.Partition(r.ctx, r.obs, pool, w.d, w.qi, 2, algos, r.progress)
-		if cerr := pool.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		report.Cells = append(report.Cells, cells...)
-	}
-	if r.jsonOut {
-		return report.WriteJSON(os.Stdout)
-	}
-	return report.WriteTable(os.Stdout)
-}
-
-// servePartitionWorker is the hidden worker mode behind -experiment
-// partition: regenerate the named dataset exactly as the coordinator did
-// (same generator, rows, seed, QI subset) and count scan requests over
-// stdio until the coordinator closes our stdin.
-func servePartitionWorker(spec, dsName string, qiSize, adultsRows, leRows int, seed int64) error {
-	index, total, err := parseWorkerSpec(spec)
-	if err != nil {
-		return err
-	}
-	var d *dataset.Dataset
-	switch dsName {
-	case "adults":
-		d = dataset.Adults(adultsRows, seed)
-	case "landsend":
-		d = dataset.LandsEnd(leRows, seed)
-	default:
-		return fmt.Errorf("-partition-dataset must be adults or landsend, got %q", dsName)
-	}
-	cols, hs, err := d.QISubset(qiSize)
-	if err != nil {
-		return err
-	}
-	in := core.NewInput(d.Table, cols, hs, 2, 0)
-	return partition.Serve(&in, index, total, os.Stdin, os.Stdout)
-}
-
-// parseWorkerSpec parses the I/N range spec of -partition-worker.
-func parseWorkerSpec(spec string) (index, total int, err error) {
-	i, n, ok := strings.Cut(spec, "/")
-	if ok {
-		index, err = strconv.Atoi(i)
-		if err == nil {
-			total, err = strconv.Atoi(n)
-		}
-	}
-	if !ok || err != nil || total < 1 || index < 0 || index >= total {
-		return 0, 0, fmt.Errorf("-partition-worker wants I/N with 0 <= I < N, got %q", spec)
-	}
-	return index, total, nil
 }
 
 func (r *runner) nodesTable() error {

@@ -15,9 +15,6 @@
 //     cell's counters and identical flag are pinned, and so are the
 //     microbenchmark rows' layouts, group counts, dense eligibility, and the
 //     dense hot path's zero-allocation guarantee.
-//   - partition: the multi-process partitioned-counting experiment; every
-//     cell's counters and the single-vs-partitioned identical flag are
-//     pinned.
 //   - incremental: the delta-driven re-anonymization experiment; every
 //     cell's counters and the delta-vs-cold identical flag are pinned, and
 //     two absolute gates hold regardless of the golden file: the delta run
@@ -47,11 +44,6 @@
 //	  -quiet -json > kernel-got.json
 //	benchcheck -kind kernel -golden results/kernel-regression-golden.json \
 //	  -got kernel-got.json
-//
-//	bench -experiment partition -partitions 2 -rows 800 -landsend-rows 2000 \
-//	  -seed 1 -quiet -json > partition-got.json
-//	benchcheck -kind partition -golden results/partition-regression-golden.json \
-//	  -got partition-got.json
 //
 //	bench -experiment incremental -rows 800 -landsend-rows 2000 -seed 1 \
 //	  -quiet -json > incremental-got.json
@@ -83,10 +75,10 @@ import (
 // validKinds lists every report kind benchcheck understands, in the order
 // they are documented. The -kind flag help and the unknown-kind error both
 // render from it, so adding a kind cannot leave either message stale.
-var validKinds = []string{"parallel", "kernel", "partition", "incremental"}
+var validKinds = []string{"parallel", "kernel", "incremental"}
 
 // kindList renders the valid kinds for usage and error text: "parallel,
-// kernel, or partition".
+// kernel, or incremental".
 func kindList() string {
 	n := len(validKinds)
 	return strings.Join(validKinds[:n-1], ", ") + ", or " + validKinds[n-1]
@@ -134,16 +126,6 @@ func main() {
 			}
 			diffs = append(diffs, gateSpeedups(have, floors)...)
 		}
-	case "partition":
-		want, err := loadPartition(*golden)
-		if err != nil {
-			fatal(err)
-		}
-		have, err := loadPartition(*got)
-		if err != nil {
-			fatal(err)
-		}
-		diffs, cells = comparePartition(want, have), len(want.Cells)
 	case "kernel":
 		want, err := loadKernel(*golden)
 		if err != nil {
@@ -206,21 +188,6 @@ func loadParallel(path string) (*bench.ParallelReport, error) {
 		return nil, err
 	}
 	var r bench.ParallelReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(r.Cells) == 0 {
-		return nil, fmt.Errorf("%s: report has no cells", path)
-	}
-	return &r, nil
-}
-
-func loadPartition(path string) (*bench.PartitionReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r bench.PartitionReport
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -366,39 +333,6 @@ func compare(want, got *bench.ParallelReport) []string {
 			{"qi_size", w.QISize, g.QISize},
 			{"k", w.K, g.K},
 			{"algo", w.Algo, g.Algo},
-			{"solutions", w.Solutions, g.Solutions},
-			{"min_height", w.MinHeight, g.MinHeight},
-			{"nodes_checked", w.NodesChecked, g.NodesChecked},
-			{"nodes_marked", w.NodesMarked, g.NodesMarked},
-			{"candidates", w.Candidates, g.Candidates},
-			{"table_scans", w.TableScans, g.TableScans},
-			{"rollups", w.Rollups, g.Rollups},
-			{"identical", w.Identical, g.Identical},
-		})
-	}
-	return diffs
-}
-
-// comparePartition is compare for the partition experiment: the same
-// deterministic counters plus the single-vs-partitioned identical flag.
-func comparePartition(want, got *bench.PartitionReport) []string {
-	if len(want.Cells) != len(got.Cells) {
-		return []string{fmt.Sprintf("cell count: got %d, want %d", len(got.Cells), len(want.Cells))}
-	}
-	var diffs []string
-	for i := range want.Cells {
-		w, g := want.Cells[i], got.Cells[i]
-		key := fmt.Sprintf("partition cell %d (%s rows=%d qi=%d k=%d %s)", i, w.Dataset, w.Rows, w.QISize, w.K, w.Algo)
-		diffs = fieldDiffs(diffs, key, []struct {
-			name       string
-			want, have any
-		}{
-			{"dataset", w.Dataset, g.Dataset},
-			{"rows", w.Rows, g.Rows},
-			{"qi_size", w.QISize, g.QISize},
-			{"k", w.K, g.K},
-			{"algo", w.Algo, g.Algo},
-			{"partitions", w.Partitions, g.Partitions},
 			{"solutions", w.Solutions, g.Solutions},
 			{"min_height", w.MinHeight, g.MinHeight},
 			{"nodes_checked", w.NodesChecked, g.NodesChecked},

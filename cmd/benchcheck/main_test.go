@@ -128,54 +128,6 @@ func TestGateSpeedups(t *testing.T) {
 	}
 }
 
-func goldenPartitionReport() *bench.PartitionReport {
-	return &bench.PartitionReport{
-		GOMAXPROCS: 1,
-		Partitions: 2,
-		Cells: []bench.PartitionCell{
-			{
-				Dataset: "Adults", Rows: 800, QISize: 9, K: 2, Algo: "Basic Incognito",
-				Partitions: 2, SingleMS: 60, PartitionedMS: 80, Speedup: 0.75,
-				Solutions: 116, MinHeight: 7,
-				NodesChecked: 1500, NodesMarked: 300, Candidates: 2000,
-				TableScans: 120, Rollups: 1380, Identical: true,
-			},
-		},
-	}
-}
-
-func TestComparePartition(t *testing.T) {
-	got := goldenPartitionReport()
-	got.Cells[0].SingleMS = 999
-	got.Cells[0].PartitionedMS = 0.1
-	got.Cells[0].Speedup = 42
-	if diffs := comparePartition(goldenPartitionReport(), got); len(diffs) != 0 {
-		t.Fatalf("timing-only changes flagged: %v", diffs)
-	}
-
-	got = goldenPartitionReport()
-	got.Cells[0].Identical = false
-	got.Cells[0].TableScans++
-	got.Cells[0].Partitions = 3
-	diffs := comparePartition(goldenPartitionReport(), got)
-	joined := strings.Join(diffs, "\n")
-	for _, want := range []string{"identical", "table_scans", "partitions"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("diffs missing %q:\n%s", want, joined)
-		}
-	}
-	if len(diffs) != 3 {
-		t.Fatalf("got %d diffs, want 3: %v", len(diffs), diffs)
-	}
-
-	got = goldenPartitionReport()
-	got.Cells = nil
-	if diffs := comparePartition(goldenPartitionReport(), got); len(diffs) != 1 ||
-		!strings.Contains(diffs[0], "cell count") {
-		t.Fatalf("cell count mismatch not flagged: %v", diffs)
-	}
-}
-
 func goldenKernelReport() *bench.KernelReport {
 	return &bench.KernelReport{
 		GOMAXPROCS:    1,
@@ -430,10 +382,6 @@ func TestLoaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partitionJSON, err := json.Marshal(goldenPartitionReport())
-	if err != nil {
-		t.Fatal(err)
-	}
 	kernelJSON, err := json.Marshal(goldenKernelReport())
 	if err != nil {
 		t.Fatal(err)
@@ -445,9 +393,6 @@ func TestLoaders(t *testing.T) {
 
 	if r, err := loadParallel(write("p.json", string(parallelJSON))); err != nil || len(r.Cells) != 1 {
 		t.Fatalf("loadParallel: %v", err)
-	}
-	if r, err := loadPartition(write("pt.json", string(partitionJSON))); err != nil || len(r.Cells) != 1 {
-		t.Fatalf("loadPartition: %v", err)
 	}
 	if r, err := loadKernel(write("k.json", string(kernelJSON))); err != nil || len(r.Cells) != 1 {
 		t.Fatalf("loadKernel: %v", err)
@@ -461,12 +406,6 @@ func TestLoaders(t *testing.T) {
 	empty := write("empty.json", "{}")
 	if _, err := loadParallel(missing); err == nil {
 		t.Error("loadParallel accepted a missing file")
-	}
-	if _, err := loadPartition(garbage); err == nil {
-		t.Error("loadPartition accepted malformed JSON")
-	}
-	if _, err := loadPartition(empty); err == nil {
-		t.Error("loadPartition accepted a cell-less report")
 	}
 	if _, err := loadKernel(garbage); err == nil {
 		t.Error("loadKernel accepted malformed JSON")
@@ -495,7 +434,7 @@ func TestKindUsageListsEveryKind(t *testing.T) {
 			t.Errorf("kindList() = %q omits %q", list, k)
 		}
 	}
-	if want := "parallel, kernel, partition, or incremental"; list != want {
+	if want := "parallel, kernel, or incremental"; list != want {
 		t.Errorf("kindList() = %q, want %q", list, want)
 	}
 }

@@ -46,9 +46,9 @@ func runCLI(t *testing.T, args ...string) (string, string, int) {
 }
 
 // TestDatagenDeterministicBySeed pins the generator contract the bench
-// regression gates and the partition workers rely on: a fixed (dataset,
-// rows, seed) triple yields byte-identical CSV on every invocation, and
-// changing the seed changes the data.
+// regression gates rely on: a fixed (dataset, rows, seed) triple yields
+// byte-identical CSV on every invocation, and changing the seed changes
+// the data.
 func TestDatagenDeterministicBySeed(t *testing.T) {
 	for _, ds := range []string{"adults", "landsend"} {
 		first, stderr, code := runCLI(t, "-dataset", ds, "-rows", "50", "-seed", "7")

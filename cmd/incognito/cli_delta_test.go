@@ -185,7 +185,6 @@ func TestCLIDeltaFlagValidation(t *testing.T) {
 		{"-input", base, "-qi", qi, "-delta-add", addFile},                   // no -state-in
 		{"-input", base, "-qi", qi, "-state-out", "s", "-algorithm", "cube"}, // non-basic
 		{"-demo", "-state-out", "s"},                                         // demo
-		{"-input", base, "-qi", qi, "-state-in", "s", "-partitions", "2"},    // partitions
 		{"-input", base, "-qi", qi, "-state-in", "s", "-mem-budget", "64Mi"}, // budget
 	}
 	for _, args := range usage {

@@ -69,65 +69,12 @@ func TestCLIKernelSparseMatchesAuto(t *testing.T) {
 	}
 }
 
-// TestCLIPartitionsBitIdentical pins the -partitions contract at the CLI
-// surface: splitting base-table scans across re-exec'd worker processes
-// changes no output byte, on the demo path and the CSV-file path alike.
-func TestCLIPartitionsBitIdentical(t *testing.T) {
-	single, code := runCLI(t, "-demo", "-k", "2", "-list", "-stats")
-	if code != 0 {
-		t.Fatalf("single-process demo: exit %d, want 0:\n%s", code, single)
-	}
-	part, code := runCLI(t, "-demo", "-k", "2", "-list", "-stats", "-partitions", "2")
-	if code != 0 {
-		t.Fatalf("partitioned demo: exit %d, want 0:\n%s", code, part)
-	}
-	if single != part {
-		t.Errorf("demo outputs differ:\nsingle:\n%s\npartitioned:\n%s", single, part)
-	}
-
-	csvPath := filepath.Join(t.TempDir(), "people.csv")
-	var rows strings.Builder
-	rows.WriteString("Zip,Sex\n")
-	for i := 0; i < 40; i++ {
-		rows.WriteString([]string{"53711", "53715", "53703", "60601"}[i%4])
-		rows.WriteString([]string{",Male\n", ",Female\n"}[i%2])
-	}
-	if err := os.WriteFile(csvPath, []byte(rows.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	args := []string{"-input", csvPath, "-qi", "Zip=round:2;Sex=suppress", "-k", "2", "-list", "-stats"}
-	want, code := runCLI(t, args...)
-	if code != 0 {
-		t.Fatalf("single-process file run: exit %d, want 0:\n%s", code, want)
-	}
-	got, code := runCLI(t, append(args, "-partitions", "3")...)
-	if code != 0 {
-		t.Fatalf("partitioned file run: exit %d, want 0:\n%s", code, got)
-	}
-	if want != got {
-		t.Errorf("file outputs differ:\nsingle:\n%s\npartitioned:\n%s", want, got)
-	}
-}
-
-// The hidden worker flag is validated like any other input: a malformed
-// or out-of-range range spec is a runtime failure, not a hang.
-func TestCLIPartitionWorkerBadSpecExitsOne(t *testing.T) {
-	for _, spec := range []string{"nonsense", "2/2", "-1/2", "1/0"} {
-		out, code := runCLI(t, "-demo", "-partition-worker", spec)
-		if code != 1 {
-			t.Errorf("spec %q: exit %d, want 1\n%s", spec, code, out)
-		}
-	}
-}
-
 // Flag misuse must exit with status 2 and point at usage — never status 0.
 func TestCLIUsageErrorsExitTwo(t *testing.T) {
 	cases := [][]string{
 		{"-demo", "stray-positional-arg"},
 		{"-demo", "-k", "0"},
 		{"-demo", "-parallelism", "-1"},
-		{"-demo", "-partitions", "-1"},
-		{"-demo", "-partitions", "2", "-partition-worker", "0/2"}, // worker never spawns workers
 		{"-demo", "-suppress", "-1"},
 		{"-demo", "-budget", "0"},
 		{"-demo", "-kernel", "dense"}, // only auto|sparse name the kernels

@@ -6,7 +6,7 @@
 // of column:hierarchy pairs. Hierarchies:
 //
 //	suppress              one level mapping every value to "*"
-//	round:N               N levels, each starring one more trailing character
+//	round:N               N ≤ 64 levels, each starring one more trailing character
 //	interval:ORIGIN:W1,W2 integer ranges of widths W1 < W2 < … then "*"
 //	date                  M/D/Y → M/Y → Y → "*"
 //	taxonomy:FILE.json    explicit parent maps (a JSON array of objects)
@@ -20,11 +20,6 @@
 //
 // Run with -demo to see the paper's Patients example end to end without any
 // input files.
-//
-// -partitions N splits base-table frequency-set scans across N worker
-// processes (re-exec'd copies of this binary reading the same input); the
-// partial counts merge additively, so the released view, -list output, and
-// -stats are bit-identical to a single-process run.
 //
 // Observability: -trace FILE writes a JSON execution trace (the span tree
 // of every search phase, with per-phase wall time and work counters, plus
@@ -45,7 +40,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -66,10 +60,6 @@ type options struct {
 	algoName               string
 	kernel                 string
 	budget, parallel       int
-	partitions             int
-	partitionWorker        string
-	workerRetries          int
-	workerTimeout          time.Duration
 	criteria               string
 	list, demo, stats      bool
 	dotFile                string
@@ -97,17 +87,13 @@ func main() {
 	flag.StringVar(&o.algoName, "algorithm", "basic", "basic, superroots, cube, materialized, bottomup, bottomup-rollup, or binary")
 	flag.IntVar(&o.budget, "budget", 1<<20, "partial-cube size budget in groups (materialized algorithm only)")
 	flag.IntVar(&o.parallel, "parallelism", 0, "intra-run worker bound: 0 = all cores, 1 = sequential, n = at most n workers")
-	flag.IntVar(&o.partitions, "partitions", 0, "split base-table scans across this many worker processes (re-exec'd copies of this binary); 0 or 1 = single process, results are bit-identical either way")
-	flag.StringVar(&o.partitionWorker, "partition-worker", "", "internal: serve as partition-scan worker I/N over stdio (spawned by -partitions)")
-	flag.IntVar(&o.workerRetries, "worker-retries", 0, "respawn a crashed or wedged partition worker up to this many times per scan with capped backoff; 0 = a worker failure fails the run")
-	flag.DurationVar(&o.workerTimeout, "worker-timeout", 0, "treat a partition worker as wedged when one reply takes longer than this (e.g. 30s); 0 = wait forever")
 	flag.StringVar(&o.kernel, "kernel", "auto", "frequency-set kernel: auto (adaptive dense/sparse) or sparse (reference maps); results are identical either way")
 	flag.StringVar(&o.criteria, "criterion", "height", "minimality criterion: height, precision, discernibility, or avgclass")
 	flag.BoolVar(&o.list, "list", false, "print every k-anonymous generalization, not just the chosen one")
 	flag.StringVar(&o.dotFile, "dot", "", "write the generalization lattice as Graphviz DOT to this file")
 	flag.BoolVar(&o.demo, "demo", false, "run the paper's Patients example instead of reading input")
 	flag.BoolVar(&o.stats, "stats", false, "print search statistics")
-	flag.StringVar(&o.traceOut, "trace", "", "write a JSON execution trace (span tree + per-phase counters; with -partitions, the workers' span trees are grafted in) to this file")
+	flag.StringVar(&o.traceOut, "trace", "", "write a JSON execution trace (span tree + per-phase counters) to this file")
 	flag.StringVar(&o.chromeOut, "trace-chrome", "", "write the execution trace as Chrome trace-event JSON (open in Perfetto) to this file")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live Prometheus metrics and pprof on this address (e.g. localhost:9090); empty disables")
 	flag.StringVar(&o.metricsOut, "metrics-out", "", "write the final Prometheus text-format metrics snapshot to this file")
@@ -132,13 +118,6 @@ func main() {
 	}
 	if err := o.validate(); err != nil {
 		usageError(err)
-	}
-	if o.partitionWorker != "" {
-		if err := runPartitionWorker(&o); err != nil {
-			fmt.Fprintln(os.Stderr, "incognito: "+err.Error())
-			os.Exit(1)
-		}
-		os.Exit(0)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	cancelTimeout := func() {}
@@ -165,15 +144,6 @@ func (o *options) validate() error {
 	}
 	if o.parallel < 0 {
 		return fmt.Errorf("-parallelism must be >= 0 (0 = all cores), got %d", o.parallel)
-	}
-	if o.partitions < 0 {
-		return fmt.Errorf("-partitions must be >= 0 (0 = single process), got %d", o.partitions)
-	}
-	if o.partitionWorker != "" && o.partitions > 1 {
-		return fmt.Errorf("-partition-worker and -partitions are mutually exclusive (a worker never spawns workers)")
-	}
-	if o.workerRetries < 0 {
-		return fmt.Errorf("-worker-retries must be >= 0, got %d", o.workerRetries)
 	}
 	if o.budget < 1 {
 		return fmt.Errorf("-budget must be >= 1, got %d", o.budget)
@@ -208,13 +178,8 @@ func (o *options) validate() error {
 			return fmt.Errorf("-state-in/-state-out cannot be combined with -demo")
 		}
 	}
-	if o.stateIn != "" {
-		if o.partitions > 1 {
-			return fmt.Errorf("-state-in (delta runs) cannot be combined with -partitions")
-		}
-		if o.memBudget != "" {
-			return fmt.Errorf("-state-in (delta runs) cannot be combined with -mem-budget")
-		}
+	if o.stateIn != "" && o.memBudget != "" {
+		return fmt.Errorf("-state-in (delta runs) cannot be combined with -mem-budget")
 	}
 	if !o.demo && (o.input == "" || o.qiSpec == "") {
 		return fmt.Errorf("-input and -qi are required (or use -demo)")
@@ -232,69 +197,6 @@ func usageError(err error) {
 	fmt.Fprintln(os.Stderr, msg)
 	fmt.Fprintln(os.Stderr, "run 'incognito -help' for usage")
 	os.Exit(2)
-}
-
-// runPartitionWorker is the hidden re-exec surface behind -partitions: the
-// worker's command line replays the coordinator's -input/-qi (or -demo) so
-// it loads the identical table and quasi-identifier, then it serves
-// scan requests over stdio until the coordinator closes its stdin.
-func runPartitionWorker(o *options) error {
-	index, total, err := parseWorkerSpec(o.partitionWorker)
-	if err != nil {
-		return err
-	}
-	var table *incognito.Table
-	var qi []incognito.QI
-	if o.demo {
-		table, qi, err = demoTable()
-	} else {
-		table, err = incognito.LoadCSV(o.input)
-		if err == nil {
-			qi, err = parseQISpec(o.qiSpec)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	return incognito.ServePartitionWorker(table, qi, index, total, os.Stdin, os.Stdout)
-}
-
-// parseWorkerSpec parses the I/N range spec of -partition-worker.
-func parseWorkerSpec(spec string) (index, total int, err error) {
-	i, n, ok := strings.Cut(spec, "/")
-	if ok {
-		index, err = strconv.Atoi(i)
-		if err == nil {
-			total, err = strconv.Atoi(n)
-		}
-	}
-	if !ok || err != nil || total < 1 || index < 0 || index >= total {
-		return 0, 0, fmt.Errorf("-partition-worker wants I/N with 0 <= I < N, got %q", spec)
-	}
-	return index, total, nil
-}
-
-// spawnPool launches the -partitions worker processes for table, or
-// returns nil when partitioning is off. The caller must close the pool
-// only after its last use of the run's Result — solution metrics re-scan
-// the table through it.
-func (o *options) spawnPool(table *incognito.Table) (*incognito.PartitionPool, error) {
-	if o.partitions <= 1 {
-		return nil, nil
-	}
-	return incognito.SpawnSupervisedPartitionWorkers(table, o.partitions, func(index, total int) []string {
-		args := []string{"-partition-worker", fmt.Sprintf("%d/%d", index, total)}
-		if o.demo {
-			return append(args, "-demo")
-		}
-		return append(args, "-input", o.input, "-qi", o.qiSpec)
-	}, incognito.PartitionOptions{
-		Retries: o.workerRetries,
-		Timeout: o.workerTimeout,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
 }
 
 // instruments bundles the observability and resilience handles threaded
@@ -519,19 +421,6 @@ func anonymizeFile(ctx context.Context, o *options, ins instruments) error {
 		}
 	} else {
 		cfg.RetainState = o.stateOut != ""
-		pool, perr := o.spawnPool(table)
-		if perr != nil {
-			return perr
-		}
-		if pool != nil {
-			// Closed after the released view is written: -list metrics and the
-			// chosen solution's Apply re-scan the table through the pool. The
-			// close collects the workers' telemetry frames, grafting their span
-			// trees into the -trace output (run() exports the tracer later).
-			defer pool.Close()
-			pool.SetTraceSink(ins.tracer)
-			cfg.Partition = pool
-		}
 		res, err = incognito.AnonymizeContext(ctx, table, qi, cfg)
 		if err != nil {
 			return err
@@ -641,8 +530,7 @@ func parseCriterion(name string) (incognito.Criterion, error) {
 }
 
 // demoTable builds the paper's Patients example (Fig. 1) and its
-// quasi-identifier — shared by the demo run and its partition workers,
-// which must load the identical table.
+// quasi-identifier.
 func demoTable() (*incognito.Table, []incognito.QI, error) {
 	table, err := incognito.NewTable(
 		[]string{"Birthdate", "Sex", "Zipcode", "Disease"},
@@ -681,15 +569,6 @@ func runDemo(ctx context.Context, o *options, ins instruments) error {
 		SparseKernel: o.kernel == "sparse",
 		Tracer:       ins.tracer, Progress: ins.progress, Metrics: ins.metrics,
 		Checkpoint: ins.check, Resume: ins.resume, Budget: ins.budget,
-	}
-	pool, err := o.spawnPool(table)
-	if err != nil {
-		return err
-	}
-	if pool != nil {
-		defer pool.Close()
-		pool.SetTraceSink(ins.tracer)
-		cfg.Partition = pool
 	}
 	res, err := incognito.AnonymizeContext(ctx, table, qi, cfg)
 	if err != nil {

@@ -132,18 +132,6 @@ func TestParseHierarchyInterval(t *testing.T) {
 	}
 }
 
-func TestParseWorkerSpec(t *testing.T) {
-	index, total, err := parseWorkerSpec("1/3")
-	if err != nil || index != 1 || total != 3 {
-		t.Fatalf("parseWorkerSpec(1/3) = %d, %d, %v", index, total, err)
-	}
-	for _, bad := range []string{"", "nonsense", "1", "2/2", "-1/2", "1/0", "a/2", "1/b"} {
-		if _, _, err := parseWorkerSpec(bad); err == nil {
-			t.Errorf("spec %q accepted", bad)
-		}
-	}
-}
-
 func TestDemoTable(t *testing.T) {
 	table, qi, err := demoTable()
 	if err != nil {
@@ -151,45 +139,5 @@ func TestDemoTable(t *testing.T) {
 	}
 	if table.NumRows() != 6 || len(qi) != 3 {
 		t.Fatalf("demo table is %d rows with %d QI attributes, want 6/3", table.NumRows(), len(qi))
-	}
-}
-
-// TestRunPartitionWorkerInProcess drives the hidden worker mode without a
-// subprocess: stdin is the test runner's /dev/null, so Serve sees EOF at
-// once and the happy path reduces to table setup plus a clean exit.
-func TestRunPartitionWorkerInProcess(t *testing.T) {
-	if err := runPartitionWorker(&options{partitionWorker: "0/2", demo: true}); err != nil {
-		t.Fatalf("demo worker: %v", err)
-	}
-	if err := runPartitionWorker(&options{partitionWorker: "nonsense", demo: true}); err == nil {
-		t.Fatal("bad spec accepted")
-	}
-	if err := runPartitionWorker(&options{partitionWorker: "0/2", input: "/no/such/file.csv"}); err == nil {
-		t.Fatal("missing input accepted")
-	}
-
-	csvPath := filepath.Join(t.TempDir(), "t.csv")
-	if err := os.WriteFile(csvPath, []byte("Zip,Sex\n53715,Male\n53703,Female\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := runPartitionWorker(&options{partitionWorker: "0/2", input: csvPath, qiSpec: "Zip=bogus"}); err == nil {
-		t.Fatal("bad QI spec accepted")
-	}
-	if err := runPartitionWorker(&options{partitionWorker: "1/2", input: csvPath,
-		qiSpec: "Zip=round:2;Sex=suppress"}); err != nil {
-		t.Fatalf("CSV worker: %v", err)
-	}
-}
-
-func TestSpawnPoolOffIsNil(t *testing.T) {
-	table, _, err := demoTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{0, 1} {
-		pool, err := (&options{partitions: n}).spawnPool(table)
-		if err != nil || pool != nil {
-			t.Fatalf("partitions=%d: pool=%v err=%v, want nil/nil", n, pool, err)
-		}
 	}
 }

@@ -5,9 +5,6 @@
 // diagnostic bundle (GET /debug/bundle), structured request logging with
 // X-Request-Id propagation, and graceful drain on SIGTERM/SIGINT
 // (in-flight jobs finish, queued jobs are cancelled, the process exits 0).
-// With -max-partitions N, jobs may ask for multi-process partitioned
-// scanning (policy.partitions); the workers' telemetry is grafted into the
-// job trace.
 //
 // Usage:
 //
@@ -27,19 +24,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
-	incognito "incognito"
-	"incognito/internal/qispec"
 	"incognito/internal/resilience"
 	"incognito/internal/service"
 	"incognito/internal/telemetry"
@@ -58,19 +49,11 @@ type options struct {
 	allowFiles      bool
 	checkpointDir   string
 	journalDir      string
-	workerRetries   int
-	workerTimeout   time.Duration
 	drainTimeout    time.Duration
 	logFormat       string
 	verbose         bool
 	showVersion     bool
 	traceJobs       int
-	maxPartitions   int
-	// hidden re-exec surface: serve as a partition-scan worker instead of
-	// a daemon (spawned per partitioned job; never set by operators).
-	partitionWorker string
-	partitionInput  string
-	partitionQI     string
 }
 
 func main() {
@@ -91,29 +74,16 @@ func run(args []string) int {
 	fs.BoolVar(&o.allowFiles, "allow-file-hierarchies", false, "permit taxonomy:FILE and csv:FILE hierarchy kinds in request QI specs (reads daemon-local paths)")
 	fs.StringVar(&o.checkpointDir, "checkpoint-dir", "", "directory for per-job checkpoint files (empty disables); interrupted jobs leave resumable snapshots")
 	fs.StringVar(&o.journalDir, "journal-dir", "", "directory for the crash-safe job journal (empty disables); on restart the daemon replays it and re-enqueues interrupted jobs")
-	fs.IntVar(&o.workerRetries, "worker-retries", 2, "respawn attempts per crashed or wedged partition worker before the job fails (0 = one failure fails the job)")
-	fs.DurationVar(&o.workerTimeout, "worker-timeout", 0, "per-request partition-worker reply deadline; a worker past it is killed and retried (0 = wait forever)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long SIGTERM drain waits for in-flight jobs before cancelling them (0 = forever)")
 	fs.StringVar(&o.logFormat, "log-format", "text", "structured log format: text or json")
 	fs.BoolVar(&o.verbose, "v", false, "log job lifecycle events and HTTP requests (with request IDs) to stderr")
 	fs.BoolVar(&o.showVersion, "version", false, "print version information and exit")
 	fs.IntVar(&o.traceJobs, "trace-jobs", 64, "per-job span-tree flight recorder size, served on GET /v1/jobs/{id}/trace (0 disables per-job tracing)")
-	fs.IntVar(&o.maxPartitions, "max-partitions", 0, "largest policy.partitions a job may request (worker processes per job); < 2 rejects partitioned jobs")
-	fs.StringVar(&o.partitionWorker, "partition-worker", "", "internal: serve as partition-scan worker I/N over stdio (spawned per partitioned job)")
-	fs.StringVar(&o.partitionInput, "partition-input", "", "internal: dataset CSV path for -partition-worker")
-	fs.StringVar(&o.partitionQI, "partition-qi", "", "internal: QI spec for -partition-worker")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if o.showVersion {
 		fmt.Println(version.String("incognitod"))
-		return 0
-	}
-	if o.partitionWorker != "" {
-		if err := runPartitionWorker(&o); err != nil {
-			fmt.Fprintf(os.Stderr, "incognitod: partition worker: %v\n", err)
-			return 1
-		}
 		return 0
 	}
 
@@ -131,9 +101,8 @@ func run(args []string) int {
 	}
 	if o.workers < 1 || o.queueDepth < 1 || o.parallelism < 0 ||
 		o.cacheMaxEntries < 1 || o.jobTimeout < 0 || o.drainTimeout < 0 ||
-		o.traceJobs < 0 || o.maxPartitions < 0 ||
-		o.workerRetries < 0 || o.workerTimeout < 0 {
-		fmt.Fprintln(os.Stderr, "incognitod: -workers, -queue-depth and -cache-max-entries must be >= 1; -parallelism, -job-timeout, -drain-timeout, -trace-jobs, -max-partitions, -worker-retries and -worker-timeout must be >= 0")
+		o.traceJobs < 0 {
+		fmt.Fprintln(os.Stderr, "incognitod: -workers, -queue-depth and -cache-max-entries must be >= 1; -parallelism, -job-timeout, -drain-timeout and -trace-jobs must be >= 0")
 		return 2
 	}
 	logger, err := telemetry.NewLogger(os.Stderr, o.logFormat, o.verbose)
@@ -146,14 +115,6 @@ func run(args []string) int {
 			fmt.Fprintf(os.Stderr, "incognitod: -checkpoint-dir: %v\n", err)
 			return 2
 		}
-	}
-
-	// With journaling on, partition spills live under the journal dir so a
-	// restart's orphan sweep can find what a crashed run left behind; without
-	// it they go to throwaway temp dirs as before.
-	spillDir := ""
-	if o.journalDir != "" {
-		spillDir = filepath.Join(o.journalDir, "spills")
 	}
 
 	traceJobs := o.traceJobs
@@ -169,7 +130,6 @@ func run(args []string) int {
 		AllowFileHierarchies: o.allowFiles,
 		CheckpointDir:        o.checkpointDir,
 		JournalDir:           o.journalDir,
-		SpillDir:             spillDir,
 		DefaultTimeout:       o.jobTimeout,
 		DefaultMemBudget:     memBytes,
 		DefaultParallelism:   o.parallelism,
@@ -177,8 +137,6 @@ func run(args []string) int {
 		Registry:             reg,
 		Logger:               logger,
 		TraceJobs:            traceJobs,
-		MaxPartitions:        o.maxPartitions,
-		Partitioner:          spawnPartitioner(&o, spillDir, logger),
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "incognitod: %v\n", err)
@@ -220,97 +178,4 @@ func run(args []string) int {
 	}
 	<-serveErr
 	return 0
-}
-
-// spawnPartitioner builds the service's partition hook: the job's CSV is
-// spilled to a private directory (under the journal's spill dir when
-// journaling is on, so a crash's leftovers are swept at the next startup;
-// a throwaway temp dir otherwise) and this binary is re-exec'd once per
-// worker with the hidden -partition-worker flags. Workers run supervised:
-// a crashed or wedged one is killed and respawned with backoff, up to
-// -worker-retries times per request. The cleanup removes the spill after
-// the pool has closed. nil (partitioned jobs rejected) when the operator
-// did not raise -max-partitions.
-func spawnPartitioner(o *options, spillDir string, logger *slog.Logger) service.Partitioner {
-	if o.maxPartitions < 2 {
-		return nil
-	}
-	retries, timeout := o.workerRetries, o.workerTimeout
-	return func(table *incognito.Table, csv, qiSpec string, partitions int) (*incognito.PartitionPool, func(), error) {
-		dir, err := os.MkdirTemp("", "incognitod-partition-")
-		if spillDir != "" {
-			if err = os.MkdirAll(spillDir, 0o755); err == nil {
-				dir, err = os.MkdirTemp(spillDir, "job-")
-			}
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		path := filepath.Join(dir, "data.csv")
-		if err := os.WriteFile(path, []byte(csv), 0o600); err != nil {
-			os.RemoveAll(dir)
-			return nil, nil, err
-		}
-		pool, err := incognito.SpawnSupervisedPartitionWorkers(table, partitions, func(index, total int) []string {
-			return []string{
-				"-partition-worker", fmt.Sprintf("%d/%d", index, total),
-				"-partition-input", path,
-				"-partition-qi", qiSpec,
-			}
-		}, incognito.PartitionOptions{
-			Retries: retries,
-			Timeout: timeout,
-			Logf: func(format string, args ...any) {
-				if logger != nil {
-					logger.Warn("partition: " + fmt.Sprintf(format, args...))
-				}
-			},
-		})
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, nil, err
-		}
-		return pool, func() { os.RemoveAll(dir) }, nil
-	}
-}
-
-// runPartitionWorker is the hidden re-exec surface behind partitioned
-// jobs: load the spilled dataset, parse the QI spec the daemon already
-// validated, and serve scan requests over stdio until the coordinator
-// closes stdin (the worker's telemetry frame goes back just before exit).
-func runPartitionWorker(o *options) error {
-	index, total, err := parseWorkerSpec(o.partitionWorker)
-	if err != nil {
-		return err
-	}
-	if o.partitionInput == "" || o.partitionQI == "" {
-		return fmt.Errorf("-partition-worker needs -partition-input and -partition-qi")
-	}
-	table, err := incognito.LoadCSV(o.partitionInput)
-	if err != nil {
-		return err
-	}
-	// The daemon validated the spec at submission (including its file
-	// policy); the worker re-parses permissively because it only ever
-	// receives specs the daemon accepted.
-	qi, err := qispec.ParseQI(o.partitionQI, qispec.Options{AllowFiles: true})
-	if err != nil {
-		return err
-	}
-	return incognito.ServePartitionWorker(table, qi, index, total, os.Stdin, os.Stdout)
-}
-
-// parseWorkerSpec parses the I/N range spec of -partition-worker.
-func parseWorkerSpec(spec string) (index, total int, err error) {
-	i, n, ok := strings.Cut(spec, "/")
-	if ok {
-		index, err = strconv.Atoi(i)
-		if err == nil {
-			total, err = strconv.Atoi(n)
-		}
-	}
-	if !ok || err != nil || total < 1 || index < 0 || index >= total {
-		return 0, 0, fmt.Errorf("-partition-worker wants I/N with 0 <= I < N, got %q", spec)
-	}
-	return index, total, nil
 }

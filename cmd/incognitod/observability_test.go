@@ -14,54 +14,26 @@ import (
 	"time"
 )
 
-func TestParseWorkerSpec(t *testing.T) {
-	if i, n, err := parseWorkerSpec("1/3"); err != nil || i != 1 || n != 3 {
-		t.Fatalf("1/3 = %d/%d (%v)", i, n, err)
-	}
-	for _, bad := range []string{"", "2", "a/b", "3/3", "-1/3", "0/0", "1/"} {
-		if _, _, err := parseWorkerSpec(bad); err == nil {
-			t.Errorf("parseWorkerSpec(%q) accepted", bad)
-		}
-	}
-}
-
 func TestDaemonObservabilityFlagErrors(t *testing.T) {
-	// Negative observability knobs are usage errors (exit 2)...
-	for _, args := range [][]string{
-		{"-trace-jobs", "-1"},
-		{"-max-partitions", "-1"},
-	} {
-		out, err := exec.Command(binPath, args...).CombinedOutput()
-		ee, ok := err.(*exec.ExitError)
-		if !ok || ee.ExitCode() != 2 {
-			t.Errorf("%v: err %v (out %q), want exit 2", args, err, out)
-		}
-	}
-	// ...while a broken hidden worker invocation is a runtime failure
-	// (exit 1): the spec never comes from an operator.
-	for _, args := range [][]string{
-		{"-partition-worker", "not-a-spec"},
-		{"-partition-worker", "0/2"}, // missing -partition-input/-partition-qi
-	} {
-		out, err := exec.Command(binPath, args...).CombinedOutput()
-		ee, ok := err.(*exec.ExitError)
-		if !ok || ee.ExitCode() != 1 {
-			t.Errorf("%v: err %v (out %q), want exit 1", args, err, out)
-		}
+	// A negative observability knob is a usage error (exit 2).
+	out, err := exec.Command(binPath, "-trace-jobs", "-1").CombinedOutput()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 2 {
+		t.Errorf("-trace-jobs -1: err %v (out %q), want exit 2", err, out)
 	}
 }
 
 // TestDaemonObservabilityEndToEnd drives the whole observability surface
-// against the real binary: a partitioned job (spawning real re-exec'd
-// worker processes) with a caller request ID, the trace endpoint in both
-// formats, the debug bundle, and the access log on stderr.
+// against the real binary: a job with a caller request ID, the trace
+// endpoint in both formats, the debug bundle, the phase histogram, and
+// the access log on stderr.
 func TestDaemonObservabilityEndToEnd(t *testing.T) {
-	base, cmd, stderrRest := daemon(t, "-v", "-log-format", "json", "-max-partitions", "2")
+	base, cmd, stderrRest := daemon(t, "-v", "-log-format", "json")
 
 	body, err := json.Marshal(map[string]any{
 		"csv":    patientsCSV,
 		"qi":     "Birthdate=suppress;Sex=round:1;Zipcode=round:2",
-		"policy": map[string]any{"k": 2, "partitions": 2},
+		"policy": map[string]any{"k": 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,8 +57,7 @@ func TestDaemonObservabilityEndToEnd(t *testing.T) {
 	id := m["id"].(string)
 	waitDone(t, base, id)
 
-	// The span tree: run phases from the library, and the two re-exec'd
-	// workers' trees grafted under partition_workers.
+	// The span tree: queue wait, then the run with the library's phases.
 	resp, err = http.Get(base + "/v1/jobs/" + id + "/trace")
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +73,7 @@ func TestDaemonObservabilityEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(traceBody, &doc); err != nil || len(doc.Spans) == 0 {
 		t.Fatalf("trace has no spans (%v): %s", err, traceBody)
 	}
-	for _, span := range []string{`"queue_wait"`, `"run"`, `"partition_workers"`, `"partition_worker"`, `"worker_scan"`} {
+	for _, span := range []string{`"queue_wait"`, `"run"`, `"search"`} {
 		if !bytes.Contains(traceBody, []byte(span)) {
 			t.Errorf("trace missing %s span:\n%s", span, traceBody)
 		}
@@ -149,20 +120,15 @@ func TestDaemonObservabilityEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Worker telemetry reached the daemon metrics.
+	// The job's sealed trace reached the phase histogram.
 	resp, err = http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{
-		`incognito_phase_seconds_count{phase="partition_worker"}`,
-		"incognitod_partition_worker_skew",
-	} {
-		if !bytes.Contains(metrics, []byte(want)) {
-			t.Errorf("metrics missing %q", want)
-		}
+	if want := `incognito_phase_seconds_count{phase="search"}`; !bytes.Contains(metrics, []byte(want)) {
+		t.Errorf("metrics missing %q", want)
 	}
 
 	// The access log on stderr carries the caller's request ID.

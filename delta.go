@@ -128,7 +128,7 @@ next:
 //
 // Only BasicIncognito supports delta runs (the Config default). The run
 // honors Parallelism, SparseKernel, Tracer/Progress/Metrics and
-// Checkpoint/Resume; partitioned scans and memory budgets are rejected.
+// Checkpoint/Resume; memory budgets are rejected.
 // The returned DeltaResult carries the follow-on state (State) so deltas
 // chain without ever recomputing from scratch.
 func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *RunState, add, del [][]string) (*DeltaResult, error) {
@@ -137,9 +137,6 @@ func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *R
 	}
 	if cfg.Algorithm != BasicIncognito {
 		return nil, fmt.Errorf("incognito: delta runs support only %s, not %s", BasicIncognito, cfg.Algorithm)
-	}
-	if cfg.Partition != nil {
-		return nil, fmt.Errorf("incognito: delta runs do not support partitioned scans")
 	}
 	if cfg.Budget != nil || cfg.MemoryBudgetBytes != 0 {
 		return nil, fmt.Errorf("incognito: delta runs do not support memory budgets")

@@ -59,12 +59,20 @@ func Intervals(origin int, widths ...int) *Hierarchy {
 	}}
 }
 
+// maxRoundHeight caps RoundDigits. Binding builds and evaluates every
+// level, so an unbounded height from a request spec ("round:N") would
+// size that work; a level past a value's length stars out nothing new.
+const maxRoundHeight = 64
+
 // RoundDigits returns the digit-rounding hierarchy of the given height:
 // each level replaces one more trailing character with '*' (Fig. 2(a,b):
-// 53715 → 5371* → 537**).
+// 53715 → 5371* → 537**). The height must be between 1 and 64.
 func RoundDigits(height int) *Hierarchy {
 	if height < 1 {
 		return &Hierarchy{err: fmt.Errorf("incognito: rounding height %d must be at least 1", height)}
+	}
+	if height > maxRoundHeight {
+		return &Hierarchy{err: fmt.Errorf("incognito: rounding height %d exceeds the limit of %d", height, maxRoundHeight)}
 	}
 	return &Hierarchy{build: func(attr string) *hierarchy.Spec {
 		return hierarchy.RoundDigitsSpec(attr, height)

@@ -231,11 +231,17 @@ func TestHierarchyConstructorErrors(t *testing.T) {
 		{Column: "Zipcode", Hierarchy: incognito.Intervals(0, -5)},
 		{Column: "Zipcode", Hierarchy: incognito.Intervals(0, 5, 12)},
 		{Column: "Zipcode", Hierarchy: incognito.Custom()},
+		{Column: "Zipcode", Hierarchy: incognito.RoundDigits(65)},
 	}
 	for i, q := range cases {
 		if _, err := incognito.Anonymize(tab, []incognito.QI{q}, incognito.Config{K: 2}); err == nil {
 			t.Fatalf("case %d: invalid hierarchy accepted", i)
 		}
+	}
+	// The rounding cap is inclusive: the tallest allowed height binds.
+	q := []incognito.QI{{Column: "Zipcode", Hierarchy: incognito.RoundDigits(64)}}
+	if _, err := incognito.RunFingerprint(tab, q, incognito.Config{K: 2}); err != nil {
+		t.Fatalf("RoundDigits(64): %v", err)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"incognito/internal/baseline"
 	"incognito/internal/core"
 	"incognito/internal/dataset"
-	"incognito/internal/relation"
 	"incognito/internal/resilience"
 	"incognito/internal/telemetry"
 	"incognito/internal/trace"
@@ -34,11 +33,6 @@ type Obs struct {
 	Check    *resilience.Checkpointer
 	Resume   *resilience.Snapshot
 	Budget   *resilience.Accountant
-	// Scan, when non-nil, replaces every base-table frequency-set scan of
-	// the cell (it becomes core.Input.ScanOverride). The partition
-	// experiment routes scans through a pool of worker processes with it;
-	// results must stay bit-identical, which the experiment verifies.
-	Scan func(dims, levels []int) (*relation.FreqSet, error)
 }
 
 // Algo identifies one of the six algorithms compared in Fig. 10.
@@ -152,7 +146,6 @@ func RunCellKernel(ctx context.Context, obs Obs, d *dataset.Dataset, qiSize int,
 	in.Progress = obs.Progress
 	in.Metrics = obs.Metrics
 	in.Budget = obs.Budget
-	in.ScanOverride = obs.Scan
 	// Checkpoint/resume applies to the Incognito-variant cells only (the
 	// baselines have no resumable frontier), and a resume snapshot is handed
 	// to exactly the cell it was written by — a sweep that was killed mid-cell

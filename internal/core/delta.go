@@ -346,8 +346,8 @@ type DeltaCounters struct {
 // DeltaRun configures an incremental re-anonymization on Input.Delta: the
 // RunState a prior run retained, and the rows added to / removed from the
 // table that state describes. The run's Input must hold the edited table;
-// only the Basic variant supports delta runs, and partitioned scans and
-// memory budgets are rejected (Run validates all of this).
+// only the Basic variant supports delta runs, and memory budgets are
+// rejected (Run validates all of this).
 type DeltaRun struct {
 	State   *resilience.RunState
 	Added   []DeltaRow

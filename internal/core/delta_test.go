@@ -442,11 +442,6 @@ func TestDeltaValidation(t *testing.T) {
 		}
 	}
 	in := fresh()
-	in.ScanOverride = func(dims, levels []int) (*relation.FreqSet, error) { return nil, nil }
-	if _, err := Run(in, Basic); err == nil {
-		t.Fatal("delta run with ScanOverride succeeded")
-	}
-	in = fresh()
 	in.Budget = resilience.NewAccountant(1 << 20)
 	if _, err := Run(in, Basic); err == nil {
 		t.Fatal("delta run with Budget succeeded")

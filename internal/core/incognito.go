@@ -99,9 +99,6 @@ func Run(in Input, v Variant) (res *Result, err error) {
 		if v != Basic {
 			return nil, fmt.Errorf("core: delta runs support only %s, not %s", Basic, v)
 		}
-		if in.ScanOverride != nil {
-			return nil, fmt.Errorf("core: delta runs do not support partitioned scans")
-		}
 		if in.Budget != nil {
 			return nil, fmt.Errorf("core: delta runs do not support memory budgets")
 		}

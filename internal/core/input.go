@@ -90,16 +90,6 @@ type Input struct {
 	// aborts at the next boundary with resilience.ErrDegraded, returning
 	// the solutions already proven.
 	Budget *resilience.Accountant
-	// ScanOverride, when non-nil, replaces every base-table frequency-set
-	// scan: ScanFreq calls it instead of counting locally. This is the
-	// multi-process partition hook — internal/partition installs a closure
-	// that fans the scan out to worker processes, each counting its own row
-	// range, and merges the partial sets additively (counts are additive,
-	// so the result is bit-identical to a local scan). Rollups, the search,
-	// and all Stats accounting stay on the coordinator. An error from the
-	// override panics into the run's phase guards, surfacing as a
-	// *resilience.PanicError like any other worker failure.
-	ScanOverride func(dims, levels []int) (*relation.FreqSet, error)
 	// Capture, when non-nil, collects a NodeRecord for every node whose
 	// frequency set is checked, plus the delta screen's updated records —
 	// the per-node half of a persistable RunState (see delta.go). Purely
@@ -109,9 +99,9 @@ type Input struct {
 	// Delta, when non-nil, turns the run into an incremental
 	// re-anonymization: checks are answered from the prior RunState's
 	// records where the delta provably cannot flip them, and revalidated
-	// otherwise. Only the Basic variant supports delta runs; ScanOverride
-	// and Budget must be nil (Run validates this). Solutions and Stats are
-	// bit-identical to a cold run over the same (edited) table.
+	// otherwise. Only the Basic variant supports delta runs, and Budget
+	// must be nil (Run validates this). Solutions and Stats are bit-identical
+	// to a cold run over the same (edited) table.
 	Delta *DeltaRun
 
 	// abort is set by the first worker panic of a parallel phase so sibling
@@ -262,42 +252,16 @@ func (in *Input) cardAt(dims, levels []int) []int {
 // ScanFreq computes the frequency set of the table with respect to the
 // given generalization by a full scan — the paper's COUNT(*) group-by over
 // the star schema. At Workers() > 1 the scan is chunked into row ranges
-// counted concurrently on the work-stealing scheduler and merged; with a
-// ScanOverride installed it is delegated to the partition workers. The
-// result is identical in every case, and so is the Stats and Progress
-// accounting (one table scan, every row counted once).
+// counted concurrently on the work-stealing scheduler and merged. The
+// result is identical at every worker count, and so is the Stats and
+// Progress accounting (one table scan, every row counted once).
 func (in *Input) ScanFreq(dims, levels []int) *relation.FreqSet {
 	faultinject.Point("core.scan")
-	var f *relation.FreqSet
-	if in.ScanOverride != nil {
-		// Partitioned scans get their own span so the coordinator trace
-		// shows each round-trip to the worker pool; the workers' own view
-		// of the same scans arrives later as adopted partition_worker
-		// trees. Non-partitioned runs record no partition_scan spans.
-		sp := in.StartSpan("partition_scan")
-		sp.Add("partition_scans", 1)
-		var err error
-		f, err = in.ScanOverride(dims, levels)
-		sp.End()
-		if err != nil {
-			panic(fmt.Errorf("core: partitioned scan failed: %w", err))
-		}
-	} else {
-		f = relation.GroupCountParallelSched(in.Table, in.cols(dims), in.recodeTables(dims, levels), in.cardAt(dims, levels), in.Workers(), in.schedMetrics())
-	}
+	f := relation.GroupCountParallelSched(in.Table, in.cols(dims), in.recodeTables(dims, levels), in.cardAt(dims, levels), in.Workers(), in.schedMetrics())
 	in.Progress.AddTableScans(1)
 	in.Progress.AddTuplesScanned(int64(in.Table.NumRows()))
 	in.Metrics.ObserveFreqSetSize(f.Len())
 	return f
-}
-
-// ScanFreqRange computes the frequency set over the row range [lo, hi)
-// only — one partition worker's share of a distributed ScanFreq. It does
-// no Stats or Progress accounting (the coordinator's ScanFreq accounts
-// for the whole logical scan) and runs sequentially: process-level
-// parallelism is the partition mode's concurrency axis.
-func (in *Input) ScanFreqRange(dims, levels []int, lo, hi int) *relation.FreqSet {
-	return relation.GroupCountRange(in.Table, in.cols(dims), in.recodeTables(dims, levels), in.cardAt(dims, levels), lo, hi)
 }
 
 // composeSteps builds the γ⁺ table from hierarchy level `from` to level

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"incognito/internal/dataset"
+	"incognito/internal/relation"
 	"incognito/internal/telemetry"
 )
 
@@ -305,7 +306,7 @@ func BenchmarkDispatchFloor(b *testing.B) {
 			b.Run(fmt.Sprintf("rows=%d/%s", rows, mode.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					err := runIndexedSafe(&in, mode.workers, tasks, func(int) string { return "t" }, func(int) {
-						in.ScanFreqRange(dims, levels, 0, rows)
+						relation.GroupCountRange(in.Table, in.cols(dims), in.recodeTables(dims, levels), in.cardAt(dims, levels), 0, rows)
 					})
 					if err != nil {
 						b.Fatal(err)

@@ -30,7 +30,7 @@ const (
 	KindPanic  = "panic"  // Point panics with a recognizable value
 	KindCancel = "cancel" // Point invokes the function registered via OnCancel
 	KindAlloc  = "alloc"  // FailAlloc reports a simulated allocation failure
-	KindFail   = "fail"   // Fail reports a simulated operation failure (I/O, exec)
+	KindFail   = "fail"   // Fail reports a simulated I/O failure (a journal write)
 )
 
 type arm struct {
@@ -141,7 +141,7 @@ func FailAlloc(site string) bool {
 
 // Fail reports whether an armed operation-failure fault fires at the named
 // site; the caller then takes its error path as if the operation (a journal
-// write, a worker exec) had failed for real.
+// write) had failed for real.
 func Fail(site string) bool {
 	ok, _ := fire(site, KindFail)
 	return ok

@@ -5,8 +5,32 @@ import (
 	"testing"
 )
 
+// everyInlineKind names one attribute per hierarchy kind that reads no
+// file.
+const everyInlineKind = "A=suppress;B=round:2;C=date;D=interval:0:10,50"
+
+// parseQIErrorCases maps malformed specs to a fragment of their error.
+var parseQIErrorCases = map[string]string{
+	"":                 "empty -qi spec",
+	"  ;  ;":           "empty -qi spec",
+	"NoEquals":         "bad QI entry",
+	"A=martian":        "unknown hierarchy",
+	"A=round:many":     "level count",
+	"A=interval:5":     "interval wants",
+	"A=interval:x:10":  "interval origin",
+	"A=interval:0:ten": "interval width",
+}
+
+// canonicalCases maps specs to their Canonical form.
+var canonicalCases = map[string]string{
+	"A=suppress;B=round:2":        "A=suppress;B=round:2",
+	" A=suppress ;  B=round:2 ; ": "A=suppress;B=round:2",
+	";;A=suppress;;":              "A=suppress",
+	"":                            "",
+}
+
 func TestParseQIAcceptsEveryInlineKind(t *testing.T) {
-	qi, err := ParseQI("A=suppress;B=round:2;C=date;D=interval:0:10,50", Options{})
+	qi, err := ParseQI(everyInlineKind, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,17 +45,7 @@ func TestParseQIAcceptsEveryInlineKind(t *testing.T) {
 }
 
 func TestParseQIErrors(t *testing.T) {
-	cases := map[string]string{
-		"":                 "empty -qi spec",
-		"  ;  ;":           "empty -qi spec",
-		"NoEquals":         "bad QI entry",
-		"A=martian":        "unknown hierarchy",
-		"A=round:many":     "level count",
-		"A=interval:5":     "interval wants",
-		"A=interval:x:10":  "interval origin",
-		"A=interval:0:ten": "interval width",
-	}
-	for spec, want := range cases {
+	for spec, want := range parseQIErrorCases {
 		if _, err := ParseQI(spec, Options{}); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("ParseQI(%q) err = %v, want mention of %q", spec, err, want)
 		}
@@ -52,13 +66,7 @@ func TestFileHierarchiesGatedByOptions(t *testing.T) {
 }
 
 func TestCanonical(t *testing.T) {
-	cases := map[string]string{
-		"A=suppress;B=round:2":        "A=suppress;B=round:2",
-		" A=suppress ;  B=round:2 ; ": "A=suppress;B=round:2",
-		";;A=suppress;;":              "A=suppress",
-		"":                            "",
-	}
-	for in, want := range cases {
+	for in, want := range canonicalCases {
 		if got := Canonical(in); got != want {
 			t.Errorf("Canonical(%q) = %q, want %q", in, got, want)
 		}

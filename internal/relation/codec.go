@@ -1,14 +1,14 @@
 package relation
 
-// Binary frequency-set codec — the wire format of the multi-process
-// partition mode (internal/partition). A worker process counts its row
-// range into a FreqSet, encodes it, and streams it back; the coordinator
-// decodes the partials and merges them with AddFrom. The encoding is
-// deterministic (EachSorted order) so identical sets always produce
-// identical bytes regardless of representation or insertion history, and
-// it carries the layout metadata (columns, cardinality bounds) so the
-// decoder can rebuild the adaptive representation the local scan would
-// have chosen.
+// Binary frequency-set codec — a deterministic, self-describing byte form
+// of a FreqSet. It was the wire format of the retired multi-process
+// partition mode, where each worker counted its row range, encoded it and
+// shipped it back for a merge with AddFrom; no library path calls it now.
+// The encoding is deterministic (EachSorted order) so identical sets
+// always produce identical bytes regardless of representation or
+// insertion history, and it carries the layout metadata (columns,
+// cardinality bounds) so the decoder can rebuild the adaptive
+// representation a local scan would have chosen.
 
 import (
 	"encoding/binary"
@@ -16,8 +16,7 @@ import (
 	"math"
 )
 
-// freqSetCodecVersion guards the wire format: coordinator and workers are
-// the same binary in partition mode, but a version byte turns any future
+// freqSetCodecVersion guards the format: a version byte turns any future
 // drift into a clean error instead of silent misparsing.
 const freqSetCodecVersion = 1
 

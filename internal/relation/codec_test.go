@@ -103,8 +103,8 @@ func TestFreqSetCodecDeterministic(t *testing.T) {
 	}
 }
 
-// TestFreqSetCodecPartialMerge is the partition-mode contract in
-// miniature: counting disjoint row ranges, shipping each through the
+// TestFreqSetCodecPartialMerge checks the codec preserves what a merge
+// needs: counting disjoint row ranges, shipping each through the
 // codec, and merging the partials must equal the one-shot full scan —
 // groups, representation metadata, and all.
 func TestFreqSetCodecPartialMerge(t *testing.T) {

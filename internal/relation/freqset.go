@@ -629,11 +629,10 @@ func GroupCountWithCard(t *Table, cols []int, recode [][]int32, card []int) *Fre
 }
 
 // GroupCountRange is GroupCountWithCard restricted to the row range
-// [lo, hi) — one shard of a parallel scan, or one partition worker's
-// whole share of a multi-process scan. On the dense path the recode
-// lookup and the mixed-radix multiply fuse into one per-column table, so
-// counting a tuple is len(cols) array reads, one add each, and a single
-// increment — no hashing, no key packing.
+// [lo, hi), the body of every sequential scan. On the dense path the
+// recode lookup and the mixed-radix multiply fuse into one per-column
+// table, so counting a tuple is len(cols) array reads, one add each, and a
+// single increment — no hashing, no key packing.
 func GroupCountRange(t *Table, cols []int, recode [][]int32, card []int, lo, hi int) *FreqSet {
 	// The representation choice uses the whole table's row count, not the
 	// shard's, so every shard of a parallel scan picks the same layout and

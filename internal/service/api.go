@@ -14,7 +14,7 @@
 // re-enqueueing interrupted jobs (in-flight ones resume from their
 // -checkpoint-dir snapshot, byte-identical to an uninterrupted run),
 // tombstoning finished ones (their results answer 410 Gone), compacting
-// the file, and sweeping orphaned checkpoints and partition spills.
+// the file, and sweeping orphaned checkpoints.
 // Submissions are refused with 503 + Retry-After until the replay ends.
 //
 // The API surface (all JSON):
@@ -98,20 +98,14 @@ type Policy struct {
 	// MaterializeBudget is the partial-cube group budget of the
 	// materialized algorithm (ignored otherwise).
 	MaterializeBudget int `json:"materialize_budget,omitempty"`
-	// Partitions, when > 1, runs the job's base-table scans across that
-	// many partition worker processes. Results are bit-identical to an
-	// in-process run (counts merge additively), so like parallelism and
-	// kernel this knob is absent from the cache identity. Requires the
-	// daemon to enable partitioning (-max-partitions); rejected otherwise.
-	Partitions int `json:"partitions,omitempty"`
 	// RetainState keeps the run's incremental-reanonymization state on the
 	// finished job, making it a valid parent for POST /v1/jobs/{id}/delta.
 	// Only the basic algorithm supports it, and a retain-state job is never
 	// answered from the cache or coalesced onto another job (both would
 	// skip the run that captures the state); its result still lands in the
-	// cache for later plain submissions. Incompatible with partitions and
-	// with a memory budget (a budget-degraded run cannot capture a complete
-	// state — the daemon's default budget is ignored for these jobs).
+	// cache for later plain submissions. Incompatible with a memory budget
+	// (a budget-degraded run cannot capture a complete state — the
+	// daemon's default budget is ignored for these jobs).
 	RetainState bool `json:"retain_state,omitempty"`
 }
 
@@ -252,7 +246,6 @@ type resolved struct {
 	criterion   incognito.Criterion
 	critName    string
 	matBudget   int
-	partitions  int
 	retainState bool
 }
 
@@ -325,25 +318,9 @@ func (c *Config) resolve(p Policy) (resolved, error) {
 	}
 	r.criterion = crit
 
-	if p.Partitions < 0 {
-		return r, fmt.Errorf("policy.partitions must be >= 0, got %d", p.Partitions)
-	}
-	if p.Partitions > 1 {
-		if c.Partitioner == nil || c.MaxPartitions < 2 {
-			return r, fmt.Errorf("policy.partitions: partitioned jobs are disabled on this daemon (start it with -max-partitions)")
-		}
-		if p.Partitions > c.MaxPartitions {
-			return r, fmt.Errorf("policy.partitions must be <= %d, got %d", c.MaxPartitions, p.Partitions)
-		}
-		r.partitions = p.Partitions
-	}
-
 	if p.RetainState {
 		if r.algorithm != incognito.BasicIncognito {
 			return r, fmt.Errorf("policy.retain_state: only the basic algorithm retains delta state, not %s", r.algorithm)
-		}
-		if r.partitions > 1 {
-			return r, fmt.Errorf("policy.retain_state: incompatible with partitioned jobs")
 		}
 		if p.MemBudget != "" {
 			return r, fmt.Errorf("policy.retain_state: incompatible with a memory budget (a degraded run cannot capture a complete state)")

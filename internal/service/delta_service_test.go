@@ -228,12 +228,6 @@ func TestResolveRetainState(t *testing.T) {
 	if _, err := cfg.resolve(Policy{K: 2, RetainState: true, MemBudget: "64Mi"}); err == nil {
 		t.Fatal("retain_state accepted with an explicit memory budget")
 	}
-	part := &Config{MaxPartitions: 4, Partitioner: func(*incognito.Table, string, string, int) (*incognito.PartitionPool, func(), error) {
-		return nil, nil, nil
-	}}
-	if _, err := part.resolve(Policy{K: 2, RetainState: true, Partitions: 2}); err == nil {
-		t.Fatal("retain_state accepted with partitions")
-	}
 }
 
 // TestDeltaHTTPEndToEnd drives the delta lifecycle over HTTP: submit a

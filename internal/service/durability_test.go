@@ -1,7 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
@@ -175,6 +178,55 @@ func TestRecoveryRequeuesInterruptedJob(t *testing.T) {
 	}
 }
 
+// A journal written before partitioned jobs were retired still replays: an
+// accepted record whose policy carries the old "partitions" field decodes
+// (replay does not refuse unknown fields), runs in-process, and releases
+// the same bytes as a plain job.
+func TestRecoveryReplaysRetiredPartitionsPolicy(t *testing.T) {
+	body, err := json.Marshal(acceptedRecord("job-000001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(body, []byte(`"policy":{"k":2}`), []byte(`"policy":{"k":2,"partitions":2}`), 1)
+	if bytes.Equal(old, body) {
+		t.Fatalf("accepted record has no plain k=2 policy to rewrite: %s", body)
+	}
+	sum := sha256.Sum256(old)
+	line := hex.EncodeToString(sum[:8]) + " " + string(old) + "\n"
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestService(t, Config{Workers: 1, JournalDir: dir})
+	s.WaitRecovered()
+	st := waitTerminal(t, s, "job-000001")
+	if st.State != StateDone || !st.Recovered {
+		t.Fatalf("old-format job finished %s (recovered %v, err %q), want done and recovered", st.State, st.Recovered, st.Error)
+	}
+
+	plain := newTestService(t, Config{Workers: 1})
+	resp, serr := plain.Submit(validRequest())
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	waitTerminal(t, plain, resp.ID)
+	released := func(s *Service, id string) string {
+		t.Helper()
+		j, _ := s.Job(id)
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		var payload ResultPayload
+		if err := json.Unmarshal(j.result, &payload); err != nil {
+			t.Fatalf("%s result: %v", id, err)
+		}
+		return payload.ReleasedCSV
+	}
+	if got, want := released(s, "job-000001"), released(plain, resp.ID); got == "" || got != want {
+		t.Errorf("replayed job released\n%s\nwant the plain job's\n%s", got, want)
+	}
+}
+
 // Finished jobs come back as tombstones: state and error survive, result
 // bytes do not — GET result answers 410 Gone for done, 409 for failed.
 func TestRecoveryTombstonesFinishedJobs(t *testing.T) {
@@ -320,28 +372,18 @@ func TestRecoveryResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
-// Startup sweeps what crashed runs left behind and the journal does not
-// claim: stale checkpoints and everything under the spill dir.
+// Startup sweeps the checkpoints crashed runs left behind that the
+// journal does not claim.
 func TestRecoverySweepsOrphans(t *testing.T) {
-	jdir, cdir, sdir := t.TempDir(), t.TempDir(), t.TempDir()
+	jdir, cdir := t.TempDir(), t.TempDir()
 	stale := filepath.Join(cdir, "job-000009.ckpt")
 	if err := os.WriteFile(stale, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	spill := filepath.Join(sdir, "job-000009")
-	if err := os.MkdirAll(spill, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(spill, "data.csv"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := newTestService(t, Config{Workers: 1, JournalDir: jdir, CheckpointDir: cdir, SpillDir: sdir})
+	s := newTestService(t, Config{Workers: 1, JournalDir: jdir, CheckpointDir: cdir})
 	s.WaitRecovered()
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Errorf("stale checkpoint survived the sweep (stat err: %v)", err)
-	}
-	if _, err := os.Stat(spill); !os.IsNotExist(err) {
-		t.Errorf("stale spill dir survived the sweep (stat err: %v)", err)
 	}
 }
 

@@ -40,10 +40,6 @@ type Job struct {
 	table *incognito.Table
 	qi    []incognito.QI
 	pol   resolved
-	// csv and qiSpec are retained only for partitioned jobs — the
-	// Partitioner needs the raw submission to stand up worker processes.
-	csv    string
-	qiSpec string
 
 	// Delta-job inputs: the parent job's ID, the state snapshot the run
 	// screens against, and the rows to append/delete. deltaState is non-nil

@@ -12,40 +12,9 @@ import (
 	"sync"
 	"testing"
 
-	incognito "incognito"
-	"incognito/internal/partition"
-	"incognito/internal/qispec"
 	"incognito/internal/telemetry"
 	"incognito/internal/trace"
 )
-
-// inProcessPartitioner builds pools whose workers are goroutines serving
-// over pipes — the spawned-worker code path (ServePartitionWorker, wire
-// codec, telemetry frames) minus the exec, so service tests stay hermetic.
-// The returned cleanup joins the worker goroutines, mirroring the
-// process-reaping cleanup of the daemon's re-exec partitioner.
-func inProcessPartitioner(t *testing.T) Partitioner {
-	t.Helper()
-	return func(table *incognito.Table, csv, qiSpec string, partitions int) (*incognito.PartitionPool, func(), error) {
-		qi, err := qispec.ParseQI(qiSpec, qispec.Options{})
-		if err != nil {
-			return nil, nil, err
-		}
-		peers := make([]partition.Peer, partitions)
-		var wg sync.WaitGroup
-		for i := 0; i < partitions; i++ {
-			reqR, reqW := io.Pipe()
-			respR, respW := io.Pipe()
-			wg.Add(1)
-			go func(i int, r *io.PipeReader, w *io.PipeWriter) {
-				defer wg.Done()
-				w.CloseWithError(incognito.ServePartitionWorker(table, qi, i, partitions, r, w))
-			}(i, reqR, respW)
-			peers[i] = partition.Peer{R: respR, W: reqW}
-		}
-		return partition.NewPool(table.NumRows(), peers), wg.Wait, nil
-	}
-}
 
 // sumSpan totals one counter over a SpanDoc subtree.
 func sumSpan(s *trace.SpanDoc, counter string) int64 {
@@ -56,22 +25,14 @@ func sumSpan(s *trace.SpanDoc, counter string) int64 {
 	return n
 }
 
-// TestPartitionedJobTrace is the tentpole acceptance test: a partitioned
-// job's trace is one tree — queue wait, run, the library's phases, the
-// coordinator's partition_scan spans, and under partition_workers the
-// adopted per-worker trees — with counters that agree across the process
-// boundary and with the run's own Stats.
-func TestPartitionedJobTrace(t *testing.T) {
+// TestJobTraceFoldsIntoRegistry: a finished job's trace is one tree —
+// queue wait, run, and the library's search phases under it — whose
+// counters agree with the run's own Stats, and sealing it folds the
+// phase durations into the shared registry.
+func TestJobTraceFoldsIntoRegistry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s := newTestService(t, Config{
-		Workers:       1,
-		Registry:      reg,
-		Partitioner:   inProcessPartitioner(t),
-		MaxPartitions: 3,
-	})
-	req := validRequest()
-	req.Policy.Partitions = 2
-	resp, serr := s.Submit(req)
+	s := newTestService(t, Config{Workers: 1, Registry: reg})
+	resp, serr := s.Submit(validRequest())
 	if serr != nil {
 		t.Fatalf("Submit: %v", serr)
 	}
@@ -88,54 +49,26 @@ func TestPartitionedJobTrace(t *testing.T) {
 	if doc == nil {
 		t.Fatal("finished job has no trace")
 	}
-	for _, name := range []string{"queue_wait", "run", "partition_workers"} {
+	for _, name := range []string{"queue_wait", "run"} {
 		if got := len(doc.Find(name)); got != 1 {
 			t.Fatalf("%s spans = %d, want 1", name, got)
 		}
 	}
-	workers := doc.Find("partition_worker")
-	if len(workers) != 2 {
-		t.Fatalf("adopted worker trees = %d, want 2", len(workers))
+	run := doc.Find("run")[0]
+	if len(doc.Find("search")) == 0 {
+		t.Fatal("no search spans in the job trace")
+	}
+	if got := sumSpan(run, "table_scans"); got != int64(payload.Stats.TableScans) {
+		t.Errorf("table_scans under run = %d, Stats.TableScans = %d", got, payload.Stats.TableScans)
 	}
 
-	// Cross-boundary consistency: every coordinator partition_scan hit
-	// both workers, each worker saw its own row share of every scan, and
-	// the scans cover at least the search's table scans (solution metrics
-	// re-scan through the pool on top of them).
-	coordScans := doc.SumCounter("partition_scans")
-	if coordScans < int64(payload.Stats.TableScans) {
-		t.Errorf("partition_scans = %d < search TableScans %d", coordScans, payload.Stats.TableScans)
-	}
-	var workerScans, workerRows int64
-	for i, w := range workers {
-		scans := sumSpan(w, "worker_scans")
-		if scans != coordScans {
-			t.Errorf("worker %d served %d scans, coordinator made %d", i, scans, coordScans)
-		}
-		workerScans += scans
-		workerRows += sumSpan(w, "worker_rows")
-	}
-	if workerScans != 2*coordScans {
-		t.Errorf("worker_scans total = %d, want 2×%d", workerScans, coordScans)
-	}
-	if wantRows := coordScans * int64(j.table.NumRows()); workerRows != wantRows {
-		t.Errorf("worker_rows total = %d, want scans×rows = %d", workerRows, wantRows)
-	}
-	if doc.SumCounter("worker_errors") != 0 {
-		t.Error("worker_errors in a clean run")
-	}
-
-	// RecordTrace folded the whole tree — including the adopted worker
-	// phases — into the shared registry, plus the pool telemetry gauges.
 	var prom bytes.Buffer
 	if err := reg.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
 		`incognito_phase_seconds_count{phase="run"}`,
-		`incognito_phase_seconds_count{phase="partition_worker"}`,
-		"incognito_worker_scans_total",
-		"incognitod_partition_worker_skew",
+		`incognito_phase_seconds_count{phase="search"}`,
 	} {
 		if !strings.Contains(prom.String(), want) {
 			t.Errorf("metrics missing %q", want)
@@ -169,9 +102,8 @@ func (b *syncBuffer) String() string {
 }
 
 // TestServicePathTransparency extends the library's telemetry-transparency
-// guarantee to the daemon: full observability (tracing, logging, metrics,
-// partitioned scanning) must leave the result bytes identical to a bare
-// service's.
+// guarantee to the daemon: full observability (tracing, logging, metrics)
+// must leave the result bytes identical to a bare service's.
 func TestServicePathTransparency(t *testing.T) {
 	logBuf := &syncBuffer{}
 	logger, err := telemetry.NewLogger(logBuf, "json", true)
@@ -179,17 +111,13 @@ func TestServicePathTransparency(t *testing.T) {
 		t.Fatal(err)
 	}
 	observed := newTestService(t, Config{
-		Workers:       1,
-		Registry:      telemetry.NewRegistry(),
-		Logger:        logger,
-		Partitioner:   inProcessPartitioner(t),
-		MaxPartitions: 2,
+		Workers:  1,
+		Registry: telemetry.NewRegistry(),
+		Logger:   logger,
 	})
 	bare := newTestService(t, Config{Workers: 1, TraceJobs: -1})
 
-	req := validRequest()
-	req.Policy.Partitions = 2
-	r1, serr := observed.Submit(req)
+	r1, serr := observed.Submit(validRequest())
 	if serr != nil {
 		t.Fatal(serr)
 	}
@@ -209,80 +137,6 @@ func TestServicePathTransparency(t *testing.T) {
 	}
 	if logBuf.Len() == 0 {
 		t.Error("observed service logged nothing")
-	}
-}
-
-// TestPartitionedSubmitValidation: partitioned submissions are rejected
-// with 400 unless the daemon opted in, and bounded by MaxPartitions.
-func TestPartitionedSubmitValidation(t *testing.T) {
-	plain := newTestService(t, Config{Workers: 1})
-	req := validRequest()
-	req.Policy.Partitions = 2
-	if _, serr := plain.Submit(req); serr == nil || serr.status != http.StatusBadRequest ||
-		!strings.Contains(serr.msg, "disabled") {
-		t.Fatalf("partitions on a plain daemon = %v, want 400 mentioning disabled", serr)
-	}
-
-	s := newTestService(t, Config{Workers: 1, Partitioner: inProcessPartitioner(t), MaxPartitions: 2})
-	req.Policy.Partitions = 3
-	if _, serr := s.Submit(req); serr == nil || serr.status != http.StatusBadRequest {
-		t.Fatalf("partitions above the cap = %v, want 400", serr)
-	}
-	req.Policy.Partitions = -1
-	if _, serr := s.Submit(req); serr == nil || serr.status != http.StatusBadRequest {
-		t.Fatalf("negative partitions = %v, want 400", serr)
-	}
-	// partitions=1 is the non-partitioned path: no partitioner involvement.
-	req.Policy.Partitions = 1
-	resp, serr := s.Submit(req)
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	if st := waitTerminal(t, s, resp.ID); st.State != StateDone {
-		t.Fatalf("partitions=1 job: %s (%s)", st.State, st.Error)
-	}
-}
-
-// TestPartitionsAreResultTransparent: partitions is a result-transparent
-// knob, so a partitioned and a plain submission of the same work share one
-// cache entry.
-func TestPartitionsAreResultTransparent(t *testing.T) {
-	s := newTestService(t, Config{Workers: 1, Partitioner: inProcessPartitioner(t), MaxPartitions: 2})
-	first, serr := s.Submit(validRequest())
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	waitTerminal(t, s, first.ID)
-	req := validRequest()
-	req.Policy.Partitions = 2
-	again, serr := s.Submit(req)
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	if !again.CacheHit {
-		t.Fatal("partitioned duplicate missed the cache; partitions leaked into the job key")
-	}
-}
-
-// TestPartitionerFailureFailsJob: a Partitioner that cannot stand its
-// workers up fails the job cleanly instead of wedging the worker.
-func TestPartitionerFailureFailsJob(t *testing.T) {
-	s := newTestService(t, Config{
-		Workers: 1,
-		Partitioner: func(*incognito.Table, string, string, int) (*incognito.PartitionPool, func(), error) {
-			return nil, nil, io.ErrUnexpectedEOF
-		},
-		MaxPartitions: 2,
-	})
-	req := validRequest()
-	req.Policy.Partitions = 2
-	resp, serr := s.Submit(req)
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	st := waitTerminal(t, s, resp.ID)
-	if st.State != StateFailed || !strings.Contains(st.Error, "partition workers") {
-		t.Fatalf("state %s err %q, want failed mentioning partition workers", st.State, st.Error)
 	}
 }
 

@@ -126,9 +126,9 @@ func (s *Service) installTombstone(id string, rj *replayedJob) {
 // requeueRecovered re-validates one interrupted job from its journal
 // record and puts it back on the queue under its original ID. Validation
 // runs exactly like Submit's — the daemon's config may have changed
-// across the restart (file hierarchies disallowed, partitioning disabled),
-// and a job that no longer validates is journaled failed rather than
-// crashing a worker later.
+// across the restart (file hierarchies disallowed, for instance), and a
+// job that no longer validates is journaled failed rather than crashing a
+// worker later.
 func (s *Service) requeueRecovered(id string, rj *replayedJob, claimed map[string]bool) {
 	fail := func(msg string) {
 		rj.state, rj.errMsg = StateFailed, msg
@@ -181,9 +181,6 @@ func (s *Service) requeueRecovered(id string, rj *replayedJob, claimed map[strin
 		// cover compute, not the daemon's downtime.
 		j.deadline = j.created.Add(pol.timeout)
 	}
-	if pol.partitions > 1 {
-		j.csv, j.qiSpec = rj.accepted.CSV, rj.accepted.QI
-	}
 	if s.traceCap > 0 {
 		j.tracer = trace.New()
 		j.tracer.SetAttr("job", j.ID)
@@ -227,11 +224,8 @@ func (s *Service) requeueRecovered(id string, rj *replayedJob, claimed map[strin
 	s.logJob(j, "re-enqueued by recovery")
 }
 
-// sweepOrphans removes files crashed runs left behind that the replayed
-// journal does not claim: checkpoint snapshots of jobs that are not
-// coming back, and partition spill directories (no pool survives a
-// restart, so everything under the spill dir is garbage). Every removal
-// is logged.
+// sweepOrphans removes checkpoint snapshots crashed runs left behind for
+// jobs the replayed journal does not bring back. Every removal is logged.
 func (s *Service) sweepOrphans(claimed map[string]bool) {
 	if dir := s.cfg.CheckpointDir; dir != "" {
 		entries, err := os.ReadDir(dir)
@@ -248,20 +242,6 @@ func (s *Service) sweepOrphans(claimed map[string]bool) {
 				s.logRecovery("orphan sweep: remove failed", "path", path, "error", err.Error())
 			} else {
 				s.logRecovery("orphan sweep: removed stale checkpoint", "path", path)
-			}
-		}
-	}
-	if dir := s.cfg.SpillDir; dir != "" {
-		entries, err := os.ReadDir(dir)
-		if err != nil && !os.IsNotExist(err) {
-			s.logRecovery("orphan sweep: spill dir unreadable", "error", err.Error())
-		}
-		for _, e := range entries {
-			path := filepath.Join(dir, e.Name())
-			if err := os.RemoveAll(path); err != nil {
-				s.logRecovery("orphan sweep: remove failed", "path", path, "error", err.Error())
-			} else {
-				s.logRecovery("orphan sweep: removed stale partition spill", "path", path)
 			}
 		}
 	}

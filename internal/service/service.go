@@ -48,14 +48,9 @@ type Config struct {
 	// there before it is acknowledged, and startup replays the journal —
 	// re-enqueueing interrupted jobs (resuming from CheckpointDir
 	// snapshots), tombstoning finished ones, compacting the file, and
-	// sweeping orphaned checkpoints and spills. Empty runs the daemon
-	// in-memory only, exactly as before.
+	// sweeping orphaned checkpoints. Empty runs the daemon in-memory
+	// only, exactly as before.
 	JournalDir string
-	// SpillDir, when set, is where the Partitioner spills datasets for
-	// re-exec'd workers; startup recovery deletes everything under it (no
-	// partition pool survives a restart). Conventionally
-	// JournalDir/spills.
-	SpillDir string
 	// DefaultTimeout, DefaultMemBudget and DefaultParallelism apply to
 	// jobs whose policy leaves the knob empty.
 	DefaultTimeout     time.Duration
@@ -72,28 +67,14 @@ type Config struct {
 	// access log.
 	Logger *slog.Logger
 	// TraceJobs sizes the per-job trace flight recorder: every queued job
-	// gets a span tree (queue wait → run → phases, plus adopted partition
-	// worker trees) served on GET /v1/jobs/{id}/trace, and the finished
-	// trees of the most recent TraceJobs jobs are retained. 0 means the
-	// default (64); negative disables per-job tracing entirely. Tracing is
-	// result-transparent: Solutions, Stats, and the released CSV are
-	// byte-identical with it on or off.
+	// gets a span tree (queue wait → run → phases) served on GET
+	// /v1/jobs/{id}/trace, and the finished trees of the most recent
+	// TraceJobs jobs are retained. 0 means the default (64); negative
+	// disables per-job tracing entirely. Tracing is result-transparent:
+	// Solutions, Stats, and the released CSV are byte-identical with it on
+	// or off.
 	TraceJobs int
-	// Partitioner, when non-nil, builds the worker pool for jobs whose
-	// policy asks for partitions: it receives the parsed table plus the
-	// raw CSV/QI spec (re-exec'd workers need the bytes, in-process test
-	// pools the parse) and returns the pool and a cleanup to run after the
-	// pool closes. nil rejects partitioned submissions.
-	Partitioner Partitioner
-	// MaxPartitions caps policy.partitions; < 2 rejects partitioned
-	// submissions even with a Partitioner installed.
-	MaxPartitions int
 }
-
-// Partitioner builds a partition worker pool for one job. The returned
-// cleanup (which may be nil) runs after the pool has closed — the hook
-// for removing spilled temp files or joining worker goroutines.
-type Partitioner func(table *incognito.Table, csv, qiSpec string, partitions int) (*incognito.PartitionPool, func(), error)
 
 // Service is the queue, cache, and job table behind the HTTP API.
 type Service struct {
@@ -117,11 +98,10 @@ type Service struct {
 	// journaling is off. recovering gates submissions while the startup
 	// replay runs; recoveryDone closes when it finishes (immediately when
 	// journaling is off).
-	journal       *Journal
-	recovering    atomic.Bool
-	recoveryDone  chan struct{}
-	recovered     atomic.Int64
-	workerRetries atomic.Int64
+	journal      *Journal
+	recovering   atomic.Bool
+	recoveryDone chan struct{}
+	recovered    atomic.Int64
 
 	wg        sync.WaitGroup
 	active    atomic.Int64
@@ -243,8 +223,6 @@ func (s *Service) registerMetrics() {
 		func() float64 { return float64(s.cache.Invalidated()) })
 	reg.GaugeFunc("incognitod_recovered_jobs_total", "Interrupted jobs re-enqueued by startup journal recovery.",
 		func() float64 { return float64(s.recovered.Load()) })
-	reg.GaugeFunc("incognitod_worker_retries_total", "Partition worker respawns performed by pool supervision.",
-		func() float64 { return float64(s.workerRetries.Load()) })
 	if s.journal != nil {
 		reg.GaugeFunc("incognitod_journal_records", "Journal records appended by this process.",
 			func() float64 { return float64(s.journal.Records()) })
@@ -430,10 +408,6 @@ func (s *Service) Submit(req SubmitRequest) (*SubmitResponse, *submitError) {
 			j.tracer.SetAttr("request_id", req.RequestID)
 		}
 		j.queueSpan = j.tracer.Start("queue_wait")
-	}
-	if pol.partitions > 1 {
-		// The partitioner needs the raw submission back when the job runs.
-		j.csv, j.qiSpec = req.CSV, req.QI
 	}
 	// Write-ahead: the accepted record hits the disk before the job is
 	// queued or acknowledged. If the journal cannot take it, the job does
@@ -653,11 +627,11 @@ func (s *Service) worker() {
 
 // runJob executes one job with panic isolation, timeout and memory-budget
 // enforcement, then publishes the rendered result to the cache. The job's
-// trace — queue wait, run phases, adopted partition worker trees — is
-// finalized into the flight recorder on every exit path, including
-// panics, and always *before* the terminal job state is published: a
-// client that polls until done and immediately fetches the trace must
-// see the sealed document, never a partial live snapshot.
+// trace — queue wait, run phases — is finalized into the flight recorder
+// on every exit path, including panics, and always *before* the terminal
+// job state is published: a client that polls until done and immediately
+// fetches the trace must see the sealed document, never a partial live
+// snapshot.
 func (s *Service) runJob(j *Job) {
 	s.active.Add(1)
 	defer s.active.Add(-1)
@@ -702,9 +676,8 @@ func (s *Service) runJob(j *Job) {
 		s.testHookBeforeRun(j)
 	}
 
-	// The traced section runs in a closure so its defers — pool close
-	// (which collects and grafts the worker telemetry), run-span end —
-	// complete before the terminal transition it returns is applied.
+	// The traced section runs in its own function so its deferred run-span
+	// end completes before the terminal transition it returns is applied.
 	publish := s.execute(ctx, j)
 	s.finishJobTrace(j)
 	publish()
@@ -753,25 +726,6 @@ func (s *Service) execute(ctx context.Context, j *Job) (publish func()) {
 	if j.deltaState != nil {
 		return s.executeDelta(ctx, j, cfg, fail)
 	}
-	if j.pol.partitions > 1 {
-		pool, cleanup, err := s.cfg.Partitioner(j.table, j.csv, j.qiSpec, j.pol.partitions)
-		if err != nil {
-			return fail(fmt.Sprintf("starting %d partition workers: %v", j.pol.partitions, err), "failed")
-		}
-		// Workers' telemetry frames arrive when the pool closes — still
-		// inside the run span, so the adopted trees land under it. The
-		// deferreds run close-before-End in LIFO order.
-		pool.SetTraceSink(runSpan)
-		cfg.Partition = pool
-		defer func() {
-			_ = pool.Close()
-			s.observePool(pool)
-			if cleanup != nil {
-				cleanup()
-			}
-		}()
-	}
-
 	s.runs.Add(1)
 	s.logJob(j, "running")
 	res, err := incognito.AnonymizeContext(ctx, j.table, j.qi, cfg)
@@ -820,8 +774,8 @@ func (s *Service) execute(ctx context.Context, j *Job) (publish func()) {
 // its follow-on state and edited table so further deltas chain off it.
 func (s *Service) executeDelta(ctx context.Context, j *Job, cfg incognito.Config, fail func(msg, event string) func()) func() {
 	// Delta runs reject budgets and always produce a follow-on state;
-	// resolve kept budgets and partitions off for every state-retaining
-	// lineage, so only the flags themselves need scrubbing here.
+	// resolve kept budgets off for every state-retaining lineage, so only
+	// the flags themselves need scrubbing here.
 	cfg.RetainState = false
 	cfg.MemoryBudgetBytes = 0
 	s.runs.Add(1)
@@ -869,32 +823,6 @@ func (s *Service) executeDelta(ctx context.Context, j *Job, cfg incognito.Config
 		s.deltaScreened.Add(dres.Counters.NodesScreened)
 		s.deltaRevalidated.Add(dres.Counters.NodesRevalidated)
 		s.logJob(j, "done")
-	}
-}
-
-// observePool publishes a closed partition pool's worker telemetry as
-// service gauges: load skew (max/mean busy time) and the largest worker
-// peak RSS. Settable gauges, not GaugeFuncs — the pool is gone after the
-// job, so the last job's values stand until the next partitioned job.
-func (s *Service) observePool(pool *incognito.PartitionPool) {
-	s.workerRetries.Add(pool.Retries())
-	reg := s.cfg.Registry
-	if reg == nil {
-		return
-	}
-	if skew := pool.WorkerSkew(); skew > 0 {
-		reg.Gauge("incognitod_partition_worker_skew",
-			"Max/mean worker busy time of the most recent partitioned job (1.0 = perfectly balanced).").Set(skew)
-	}
-	var peak int64
-	for _, rep := range pool.Reports() {
-		if rep.PeakRSSBytes > peak {
-			peak = rep.PeakRSSBytes
-		}
-	}
-	if peak > 0 {
-		reg.Gauge("incognitod_partition_worker_peak_rss_bytes",
-			"Largest worker peak RSS of the most recent partitioned job.").Set(float64(peak))
 	}
 }
 

@@ -400,6 +400,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad qi spec", SubmitRequest{CSV: patientsCSV, QI: "Sex", Policy: Policy{K: 2}}, "qi"},
 		{"unknown column", SubmitRequest{CSV: patientsCSV, QI: "Nope=suppress", Policy: Policy{K: 2}}, "Nope"},
 		{"file hierarchy denied", SubmitRequest{CSV: patientsCSV, QI: "Sex=taxonomy:/etc/passwd", Policy: Policy{K: 2}}, "not allowed"},
+		{"rounding height over the cap", SubmitRequest{CSV: patientsCSV, QI: "Birthdate=suppress;Sex=round:1;Zipcode=round:65", Policy: Policy{K: 2}}, "rounding height"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -507,6 +508,13 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 	if code, _ := post(`{"surprise":true}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown field = %d, want 400", code)
+	}
+	// A policy field this daemon does not know — such as the partition
+	// count older versions accepted — is refused by name.
+	csvJSON, _ := json.Marshal(patientsCSV)
+	retired := `{"csv":` + string(csvJSON) + `,"qi":"` + patientsQI + `","policy":{"k":2,"partitions":2}}`
+	if code, m := post(retired); code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(m["error"]), `"partitions"`) {
+		t.Fatalf("retired policy field = %d %v, want 400 naming it", code, m)
 	}
 
 	// DELETE on a finished job is 409; on an unknown job 404.

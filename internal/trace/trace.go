@@ -87,7 +87,6 @@ type Span struct {
 	attrs    map[string]any
 	counters map[string]int64
 	children []*Span
-	adopted  []*SpanDoc // pre-exported subtrees grafted in from other tracers
 }
 
 // Start opens a child span.
@@ -144,22 +143,6 @@ func (s *Span) Add(counter string, n int64) {
 	s.mu.Unlock()
 }
 
-// Adopt grafts an already-exported span tree — typically one shipped
-// across a process boundary, like a partition worker's telemetry frame —
-// under s as a child. The adopted offsets were measured against a foreign
-// epoch; on export they are rebased so the adopted root starts where s
-// starts, preserving the remote durations and relative structure. The
-// adopted tree's counters participate in Counters and Document sums just
-// like live spans'. The document is cloned at export, never mutated.
-func (s *Span) Adopt(d *SpanDoc) {
-	if s == nil || d == nil {
-		return
-	}
-	s.mu.Lock()
-	s.adopted = append(s.adopted, d)
-	s.mu.Unlock()
-}
-
 // Counters returns the sum of every counter over the whole span forest —
 // the aggregate the determinism tests compare against core.Stats. Returns
 // nil on a nil tracer.
@@ -183,22 +166,9 @@ func (s *Span) sumInto(total map[string]int64) {
 		total[k] += v
 	}
 	children := append([]*Span(nil), s.children...)
-	adopted := append([]*SpanDoc(nil), s.adopted...)
 	s.mu.Unlock()
 	for _, c := range children {
 		c.sumInto(total)
-	}
-	for _, a := range adopted {
-		a.sumCounters(total)
-	}
-}
-
-func (d *SpanDoc) sumCounters(total map[string]int64) {
-	for k, v := range d.Counters {
-		total[k] += v
-	}
-	for _, c := range d.Children {
-		c.sumCounters(total)
 	}
 }
 
@@ -273,37 +243,11 @@ func (s *Span) export(now time.Duration) *SpanDoc {
 		}
 	}
 	children := append([]*Span(nil), s.children...)
-	adopted := append([]*SpanDoc(nil), s.adopted...)
 	s.mu.Unlock()
 	for _, c := range children {
 		d.Children = append(d.Children, c.export(now))
 	}
-	for _, a := range adopted {
-		d.Children = append(d.Children, rebaseSpan(a, d.StartUS-a.StartUS))
-	}
 	return d
-}
-
-// rebaseSpan deep-copies an adopted span tree, shifting every start offset
-// by the same amount so the copy lines up with the adopting span's epoch.
-func rebaseSpan(d *SpanDoc, shiftUS int64) *SpanDoc {
-	c := &SpanDoc{Name: d.Name, StartUS: d.StartUS + shiftUS, DurUS: d.DurUS}
-	if len(d.Attrs) > 0 {
-		c.Attrs = make(map[string]any, len(d.Attrs))
-		for k, v := range d.Attrs {
-			c.Attrs[k] = v
-		}
-	}
-	if len(d.Counters) > 0 {
-		c.Counters = make(map[string]int64, len(d.Counters))
-		for k, v := range d.Counters {
-			c.Counters[k] = v
-		}
-	}
-	for _, ch := range d.Children {
-		c.Children = append(c.Children, rebaseSpan(ch, shiftUS))
-	}
-	return c
 }
 
 // WriteJSON renders the trace as indented JSON (encoding/json sorts map
