@@ -35,6 +35,7 @@ func BinarySearch(in core.Input) (res *SamaratiResult, err error) {
 			res, err = nil, resilience.AsPanicError("binary_search", r)
 		}
 	}()
+	in.PackScans()
 	sp := in.StartSpan("binary_search")
 	in.Progress.SetPhase("binary search")
 	defer sp.End()

@@ -32,6 +32,7 @@ func BottomUp(in core.Input, useRollup bool) (res *core.Result, err error) {
 			res, err = nil, resilience.AsPanicError("bottomup", r)
 		}
 	}()
+	in.PackScans()
 	sp := in.StartSpan("bottomup")
 	sp.SetAttr("rollup", useRollup)
 	in.Progress.SetPhase("bottom-up")

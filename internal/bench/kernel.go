@@ -239,9 +239,13 @@ func timeOp(iters int, fn func()) float64 {
 }
 
 // allocsPerRun is testing.AllocsPerRun without importing the testing
-// package into a non-test binary: the mean number of heap allocations per
-// invocation of fn.
+// package into a non-test binary: the number of heap allocations per
+// invocation of fn, measured the same way. The loop runs at GOMAXPROCS 1
+// and the mean is an integer, so a stray allocation by another goroutine
+// during 512 runs reads as 0, while fn allocating once per call reads as
+// 1.
 func allocsPerRun(runs int, fn func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fn() // warm up (first-call lazy work must not count)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -249,7 +253,7 @@ func allocsPerRun(runs int, fn func()) float64 {
 		fn()
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }
 
 // KernelMicros runs the scan and rollup microbenchmarks on the dataset's

@@ -112,6 +112,12 @@ func Run(in Input, v Variant) (res *Result, err error) {
 			res, err = nil, resilience.AsPanicError("run", r)
 		}
 	}()
+	// Basic and Super-roots scan the table for their roots. A delta run
+	// builds them from its patched base state, and Cube only rolls up
+	// after its one base-level scan, so neither packs.
+	if in.Delta == nil && v != Cube {
+		in.PackScans()
+	}
 	var cube *CubeIndex
 	var stats Stats
 	if v == Cube {

@@ -108,6 +108,9 @@ type Input struct {
 	// workers drain promptly through the same Err checks cancellation uses.
 	// The run entry points install it on their private Input copy.
 	abort *atomic.Bool
+	// packing groups the quasi-identifier's small-domain columns for the
+	// dense scan loop (see PackScans). nil scans through singleton groups.
+	packing *relation.Packing
 }
 
 // StartSpan opens a phase span for this run: a child of Input.Span when one
@@ -249,6 +252,20 @@ func (in *Input) cardAt(dims, levels []int) []int {
 	return card
 }
 
+// PackScans builds the column packing every later ScanFreq on this Input
+// reads (relation.NewPacking over the quasi-identifier's columns), so a
+// dense scan makes one table lookup per group of small-domain columns
+// instead of one per column. Search entry points call it once per run on
+// their private copy of the Input, so no Result keeps it; one-off scans
+// skip it, since building it costs about as much as a scan.
+func (in *Input) PackScans() {
+	dims := make([]int, len(in.QI))
+	for i := range dims {
+		dims[i] = i
+	}
+	in.packing = relation.NewPacking(in.Table, in.cols(dims))
+}
+
 // ScanFreq computes the frequency set of the table with respect to the
 // given generalization by a full scan — the paper's COUNT(*) group-by over
 // the star schema. At Workers() > 1 the scan is chunked into row ranges
@@ -257,7 +274,7 @@ func (in *Input) cardAt(dims, levels []int) []int {
 // Progress accounting (one table scan, every row counted once).
 func (in *Input) ScanFreq(dims, levels []int) *relation.FreqSet {
 	faultinject.Point("core.scan")
-	f := relation.GroupCountParallelSched(in.Table, in.cols(dims), in.recodeTables(dims, levels), in.cardAt(dims, levels), in.Workers(), in.schedMetrics())
+	f := relation.GroupCountParallelSched(in.Table, in.cols(dims), in.recodeTables(dims, levels), in.cardAt(dims, levels), in.Workers(), in.schedMetrics(), in.packing)
 	in.Progress.AddTableScans(1)
 	in.Progress.AddTuplesScanned(int64(in.Table.NumRows()))
 	in.Metrics.ObserveFreqSetSize(f.Len())

@@ -638,25 +638,24 @@ func GroupCountRange(t *Table, cols []int, recode [][]int32, card []int, lo, hi 
 	// shard's, so every shard of a parallel scan picks the same layout and
 	// the merge stays a vector add.
 	f := newFreqSetSized(cols, card, t.NumRows())
-	var lut [][]int32
+	var lk *scanTables
 	if f.dense != nil {
-		lut = scanLUT(t, cols, recode, card)
+		lk = singletons(t, cols).lookups(cols, recode, card)
 	}
-	f.countRange(t, cols, recode, lut, lo, hi)
+	f.countRange(t, cols, recode, lk, lo, hi)
 	return f
 }
 
-// countRange folds the rows [lo, hi) of t into f — the body of
-// GroupCountRange, split out so a scan worker can accumulate several
-// chunks into one worker-local set without a merge per chunk. lut is the
-// scan's fused lookup tables (scanLUT of f's layout), built once per scan
-// and only read here; a dense f handed a nil lut spills and counts
-// sparsely.
-func (f *FreqSet) countRange(t *Table, cols []int, recode [][]int32, lut [][]int32, lo, hi int) {
+// countRange folds the rows [lo, hi) of t into f — the body of every
+// scan, split out so a scan worker can accumulate several chunks into one
+// worker-local set without a merge per chunk. lk is the scan's lookups
+// (Packing.lookups over f's layout), built once per scan and only read
+// here; a dense f handed nil lookups spills and counts sparsely.
+func (f *FreqSet) countRange(t *Table, cols []int, recode [][]int32, lk *scanTables, lo, hi int) {
 	if f.dense != nil {
-		if lut != nil {
+		if lk != nil {
 			faultinject.Point("relation.dense_scan")
-			f.countDense(t, cols, lut, lo, hi)
+			f.countDense(lk.codes, lk.tables, lo, hi)
 			return
 		}
 		f.spill()
@@ -681,47 +680,58 @@ func (f *FreqSet) countRange(t *Table, cols []int, recode [][]int32, lut [][]int
 
 // scanBlock is the number of rows the dense scan loop takes at a time. The
 // block's composite codes live in a 4 KiB stack array that stays in L1
-// cache while every column pass streams over it.
+// cache while every group pass streams over it.
 const scanBlock = 1024
 
-// countDense is the dense scan loop over the rows [lo, hi). It works a
-// block of rows at a time: one pass per pair of columns adds both
-// columns' lookups into the block's composite codes (a lone first pass
-// when the width is odd), then one pass bumps the cells. Each pass keeps
-// its two tables and two code slices in registers, where a loop over
-// rows would reload every column's slice headers, with their bounds
-// checks, for every row.
-func (f *FreqSet) countDense(t *Table, cols []int, lut [][]int32, lo, hi int) {
+// countDense is the dense scan loop over the rows [lo, hi): codes[g] is
+// group g's code vector and tables[g] its fused table (Packing.lookups),
+// so a row's composite code is the sum of one lookup per group. It works a
+// block of rows at a time: one pass per pair of groups adds both groups'
+// lookups into the block's composite codes (a lone first pass when the
+// group count is odd), then one pass bumps the cells. Each pass keeps its
+// two tables and two code slices in registers, where a loop over rows
+// would reload every group's slice headers, with their bounds checks, for
+// every row. When the layout has no more cells than the range has rows,
+// the bump pass drops its per-row zero test and nonzero is recounted once
+// at the end, for no more than the rows cost.
+func (f *FreqSet) countDense(codes, tables [][]int32, lo, hi int) {
 	var block [scanBlock]int32
 	dense, nonzero := f.dense, f.nonzero
+	recount := len(dense) <= hi-lo
 	for b := lo; b < hi; b += scanBlock {
 		e := b + scanBlock
 		if e > hi {
 			e = hi
 		}
 		idx := block[:e-b]
-		i := len(cols) % 2
+		i := len(codes) % 2
 		if i == 1 {
-			la, ca := lut[0], t.Codes(cols[0])[b:e]
+			la, ca := tables[0], codes[0][b:e]
 			for r, c := range ca {
 				idx[r] = la[c]
 			}
 		} else {
-			la, ca := lut[0], t.Codes(cols[0])[b:e]
-			lb, cb := lut[1], t.Codes(cols[1])[b:e]
+			la, ca := tables[0], codes[0][b:e]
+			lb, cb := tables[1], codes[1][b:e]
 			cb = cb[:len(ca)]
 			for r, c := range ca {
 				idx[r] = la[c] + lb[cb[r]]
 			}
 			i = 2
 		}
-		for ; i < len(cols); i += 2 {
-			la, ca := lut[i], t.Codes(cols[i])[b:e]
-			lb, cb := lut[i+1], t.Codes(cols[i+1])[b:e]
+		for ; i < len(codes); i += 2 {
+			la, ca := tables[i], codes[i][b:e]
+			lb, cb := tables[i+1], codes[i+1][b:e]
 			cb = cb[:len(ca)]
 			for r, c := range ca {
 				idx[r] += la[c] + lb[cb[r]]
 			}
+		}
+		if recount {
+			for _, x := range idx {
+				dense[x]++
+			}
+			continue
 		}
 		for _, x := range idx {
 			if dense[x] == 0 {
@@ -730,40 +740,15 @@ func (f *FreqSet) countDense(t *Table, cols []int, lut [][]int32, lo, hi int) {
 			dense[x]++
 		}
 	}
-	f.nonzero = nonzero
-}
-
-// scanLUT builds the fused per-column lookup tables of a dense scan over
-// the layout card: lut[i][baseCode] is column i's generalized code times
-// its mixed-radix stride (the product of card[i+1:], as in
-// NewFreqSetWithCard), so a tuple's composite code is the plain sum of
-// its per-column lookups. The tables and the composite codes are int32:
-// card is a dense layout, so it has at most DenseMaxCells = 2^22 cells,
-// and every stride, every table entry and every partial sum of
-// code·stride terms is below 2^22. nil if any reachable code would fall
-// outside card; the scan then spills to the sparse loop.
-func scanLUT(t *Table, cols []int, recode [][]int32, card []int) [][]int32 {
-	lut := make([][]int32, len(cols))
-	stride := int32(1)
-	for i := len(cols) - 1; i >= 0; i-- {
-		col := make([]int32, t.Dict(cols[i]).Len())
-		for b := range col {
-			g := int32(b)
-			if recode != nil && recode[i] != nil {
-				if b >= len(recode[i]) {
-					return nil
-				}
-				g = recode[i][b]
+	if recount {
+		nonzero = 0
+		for _, c := range dense {
+			if c != 0 {
+				nonzero++
 			}
-			if g < 0 || int(g) >= card[i] {
-				return nil
-			}
-			col[b] = g * stride
 		}
-		lut[i] = col
-		stride *= int32(card[i])
 	}
-	return lut
+	f.nonzero = nonzero
 }
 
 // minShardRows is the smallest row range worth handing to a scan worker;
@@ -792,7 +777,7 @@ func GroupCountParallel(t *Table, cols []int, recode [][]int32, workers int) *Fr
 // cardinality bounds (nil card forces sparse). Dense shards share one
 // layout, so the merge is a vector add instead of a map iteration.
 func GroupCountParallelWithCard(t *Table, cols []int, recode [][]int32, card []int, workers int) *FreqSet {
-	return GroupCountParallelSched(t, cols, recode, card, workers, nil)
+	return GroupCountParallelSched(t, cols, recode, card, workers, nil, nil)
 }
 
 // GroupCountParallelSched is the scheduled form of the parallel scan: row
@@ -802,25 +787,31 @@ func GroupCountParallelWithCard(t *Table, cols []int, recode [][]int32, card []i
 // partials are merged in worker-index order. Counts are additive and
 // every chunk's layout decision uses the whole table's row count, so the
 // result is bit-identical to the sequential scan at every worker count
-// and every steal schedule. m may be nil (unmetered).
-func GroupCountParallelSched(t *Table, cols []int, recode [][]int32, card []int, workers int, m *sched.Metrics) *FreqSet {
+// and every steal schedule. m may be nil (unmetered). p is the run's
+// column packing (NewPacking); nil, or a packing that does not cover
+// cols, scans through singleton groups.
+func GroupCountParallelSched(t *Table, cols []int, recode [][]int32, card []int, workers int, m *sched.Metrics, p *Packing) *FreqSet {
 	n := t.NumRows()
 	if max := n / minShardRows; workers > max {
 		workers = max
 	}
+	// Every dense partial has the scan's one layout, so its lookups are
+	// built once, here, and every chunk only reads them. A refused layout
+	// leaves lk nil and every dense partial spills.
+	var lk *scanTables
+	if len(card) == len(cols) && DenseEligible(card, n) {
+		p = p.forScan(t, cols)
+		lk = p.lookups(cols, recode, card)
+		defer p.release(lk)
+	}
 	if workers <= 1 {
-		return GroupCountWithCard(t, cols, recode, card)
+		f := newFreqSetSized(cols, card, n)
+		f.countRange(t, cols, recode, lk, 0, n)
+		return f
 	}
 	chunks := workers * scanChunksPerWorker
 	if max := n / minShardRows; chunks > max {
 		chunks = max
-	}
-	// Every dense partial has the scan's one layout, so its lookup tables
-	// are built once, here, and every chunk only reads them. A refused
-	// layout leaves lut nil and every dense partial spills.
-	var lut [][]int32
-	if len(card) == len(cols) && DenseEligible(card, n) {
-		lut = scanLUT(t, cols, recode, card)
 	}
 	parts := make([]*FreqSet, workers)
 	// Worker panic isolation: each chunk recovers its own panic into a
@@ -842,7 +833,7 @@ func GroupCountParallelSched(t *Table, cols []int, recode [][]int32, card []int,
 			// all partials agree, so the final merge is a vector add.
 			parts[w] = newFreqSetSized(cols, card, t.NumRows())
 		}
-		parts[w].countRange(t, cols, recode, lut, lo, hi)
+		parts[w].countRange(t, cols, recode, lk, lo, hi)
 	})
 	for _, pe := range panics {
 		if pe != nil {

@@ -85,7 +85,7 @@ func requireNaiveCount(t *testing.T, f *FreqSet, tab *Table, cols []int, recode 
 // start with a lone column pass, wider ones take several column pairs.
 // Row ranges end inside, at, and just past block boundaries, from a start
 // that is not block-aligned; whole-table scans at several worker counts
-// cut chunks that start mid-block too. A layout that scanLUT refuses
+// cut chunks that start mid-block too. A layout that lookups refuses
 // makes every partial spill to the sparse loop and must still count
 // right.
 func TestDenseScanBlocks(t *testing.T) {
@@ -102,22 +102,22 @@ func TestDenseScanBlocks(t *testing.T) {
 			requireNaiveCount(t, dense, tab, cols, recode, lo, lo+n)
 		}
 
-		// card[0] one short of column 0's domain: scanLUT refuses it.
+		// card[0] one short of column 0's domain: lookups refuses it.
 		refused := append([]int(nil), card...)
 		refused[0]--
-		if scanLUT(tab, cols, recode, refused) != nil {
-			t.Fatalf("width %d: scanLUT accepted a layout a code falls outside", width)
+		if singletons(tab, cols).lookups(cols, recode, refused) != nil {
+			t.Fatalf("width %d: lookups accepted a layout a code falls outside", width)
 		}
 		sparse := GroupCountWithCard(tab, cols, recode, nil)
 		for _, workers := range []int{1, 2, 3, 7} {
-			got := GroupCountParallelSched(tab, cols, recode, card, workers, nil)
+			got := GroupCountParallelSched(tab, cols, recode, card, workers, nil, nil)
 			if !got.Dense() {
 				t.Fatalf("width %d, %d workers: expected a dense scan", width, workers)
 			}
 			requireSameFreqSet(t, got, sparse)
 			requireNaiveCount(t, got, tab, cols, recode, 0, tab.NumRows())
 
-			spilled := GroupCountParallelSched(tab, cols, recode, refused, workers, nil)
+			spilled := GroupCountParallelSched(tab, cols, recode, refused, workers, nil, nil)
 			if spilled.Dense() {
 				t.Fatalf("width %d, %d workers: a refused layout must spill", width, workers)
 			}
@@ -155,7 +155,7 @@ func TestParallelScanBuildsTablesOnce(t *testing.T) {
 		if chunks := min(2*scanChunksPerWorker, rows/minShardRows); chunks != wantChunks {
 			t.Fatalf("%d rows cut into %d chunks, want %d", rows, chunks, wantChunks)
 		}
-		return testing.AllocsPerRun(50, func() { GroupCountParallelSched(tab, cols, recode, card, 2, nil) })
+		return testing.AllocsPerRun(50, func() { GroupCountParallelSched(tab, cols, recode, card, 2, nil, nil) })
 	}
 	two, eight := scan(5_000, 2), scan(20_000, 8)
 	tasks := func(n int) float64 {

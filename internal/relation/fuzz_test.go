@@ -13,10 +13,12 @@ import (
 // mixed-radix kernel and the sparse map kernel must produce identical
 // groups, counts, and EachSorted orders at every step — for the base scan,
 // for every chained Recode, for DropColumn margins, against a direct
-// rescan of the table (the rollup property, across representations), and
-// for a sharded scan at 2 and 3 workers. Tables have 1–9 columns, so the
-// dense scan takes a lone column pass and up to four column pairs, and up
-// to two full blocks of rows and part of a third.
+// rescan of the table (the rollup property, across representations), for
+// a sharded scan at 2 and 3 workers, and for scans through a Packing of
+// the columns in a random order, whole and over a random subset, at 1, 2
+// and 3 workers. Tables have 1–9 columns, so the dense scan takes a lone
+// group pass and up to four group pairs, and up to two full blocks of
+// rows and part of a third.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint16(60))
 	f.Add(int64(42), uint8(3), uint16(200))
@@ -152,6 +154,26 @@ func FuzzKernelEquivalence(f *testing.F) {
 			want := GroupCountWithCard(big, cols, maps, nil)
 			for _, workers := range []int{2, 3} {
 				requireSameFreqSet(t, GroupCountParallel(big, cols, maps, workers), want)
+			}
+
+			// Packed scans: the columns packed in a random order, then
+			// scanned whole and over a random subset in a random order,
+			// whose unscanned members must contribute nothing. A second
+			// generator keeps the stream above and below unchanged.
+			prng := rand.New(rand.NewSource(seed ^ 0x5eed))
+			perm := prng.Perm(ncols)
+			pack := NewPacking(big, perm)
+			sub := perm[:1+prng.Intn(ncols)]
+			prng.Shuffle(len(sub), func(i, j int) { sub[i], sub[j] = sub[j], sub[i] })
+			subMaps := make([][]int32, len(sub))
+			subCard := make([]int, len(sub))
+			for i, c := range sub {
+				subMaps[i], subCard[i] = maps[c], sizes[c][levels[c]]
+			}
+			subWant := GroupCountWithCard(big, sub, subMaps, nil)
+			for _, workers := range []int{1, 2, 3} {
+				requireSameFreqSet(t, GroupCountParallelSched(big, cols, maps, cardAt(levels), workers, nil, pack), want)
+				requireSameFreqSet(t, GroupCountParallelSched(big, sub, subMaps, subCard, workers, nil, pack), subWant)
 			}
 		}
 

@@ -27,6 +27,11 @@
 //
 // A nil *Metrics disables all accounting at zero cost, following the
 // repository's nil-handle convention (internal/trace, internal/telemetry).
+//
+// A task may itself call Run or RunGraph, as a family search does for its
+// scans. Such a nested phase adds its tasks, steals and phase count to the
+// same Metrics, but not its wall time, worker span or busy time: the
+// enclosing task's busy time already covers them.
 package sched
 
 import (
@@ -39,6 +44,9 @@ import (
 // steal counts, task counts, queue-depth high-water mark, and worker
 // busy time against wall time (utilization). All methods are nil-safe
 // and the counters are plain atomics, so hot paths never take a lock.
+// A phase that starts while a task of a parallel phase on the same
+// Metrics is running counts as nested, so a Metrics serves one run's
+// phases, not two runs at once.
 type Metrics struct {
 	steals   atomic.Int64
 	tasks    atomic.Int64
@@ -50,6 +58,7 @@ type Metrics struct {
 	spanNS   atomic.Int64 // Σ workers × phase wall nanoseconds
 	wallNS   atomic.Int64 // Σ phase wall nanoseconds of parallel phases
 	workers  atomic.Int64 // worker count of the most recent parallel phase
+	running  atomic.Int64 // tasks of top-level parallel phases executing now
 }
 
 // Steals returns how many tasks were taken from a sibling's deque.
@@ -111,7 +120,7 @@ func (m *Metrics) Workers() int64 {
 }
 
 // Busy returns the summed worker time spent inside tasks across every
-// parallel phase so far.
+// top-level parallel phase so far.
 func (m *Metrics) Busy() time.Duration {
 	if m == nil {
 		return 0
@@ -119,8 +128,8 @@ func (m *Metrics) Busy() time.Duration {
 	return time.Duration(m.busyNS.Load())
 }
 
-// WorkerSpan returns Σ workers × phase wall time over every parallel
-// phase — the denominator of Utilization.
+// WorkerSpan returns Σ workers × phase wall time over every top-level
+// parallel phase — the denominator of Utilization.
 func (m *Metrics) WorkerSpan() time.Duration {
 	if m == nil {
 		return 0
@@ -128,10 +137,11 @@ func (m *Metrics) WorkerSpan() time.Duration {
 	return time.Duration(m.spanNS.Load())
 }
 
-// ParallelWall returns the summed wall-clock time of every parallel
-// (worker-dispatched) phase so far. Subtracting it from a run's elapsed
-// time gives the serial remainder — the Amdahl split the parallel
-// benchmark report records per cell.
+// ParallelWall returns the summed wall-clock time of every top-level
+// parallel (worker-dispatched) phase so far; a nested phase runs inside
+// one of them. Subtracting it from a run's elapsed time gives the serial
+// remainder — the Amdahl split the parallel benchmark report records per
+// cell.
 func (m *Metrics) ParallelWall() time.Duration {
 	if m == nil {
 		return 0
@@ -140,8 +150,8 @@ func (m *Metrics) ParallelWall() time.Duration {
 }
 
 // Utilization returns the fraction of scheduled worker time spent inside
-// tasks, over every parallel phase so far: Σ busy / Σ (workers × wall).
-// 0 when nothing has been dispatched.
+// tasks, over every top-level parallel phase so far: Σ busy / Σ (workers
+// × wall). 0 when nothing has been dispatched.
 func (m *Metrics) Utilization() float64 {
 	if m == nil {
 		return 0
@@ -170,12 +180,15 @@ func (m *Metrics) addDepth(d int64) {
 	}
 }
 
-func (m *Metrics) notePhase(workers int, wall time.Duration) {
+func (m *Metrics) notePhase(workers int, wall time.Duration, nested bool) {
 	if m == nil {
 		return
 	}
 	m.parallel.Add(1)
 	m.workers.Store(int64(workers))
+	if nested {
+		return
+	}
 	m.spanNS.Add(int64(workers) * wall.Nanoseconds())
 	m.wallNS.Add(wall.Nanoseconds())
 }
@@ -242,9 +255,10 @@ type pool struct {
 	indeg     []atomic.Int32 // nil for flat runs
 	children  [][]int        // nil for flat runs
 
-	mu   sync.Mutex // guards cond; pushes broadcast under it
-	cond *sync.Cond
-	dyn  bool // tasks appear over time (RunGraph): idle workers sleep, not exit
+	mu     sync.Mutex // guards cond; pushes broadcast under it
+	cond   *sync.Cond
+	dyn    bool // tasks appear over time (RunGraph): idle workers sleep, not exit
+	nested bool // started inside a running task of a phase on the same Metrics
 }
 
 // Run executes fn(worker, task) for every task in [0, n) on up to
@@ -328,6 +342,7 @@ func RunGraph(m *Metrics, workers, n int, children [][]int, fn func(worker, task
 // workers 1..w-1 are spawned. All of them have returned when it returns,
 // so no goroutine outlives its phase (the leak test pins this).
 func (p *pool) dispatch(workers int) {
+	p.nested = p.m != nil && p.m.running.Load() > 0
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
@@ -339,7 +354,7 @@ func (p *pool) dispatch(workers int) {
 	}
 	p.worker(0)
 	wg.Wait()
-	p.m.notePhase(workers, time.Since(start))
+	p.m.notePhase(workers, time.Since(start), p.nested)
 }
 
 func (p *pool) worker(w int) {
@@ -367,13 +382,19 @@ func (p *pool) worker(w int) {
 // finishing task's children were pushed, so a woken worker that sees
 // zero knows the whole phase is drained.
 func (p *pool) run(w, t int) {
-	if p.m != nil {
+	switch {
+	case p.m == nil:
+		p.fn(w, t)
+	case p.nested:
+		p.fn(w, t)
+		p.m.tasks.Add(1)
+	default:
+		p.m.running.Add(1)
 		begin := time.Now()
 		p.fn(w, t)
 		p.m.busyNS.Add(time.Since(begin).Nanoseconds())
+		p.m.running.Add(-1)
 		p.m.tasks.Add(1)
-	} else {
-		p.fn(w, t)
 	}
 	if p.indeg != nil {
 		released := 0

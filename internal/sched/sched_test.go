@@ -157,6 +157,41 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 }
 
+// TestNestedPhasesCountedOnce: a task that runs a phase of its own on
+// the same Metrics adds that phase's tasks and phase count, but not its
+// wall time, worker span or busy time, which the enclosing task already
+// covers. Summing them would report more parallel wall time than the
+// outer call took.
+func TestNestedPhasesCountedOnce(t *testing.T) {
+	m := &Metrics{}
+	start := time.Now()
+	Run(m, 2, 4, func(_, _ int) {
+		Run(m, 2, 4, func(_, _ int) { time.Sleep(time.Millisecond) })
+	})
+	elapsed := time.Since(start)
+	if m.Tasks() != 4+4*4 {
+		t.Fatalf("tasks = %d, want 20 (4 outer, 16 nested)", m.Tasks())
+	}
+	if m.ParallelPhases() != 1+4 {
+		t.Fatalf("parallel phases = %d, want 5", m.ParallelPhases())
+	}
+	if m.ParallelWall() <= 0 || m.ParallelWall() > elapsed {
+		t.Fatalf("parallel wall %v outside (0, %v], the outer call's elapsed time", m.ParallelWall(), elapsed)
+	}
+	if m.Busy() > m.WorkerSpan() {
+		t.Fatalf("busy %v above worker span %v", m.Busy(), m.WorkerSpan())
+	}
+	if u := m.Utilization(); u <= 0 || u > 1 {
+		t.Fatalf("utilization %v outside (0, 1]", u)
+	}
+	// The next top-level phase is counted in full again.
+	wall := m.ParallelWall()
+	Run(m, 2, 4, func(_, _ int) { time.Sleep(time.Millisecond) })
+	if m.ParallelWall() <= wall {
+		t.Fatalf("parallel wall stayed at %v after a top-level phase", wall)
+	}
+}
+
 // TestNilMetricsSafe: every accessor works on the nil handle.
 func TestNilMetricsSafe(t *testing.T) {
 	var m *Metrics
