@@ -69,9 +69,9 @@ type Checkpointer = resilience.Checkpointer
 type Snapshot = resilience.Snapshot
 
 // MemoryAccountant tracks the run's long-lived frequency-set bytes against
-// a soft budget and drives the degradation ladder (see Config.
-// MemoryBudgetBytes). Its counters — DenseFallbacks, Sheds, Aborted — are
-// the degradation telemetry CLIs export.
+// a soft budget and drives the degradation ladder (see Config.Budget).
+// Create one with NewMemoryBudget. Its counters — DenseFallbacks, Sheds,
+// Aborted — are the degradation telemetry CLIs export.
 type MemoryAccountant = resilience.Accountant
 
 // ErrDegraded is returned (wrapped) by a run that hit the memory budget's
@@ -88,10 +88,10 @@ var ErrDegraded = resilience.ErrDegraded
 type Fingerprint = resilience.Fingerprint
 
 // RunFingerprint computes the Fingerprint an AnonymizeContext run over
-// (t, qi, cfg) would carry, without running the search. It binds the
-// quasi-identifier exactly like AnonymizeContext does, so it returns the
-// same validation errors on bad columns or hierarchies. The cost is one
-// pass over the QI columns (the table hash).
+// (t, qi, cfg) would carry, without running the search. It validates cfg
+// and binds the quasi-identifier exactly like AnonymizeContext does, so it
+// returns the same validation errors on a bad configuration, column or
+// hierarchy. The cost is one pass over the QI columns (the table hash).
 //
 // Note for cache builders: the fingerprint covers the QI columns and the
 // hierarchy HEIGHTS only. Two requests over tables that differ in non-QI
@@ -100,23 +100,13 @@ type Fingerprint = resilience.Fingerprint
 // extend the key with hashes of the full dataset and of the hierarchy
 // definitions, as internal/service does.
 func RunFingerprint(t *Table, qi []QI, cfg Config) (Fingerprint, error) {
-	if t == nil {
-		return Fingerprint{}, fmt.Errorf("incognito: nil table")
-	}
-	if len(qi) == 0 {
-		return Fingerprint{}, fmt.Errorf("incognito: empty quasi-identifier")
-	}
-	if cfg.K < 1 {
-		return Fingerprint{}, fmt.Errorf("incognito: K must be at least 1, got %d", cfg.K)
-	}
-	if cfg.MaxSuppressed < 0 {
-		return Fingerprint{}, fmt.Errorf("incognito: negative MaxSuppressed %d", cfg.MaxSuppressed)
-	}
-	attrs, _, err := bindQI(t, qi)
+	in, err := cfg.input(context.Background(), t, qi)
 	if err != nil {
 		return Fingerprint{}, err
 	}
-	in := core.Input{Table: t.rel, QI: attrs, K: int64(cfg.K), MaxSuppress: int64(cfg.MaxSuppressed)}
+	if in.QI, _, err = bindQI(t, qi); err != nil {
+		return Fingerprint{}, err
+	}
 	return in.Fingerprint(cfg.Algorithm.String()), nil
 }
 
@@ -232,13 +222,6 @@ type Config struct {
 	// observations (frequency-set sizes, rollup fan-in). nil disables them
 	// with zero overhead.
 	Metrics *RunMetrics
-	// SparseKernel forces every frequency set onto the sparse map-backed
-	// representation. By default (false) the kernel is adaptive: when the
-	// generalized domain sizes known from the hierarchies multiply out to a
-	// small product, counting uses a dense mixed-radix array instead of a
-	// hash map. Solutions and Stats are bit-identical either way; the knob
-	// exists for benchmarking and as an escape hatch.
-	SparseKernel bool
 	// Checkpoint, when non-nil, saves the search frontier after every
 	// breadth-first level, candidate family, and subset-size iteration, so a
 	// killed run can resume with Resume. Only the Incognito variants
@@ -251,15 +234,14 @@ type Config struct {
 	// configuration; the resumed run's Solutions and Stats are bit-identical
 	// to an uninterrupted run's.
 	Resume *Snapshot
-	// MemoryBudgetBytes, when positive, is a soft limit on the estimated
-	// bytes held in long-lived frequency sets. Over the soft budget the run
-	// degrades instead of growing: dense kernels fall back to sparse and
+	// Budget, when non-nil, is the run's memory accountant, built with
+	// NewMemoryBudget: a soft limit on the estimated bytes held in
+	// long-lived frequency sets. Over the soft budget the run degrades
+	// instead of growing: dense kernels fall back to sparse and
 	// materialization waves are shed. Past twice the budget the run stops
 	// and returns the solutions proven so far with an error wrapping
-	// ErrDegraded. 0 (the default) disables budgeting.
-	MemoryBudgetBytes int64
-	// Budget optionally supplies the accountant directly (e.g. one shared
-	// with a telemetry registry). When set it wins over MemoryBudgetBytes.
+	// ErrDegraded. The accountant's counters can be handed to a telemetry
+	// registry. nil (the default) disables budgeting.
 	Budget *MemoryAccountant
 	// RetainState, when true, makes the run capture a RunState — the
 	// base-domain frequency groups plus one compact per-node record — that
@@ -314,60 +296,9 @@ func Anonymize(t *Table, qi []QI, cfg Config) (*Result, error) {
 // worker loops, returning promptly with an error wrapping ctx.Err() once
 // it is done. A nil ctx means context.Background.
 func AnonymizeContext(ctx context.Context, t *Table, qi []QI, cfg Config) (*Result, error) {
-	if t == nil {
-		return nil, fmt.Errorf("incognito: nil table")
-	}
-	if len(qi) == 0 {
-		return nil, fmt.Errorf("incognito: empty quasi-identifier")
-	}
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("incognito: K must be at least 1, got %d", cfg.K)
-	}
-	if cfg.MaxSuppressed < 0 {
-		return nil, fmt.Errorf("incognito: negative MaxSuppressed %d", cfg.MaxSuppressed)
-	}
-	if cfg.Parallelism < 0 {
-		return nil, fmt.Errorf("incognito: negative Parallelism %d (0 = all cores, 1 = sequential)", cfg.Parallelism)
-	}
-	if cfg.MemoryBudgetBytes < 0 {
-		return nil, fmt.Errorf("incognito: negative MemoryBudgetBytes %d", cfg.MemoryBudgetBytes)
-	}
-	switch cfg.Algorithm {
-	case BottomUp, BottomUpRollup, BinarySearch:
-		if cfg.Checkpoint != nil || cfg.Resume != nil {
-			return nil, fmt.Errorf("incognito: checkpoint/resume is only supported by the Incognito variants, not %s", cfg.Algorithm)
-		}
-	}
-	var capture *core.StateCapture
-	if cfg.RetainState {
-		if cfg.Algorithm != BasicIncognito {
-			return nil, fmt.Errorf("incognito: RetainState is only supported by %s, not %s", BasicIncognito, cfg.Algorithm)
-		}
-		capture = &core.StateCapture{}
-	}
-	budget := cfg.Budget
-	if budget == nil {
-		budget = NewMemoryBudget(cfg.MemoryBudgetBytes)
-	}
-
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	in := core.Input{
-		Table:        t.rel,
-		K:            int64(cfg.K),
-		MaxSuppress:  int64(cfg.MaxSuppressed),
-		Parallelism:  cfg.Parallelism,
-		Ctx:          ctx,
-		Trace:        cfg.Tracer,
-		Span:         cfg.ParentSpan,
-		Progress:     cfg.Progress,
-		Metrics:      cfg.Metrics,
-		SparseKernel: cfg.SparseKernel,
-		Check:        cfg.Checkpoint,
-		Resume:       cfg.Resume,
-		Budget:       budget,
-		Capture:      capture,
+	in, err := cfg.input(ctx, t, qi)
+	if err != nil {
+		return nil, err
 	}
 	cfg.Tracer.SetAttr("algorithm", cfg.Algorithm.String())
 	cfg.Tracer.SetAttr("k", cfg.K)
@@ -404,8 +335,8 @@ func AnonymizeContext(ctx context.Context, t *Table, qi []QI, cfg Config) (*Resu
 		}
 		res.solutions = r.Solutions
 		res.stats = wrapStats(r.Stats)
-		if capture != nil {
-			res.state = runStateOf(&in, capture, cfg.Algorithm.String())
+		if in.Capture != nil {
+			res.state = runStateOf(&in, in.Capture, cfg.Algorithm.String())
 		}
 	case BottomUp, BottomUpRollup:
 		r, err := baseline.BottomUp(in, cfg.Algorithm == BottomUpRollup)
@@ -444,6 +375,61 @@ func AnonymizeContext(ctx context.Context, t *Table, qi []QI, cfg Config) (*Resu
 		return nil, fmt.Errorf("incognito: unknown algorithm %d", cfg.Algorithm)
 	}
 	return res, nil
+}
+
+// input validates cfg for a run over t and qi and maps it onto the
+// engine's Input. It is the one place each Config field is checked and
+// translated, so AnonymizeContext, AnonymizeDelta and RunFingerprint
+// refuse the same configurations with the same errors. The caller binds
+// the QI (bindQI) and sets what only its entry point decides. A nil ctx
+// means context.Background.
+func (cfg Config) input(ctx context.Context, t *Table, qi []QI) (core.Input, error) {
+	if t == nil {
+		return core.Input{}, fmt.Errorf("incognito: nil table")
+	}
+	if len(qi) == 0 {
+		return core.Input{}, fmt.Errorf("incognito: empty quasi-identifier")
+	}
+	if cfg.K < 1 {
+		return core.Input{}, fmt.Errorf("incognito: K must be at least 1, got %d", cfg.K)
+	}
+	if cfg.MaxSuppressed < 0 {
+		return core.Input{}, fmt.Errorf("incognito: negative MaxSuppressed %d", cfg.MaxSuppressed)
+	}
+	if cfg.Parallelism < 0 {
+		return core.Input{}, fmt.Errorf("incognito: negative Parallelism %d (0 = all cores, 1 = sequential)", cfg.Parallelism)
+	}
+	switch cfg.Algorithm {
+	case BottomUp, BottomUpRollup, BinarySearch:
+		if cfg.Checkpoint != nil || cfg.Resume != nil {
+			return core.Input{}, fmt.Errorf("incognito: checkpoint/resume is only supported by the Incognito variants, not %s", cfg.Algorithm)
+		}
+	}
+	var capture *core.StateCapture
+	if cfg.RetainState {
+		if cfg.Algorithm != BasicIncognito {
+			return core.Input{}, fmt.Errorf("incognito: RetainState is only supported by %s, not %s", BasicIncognito, cfg.Algorithm)
+		}
+		capture = &core.StateCapture{}
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return core.Input{
+		Table:       t.rel,
+		K:           int64(cfg.K),
+		MaxSuppress: int64(cfg.MaxSuppressed),
+		Parallelism: cfg.Parallelism,
+		Ctx:         ctx,
+		Trace:       cfg.Tracer,
+		Span:        cfg.ParentSpan,
+		Progress:    cfg.Progress,
+		Metrics:     cfg.Metrics,
+		Check:       cfg.Checkpoint,
+		Resume:      cfg.Resume,
+		Budget:      cfg.Budget,
+		Capture:     capture,
+	}, nil
 }
 
 // bindQI resolves the public QI descriptions against the table: column

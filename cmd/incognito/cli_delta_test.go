@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,52 +68,50 @@ func TestCLIDeltaBitIdenticalToColdRun(t *testing.T) {
 		t.Fatalf("no state-written notice:\n%s", out)
 	}
 
-	for _, kernel := range []string{"auto", "sparse"} {
-		for _, par := range []string{"1", "2"} {
-			deltaOut := filepath.Join(dir, fmt.Sprintf("delta-%s-%s.csv", kernel, par))
-			coldOut := filepath.Join(dir, fmt.Sprintf("coldE-%s-%s.csv", kernel, par))
-			dLog, code := runCLI(t, "-input", base, "-qi", qi, "-k", "3", "-suppress", "2",
-				"-kernel", kernel, "-parallelism", par,
-				"-state-in", statePath, "-delta-add", addFile, "-delta-del", delFile,
-				"-list", "-stats", "-output", deltaOut)
-			if code != 0 {
-				t.Fatalf("delta run (%s, p=%s): exit %d, want 0:\n%s", kernel, par, code, dLog)
+	for _, par := range []string{"1", "2"} {
+		deltaOut := filepath.Join(dir, "delta-"+par+".csv")
+		coldOut := filepath.Join(dir, "coldE-"+par+".csv")
+		dLog, code := runCLI(t, "-input", base, "-qi", qi, "-k", "3", "-suppress", "2",
+			"-parallelism", par,
+			"-state-in", statePath, "-delta-add", addFile, "-delta-del", delFile,
+			"-list", "-stats", "-output", deltaOut)
+		if code != 0 {
+			t.Fatalf("delta run (p=%s): exit %d, want 0:\n%s", par, code, dLog)
+		}
+		cLog, code := runCLI(t, "-input", edited, "-qi", qi, "-k", "3", "-suppress", "2",
+			"-parallelism", par,
+			"-list", "-stats", "-output", coldOut)
+		if code != 0 {
+			t.Fatalf("cold run (p=%s): exit %d, want 0:\n%s", par, code, cLog)
+		}
+		dCSV, err := os.ReadFile(deltaOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cCSV, err := os.ReadFile(coldOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(dCSV) != string(cCSV) {
+			t.Fatalf("(p=%s) released views differ:\ndelta:\n%s\ncold:\n%s", par, dCSV, cCSV)
+		}
+		if !strings.Contains(dLog, "delta: ") {
+			t.Fatalf("delta -stats missing counters line:\n%s", dLog)
+		}
+		// From the searched-stats line to the final "wrote … to <path>"
+		// line (paths differ by construction), the delta run's log — the
+		// stats, the solution list, the chosen generalization — must
+		// match the cold run's verbatim.
+		trim := func(log string) string {
+			i := strings.Index(log, "searched: ")
+			j := strings.LastIndex(log, "wrote ")
+			if i < 0 || j < i {
+				return ""
 			}
-			cLog, code := runCLI(t, "-input", edited, "-qi", qi, "-k", "3", "-suppress", "2",
-				"-kernel", kernel, "-parallelism", par,
-				"-list", "-stats", "-output", coldOut)
-			if code != 0 {
-				t.Fatalf("cold run (%s, p=%s): exit %d, want 0:\n%s", kernel, par, code, cLog)
-			}
-			dCSV, err := os.ReadFile(deltaOut)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cCSV, err := os.ReadFile(coldOut)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(dCSV) != string(cCSV) {
-				t.Fatalf("(%s, p=%s) released views differ:\ndelta:\n%s\ncold:\n%s", kernel, par, dCSV, cCSV)
-			}
-			if !strings.Contains(dLog, "delta: ") {
-				t.Fatalf("delta -stats missing counters line:\n%s", dLog)
-			}
-			// From the searched-stats line to the final "wrote … to <path>"
-			// line (paths differ by construction), the delta run's log — the
-			// stats, the solution list, the chosen generalization — must
-			// match the cold run's verbatim.
-			trim := func(log string) string {
-				i := strings.Index(log, "searched: ")
-				j := strings.LastIndex(log, "wrote ")
-				if i < 0 || j < i {
-					return ""
-				}
-				return log[i:j]
-			}
-			if trim(dLog) == "" || trim(dLog) != trim(cLog) {
-				t.Fatalf("(%s, p=%s) search stats differ:\ndelta:\n%s\ncold:\n%s", kernel, par, dLog, cLog)
-			}
+			return log[i:j]
+		}
+		if trim(dLog) == "" || trim(dLog) != trim(cLog) {
+			t.Fatalf("(p=%s) search stats differ:\ndelta:\n%s\ncold:\n%s", par, dLog, cLog)
 		}
 	}
 }

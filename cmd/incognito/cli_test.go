@@ -53,19 +53,50 @@ func TestCLIDemoSucceeds(t *testing.T) {
 	}
 }
 
-// TestCLIKernelSparseMatchesAuto pins the kernel guarantee at the CLI
-// surface: forcing the sparse reference kernel changes nothing observable.
-func TestCLIKernelSparseMatchesAuto(t *testing.T) {
-	auto, code := runCLI(t, "-demo", "-k", "2", "-list", "-stats", "-kernel", "auto")
-	if code != 0 {
-		t.Fatalf("auto kernel: exit %d, want 0:\n%s", code, auto)
+// TestCLIDemoMatchesInputPath: the demo builds its Config from the same
+// flags as an -input run, so the paper's Patients table gives the same
+// solutions and the same released view either way, with suppression and
+// a release criterion set.
+func TestCLIDemoMatchesInputPath(t *testing.T) {
+	dir := t.TempDir()
+	input := filepath.Join(dir, "patients.csv")
+	sexTaxonomy := filepath.Join(dir, "sex.json")
+	files := map[string]string{
+		input: "Birthdate,Sex,Zipcode,Disease\n" +
+			"1/21/76,Male,53715,Flu\n4/13/86,Female,53715,Hepatitis\n" +
+			"2/28/76,Male,53703,Brochitis\n1/21/76,Male,53703,Broken Arm\n" +
+			"4/13/86,Female,53706,Sprained Ankle\n2/28/76,Female,53706,Hang Nail\n",
+		sexTaxonomy: `[{"Male":"Person","Female":"Person"}]`,
 	}
-	sparse, code := runCLI(t, "-demo", "-k", "2", "-list", "-stats", "-kernel", "sparse")
-	if code != 0 {
-		t.Fatalf("sparse kernel: exit %d, want 0:\n%s", code, sparse)
+	for path, body := range files {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if auto != sparse {
-		t.Errorf("kernel outputs differ:\nauto:\n%s\nsparse:\n%s", auto, sparse)
+	qi := "Birthdate=suppress;Sex=taxonomy:" + sexTaxonomy + ";Zipcode=round:2"
+	const solutions = "8 k-anonymous full-domain generalizations"
+	for _, crit := range []string{"height", "discernibility"} {
+		run := []string{"-k", "2", "-suppress", "2", "-criterion", crit}
+		demo, code := runCLI(t, append([]string{"-demo"}, run...)...)
+		if code != 0 {
+			t.Fatalf("demo (%s): exit %d, want 0:\n%s", crit, code, demo)
+		}
+		output := filepath.Join(dir, crit+".csv")
+		file, code := runCLI(t, append(run, "-input", input, "-qi", qi, "-list", "-output", output)...)
+		if code != 0 {
+			t.Fatalf("-input run (%s): exit %d, want 0:\n%s", crit, code, file)
+		}
+		if !strings.Contains(demo, solutions) || !strings.Contains(file, solutions) {
+			t.Fatalf("(%s) want %q from both paths:\ndemo:\n%s\n-input:\n%s", crit, solutions, demo, file)
+		}
+		released, err := os.ReadFile(output)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := strings.Index(demo, "releases:\n")
+		if i < 0 || demo[i+len("releases:\n"):] != string(released) {
+			t.Errorf("(%s) demo released view differs from the -input run's:\ndemo:\n%s\n-input:\n%s", crit, demo, released)
+		}
 	}
 }
 
@@ -77,10 +108,10 @@ func TestCLIUsageErrorsExitTwo(t *testing.T) {
 		{"-demo", "-parallelism", "-1"},
 		{"-demo", "-suppress", "-1"},
 		{"-demo", "-budget", "0"},
-		{"-demo", "-kernel", "dense"}, // only auto|sparse name the kernels
-		{},                            // no -input/-qi and no -demo
-		{"-input", "only-input.csv"},  // missing -qi
-		{"-definitely-not-a-flag"},    // flag package's own error path
+		{"-demo", "-kernel", "sparse"}, // retired flag: the flag package's error
+		{},                             // no -input/-qi and no -demo
+		{"-input", "only-input.csv"},   // missing -qi
+		{"-definitely-not-a-flag"},     // flag package's own error path
 	}
 	for _, args := range cases {
 		out, code := runCLI(t, args...)

@@ -58,7 +58,6 @@ type options struct {
 	input, output, qiSpec  string
 	k, suppress            int
 	algoName               string
-	kernel                 string
 	budget, parallel       int
 	criteria               string
 	list, demo, stats      bool
@@ -87,7 +86,6 @@ func main() {
 	flag.StringVar(&o.algoName, "algorithm", "basic", "basic, superroots, cube, materialized, bottomup, bottomup-rollup, or binary")
 	flag.IntVar(&o.budget, "budget", 1<<20, "partial-cube size budget in groups (materialized algorithm only)")
 	flag.IntVar(&o.parallel, "parallelism", 0, "intra-run worker bound: 0 = all cores, 1 = sequential, n = at most n workers")
-	flag.StringVar(&o.kernel, "kernel", "auto", "frequency-set kernel: auto (adaptive dense/sparse) or sparse (reference maps); results are identical either way")
 	flag.StringVar(&o.criteria, "criterion", "height", "minimality criterion: height, precision, discernibility, or avgclass")
 	flag.BoolVar(&o.list, "list", false, "print every k-anonymous generalization, not just the chosen one")
 	flag.StringVar(&o.dotFile, "dot", "", "write the generalization lattice as Graphviz DOT to this file")
@@ -147,9 +145,6 @@ func (o *options) validate() error {
 	}
 	if o.budget < 1 {
 		return fmt.Errorf("-budget must be >= 1, got %d", o.budget)
-	}
-	if o.kernel != "auto" && o.kernel != "sparse" {
-		return fmt.Errorf("-kernel must be auto or sparse, got %q", o.kernel)
 	}
 	if o.logFormat != "" && o.logFormat != "text" && o.logFormat != "json" {
 		return fmt.Errorf("-log-format must be text or json, got %q", o.logFormat)
@@ -370,28 +365,9 @@ func anonymizeFile(ctx context.Context, o *options, ins instruments) error {
 	if err != nil {
 		return err
 	}
-	algo, err := parseAlgorithm(o.algoName)
+	cfg, crit, err := o.config(ins)
 	if err != nil {
 		return err
-	}
-	crit, err := parseCriterion(o.criteria)
-	if err != nil {
-		return err
-	}
-
-	cfg := incognito.Config{
-		K:                 o.k,
-		MaxSuppressed:     o.suppress,
-		Algorithm:         algo,
-		MaterializeBudget: o.budget,
-		Parallelism:       o.parallel,
-		SparseKernel:      o.kernel == "sparse",
-		Tracer:            ins.tracer,
-		Progress:          ins.progress,
-		Metrics:           ins.metrics,
-		Checkpoint:        ins.check,
-		Resume:            ins.resume,
-		Budget:            ins.budget,
 	}
 	var res *incognito.Result
 	if o.stateIn != "" {
@@ -420,7 +396,6 @@ func anonymizeFile(ctx context.Context, o *options, ins instruments) error {
 				c.RowsRescanned, c.NodesScreened, c.NodesRevalidated)
 		}
 	} else {
-		cfg.RetainState = o.stateOut != ""
 		res, err = incognito.AnonymizeContext(ctx, table, qi, cfg)
 		if err != nil {
 			return err
@@ -483,6 +458,34 @@ func anonymizeFile(ctx context.Context, o *options, ins instruments) error {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d rows to %s\n", view.NumRows(), o.output)
 	return nil
+}
+
+// config builds the run's Config and release criterion from the flags and
+// the instruments. The file path and the demo both call it, so every flag
+// reaches both.
+func (o *options) config(ins instruments) (incognito.Config, incognito.Criterion, error) {
+	algo, err := parseAlgorithm(o.algoName)
+	if err != nil {
+		return incognito.Config{}, nil, err
+	}
+	crit, err := parseCriterion(o.criteria)
+	if err != nil {
+		return incognito.Config{}, nil, err
+	}
+	return incognito.Config{
+		K:                 o.k,
+		MaxSuppressed:     o.suppress,
+		Algorithm:         algo,
+		MaterializeBudget: o.budget,
+		Parallelism:       o.parallel,
+		Tracer:            ins.tracer,
+		Progress:          ins.progress,
+		Metrics:           ins.metrics,
+		Checkpoint:        ins.check,
+		Resume:            ins.resume,
+		Budget:            ins.budget,
+		RetainState:       o.stateOut != "",
+	}, crit, nil
 }
 
 // loadDeltaRows reads a delta CSV (same header as the input table, in the
@@ -560,21 +563,15 @@ func runDemo(ctx context.Context, o *options, ins instruments) error {
 	if err != nil {
 		return err
 	}
-	algo, err := parseAlgorithm(o.algoName)
+	cfg, crit, err := o.config(ins)
 	if err != nil {
 		return err
-	}
-	cfg := incognito.Config{
-		K: o.k, Algorithm: algo, Parallelism: o.parallel,
-		SparseKernel: o.kernel == "sparse",
-		Tracer:       ins.tracer, Progress: ins.progress, Metrics: ins.metrics,
-		Checkpoint: ins.check, Resume: ins.resume, Budget: ins.budget,
 	}
 	res, err := incognito.AnonymizeContext(ctx, table, qi, cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Patients table (Fig. 1), k=%d, algorithm %v\n", o.k, algo)
+	fmt.Printf("Patients table (Fig. 1), k=%d, algorithm %v\n", o.k, cfg.Algorithm)
 	fmt.Printf("%d k-anonymous full-domain generalizations:\n", res.Len())
 	for _, s := range res.Solutions() {
 		fmt.Printf("  %-34s height=%d precision=%.3f\n", s.String(), s.Height(), s.Precision())
@@ -584,7 +581,7 @@ func runDemo(ctx context.Context, o *options, ins instruments) error {
 		fmt.Printf("searched: %d nodes checked, %d marked, %d candidates, %d table scans, %d rollups\n",
 			st.NodesChecked, st.NodesMarked, st.Candidates, st.TableScans, st.Rollups)
 	}
-	if best, ok := res.Best(incognito.MinHeight()); ok {
+	if best, ok := res.Best(crit); ok {
 		fmt.Printf("\nminimal generalization %s releases:\n", best.String())
 		view, err := best.Apply()
 		if err != nil {

@@ -127,8 +127,8 @@ next:
 // cold Anonymize of the edited table; Counters reports the savings.
 //
 // Only BasicIncognito supports delta runs (the Config default). The run
-// honors Parallelism, SparseKernel, Tracer/Progress/Metrics and
-// Checkpoint/Resume; memory budgets are rejected.
+// honors Parallelism, Tracer/Progress/Metrics and Checkpoint/Resume;
+// memory budgets are rejected.
 // The returned DeltaResult carries the follow-on state (State) so deltas
 // chain without ever recomputing from scratch.
 func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *RunState, add, del [][]string) (*DeltaResult, error) {
@@ -138,28 +138,14 @@ func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *R
 	if cfg.Algorithm != BasicIncognito {
 		return nil, fmt.Errorf("incognito: delta runs support only %s, not %s", BasicIncognito, cfg.Algorithm)
 	}
-	if cfg.Budget != nil || cfg.MemoryBudgetBytes != 0 {
+	if cfg.Budget != nil {
 		return nil, fmt.Errorf("incognito: delta runs do not support memory budgets")
 	}
-	if t == nil {
-		return nil, fmt.Errorf("incognito: nil table")
+	in, err := cfg.input(ctx, t, qi)
+	if err != nil {
+		return nil, err
 	}
-	if len(qi) == 0 {
-		return nil, fmt.Errorf("incognito: empty quasi-identifier")
-	}
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("incognito: K must be at least 1, got %d", cfg.K)
-	}
-	if cfg.MaxSuppressed < 0 {
-		return nil, fmt.Errorf("incognito: negative MaxSuppressed %d", cfg.MaxSuppressed)
-	}
-	if cfg.Parallelism < 0 {
-		return nil, fmt.Errorf("incognito: negative Parallelism %d (0 = all cores, 1 = sequential)", cfg.Parallelism)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sp := startSpan(cfg, "delta.edit")
+	sp := in.StartSpan("delta.edit")
 	sp.SetAttr("rows_in", t.NumRows())
 	edited, err := ApplyRowDelta(t, add, del)
 	sp.End()
@@ -167,7 +153,7 @@ func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *R
 		return nil, err
 	}
 	sp.SetAttr("rows_out", edited.NumRows())
-	sp = startSpan(cfg, "delta.bind")
+	sp = in.StartSpan("delta.bind")
 	attrs, names, specs, err := bindQISpecs(edited, qi)
 	var added, removed []core.DeltaRow
 	if err == nil {
@@ -178,25 +164,9 @@ func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *R
 		return nil, err
 	}
 
-	capture := &core.StateCapture{}
 	run := &core.DeltaRun{State: state, Added: added, Removed: removed}
-	in := core.Input{
-		Table:        edited.rel,
-		QI:           attrs,
-		K:            int64(cfg.K),
-		MaxSuppress:  int64(cfg.MaxSuppressed),
-		Parallelism:  cfg.Parallelism,
-		Ctx:          ctx,
-		Trace:        cfg.Tracer,
-		Span:         cfg.ParentSpan,
-		Progress:     cfg.Progress,
-		Metrics:      cfg.Metrics,
-		SparseKernel: cfg.SparseKernel,
-		Check:        cfg.Checkpoint,
-		Resume:       cfg.Resume,
-		Capture:      capture,
-		Delta:        run,
-	}
+	in.Table, in.QI = edited.rel, attrs
+	in.Capture, in.Delta = &core.StateCapture{}, run
 	cfg.Tracer.SetAttr("algorithm", cfg.Algorithm.String())
 	cfg.Tracer.SetAttr("k", cfg.K)
 	cfg.Tracer.SetAttr("delta_added", len(add))
@@ -217,7 +187,7 @@ func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *R
 		MaxSuppress: in.MaxSuppress,
 		Rows:        edited.rel.NumRows(),
 		Base:        run.BaseGroups(),
-		Records:     append(capture.Records(), run.UntouchedRecords(&in)...),
+		Records:     append(in.Capture.Records(), run.UntouchedRecords(&in)...),
 	}
 	sp.End()
 	out := &DeltaResult{Result: res, Table: edited}
@@ -286,14 +256,4 @@ func deltaRowsFor(edited *Table, qi []QI, specs []*hierarchy.Spec, add, del [][]
 		}
 	}
 	return out[:len(add)], out[len(add):], nil
-}
-
-// startSpan opens a span the way core.Input.StartSpan does, for the
-// set-up steps that run before the Input exists: under cfg.ParentSpan
-// when set, else at the top of cfg.Tracer. Nil-safe like both.
-func startSpan(cfg Config, name string) *Span {
-	if cfg.ParentSpan != nil {
-		return cfg.ParentSpan.Start(name)
-	}
-	return cfg.Tracer.Start(name)
 }

@@ -55,7 +55,7 @@ func solutionLevels(res *incognito.Result) [][]int {
 
 // TestAnonymizeDeltaBitIdenticalPublicAPI is the public-surface contract:
 // RetainState → edit → AnonymizeDelta matches a cold Anonymize of the
-// edited table in Solutions and Stats, across kernels and parallelism.
+// edited table in Solutions and Stats, across parallelism.
 func TestAnonymizeDeltaBitIdenticalPublicAPI(t *testing.T) {
 	tab := censusTable(t, 200, 11)
 	rng := rand.New(rand.NewSource(12))
@@ -84,37 +84,35 @@ func TestAnonymizeDeltaBitIdenticalPublicAPI(t *testing.T) {
 	}
 
 	for _, p := range []int{1, 2, 0} {
-		for _, sparse := range []bool{false, true} {
-			cfg := incognito.Config{K: 3, MaxSuppressed: 1, Parallelism: p, SparseKernel: sparse}
-			want, err := incognito.Anonymize(edited, patientsQI(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := incognito.AnonymizeDelta(context.Background(), tab, patientsQI(), cfg, cold.State(), add, del)
-			if err != nil {
-				t.Fatalf("p=%d sparse=%v: %v", p, sparse, err)
-			}
-			if !reflect.DeepEqual(solutionLevels(got.Result), solutionLevels(want)) {
-				t.Fatalf("p=%d sparse=%v: delta solutions %v, cold %v",
-					p, sparse, solutionLevels(got.Result), solutionLevels(want))
-			}
-			if got.Stats() != want.Stats() {
-				t.Fatalf("p=%d sparse=%v: delta stats %+v, cold %+v", p, sparse, got.Stats(), want.Stats())
-			}
-			c := got.Counters
-			if c.NodesScreened+c.NodesRevalidated != int64(got.Stats().NodesChecked) {
-				t.Fatalf("screened %d + revalidated %d != checked %d",
-					c.NodesScreened, c.NodesRevalidated, got.Stats().NodesChecked)
-			}
-			if c.RowsRescanned < int64(len(add)+len(del)) {
-				t.Fatalf("RowsRescanned %d below the delta size %d", c.RowsRescanned, len(add)+len(del))
-			}
-			if got.Table.NumRows() != edited.NumRows() {
-				t.Fatalf("delta result table has %d rows, want %d", got.Table.NumRows(), edited.NumRows())
-			}
-			if got.State() == nil {
-				t.Fatal("delta result carries no follow-on state")
-			}
+		cfg := incognito.Config{K: 3, MaxSuppressed: 1, Parallelism: p}
+		want, err := incognito.Anonymize(edited, patientsQI(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := incognito.AnonymizeDelta(context.Background(), tab, patientsQI(), cfg, cold.State(), add, del)
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if !reflect.DeepEqual(solutionLevels(got.Result), solutionLevels(want)) {
+			t.Fatalf("p=%d: delta solutions %v, cold %v",
+				p, solutionLevels(got.Result), solutionLevels(want))
+		}
+		if got.Stats() != want.Stats() {
+			t.Fatalf("p=%d: delta stats %+v, cold %+v", p, got.Stats(), want.Stats())
+		}
+		c := got.Counters
+		if c.NodesScreened+c.NodesRevalidated != int64(got.Stats().NodesChecked) {
+			t.Fatalf("screened %d + revalidated %d != checked %d",
+				c.NodesScreened, c.NodesRevalidated, got.Stats().NodesChecked)
+		}
+		if c.RowsRescanned < int64(len(add)+len(del)) {
+			t.Fatalf("RowsRescanned %d below the delta size %d", c.RowsRescanned, len(add)+len(del))
+		}
+		if got.Table.NumRows() != edited.NumRows() {
+			t.Fatalf("delta result table has %d rows, want %d", got.Table.NumRows(), edited.NumRows())
+		}
+		if got.State() == nil {
+			t.Fatal("delta result carries no follow-on state")
 		}
 	}
 }
@@ -239,7 +237,7 @@ func TestAnonymizeDeltaValidation(t *testing.T) {
 		}},
 		{"memory budget", func() error {
 			_, err := incognito.AnonymizeDelta(ctx, tab, patientsQI(),
-				incognito.Config{K: 2, MemoryBudgetBytes: 1 << 20}, state, nil, nil)
+				incognito.Config{K: 2, Budget: incognito.NewMemoryBudget(1 << 20)}, state, nil, nil)
 			return err
 		}},
 		{"mismatched k", func() error {

@@ -258,8 +258,9 @@ func allocsPerRun(runs int, fn func()) float64 {
 
 // KernelMicros runs the scan and rollup microbenchmarks on the dataset's
 // quasi-identifier at its canonical dense-eligible generalized layout:
-// the same GroupCount and Recode executed by both kernels, with identical
-// outputs required and the dense per-tuple hot path pinned at 0 allocs/op.
+// the same GroupCountWithCard and RecodeWithCard executed by both kernels,
+// with identical outputs required and the dense per-tuple hot path pinned
+// at 0 allocs/op.
 func KernelMicros(d *dataset.Dataset, qiSize int, progress Progress) ([]KernelMicro, error) {
 	cols, hs, err := d.QISubset(qiSize)
 	if err != nil {

@@ -67,8 +67,10 @@ type Input struct {
 	// SparseKernel forces every frequency set onto the sparse map-backed
 	// representation, disabling the dense mixed-radix kernel that is
 	// otherwise chosen adaptively from the hierarchies' level sizes.
-	// Solutions and Stats are bit-identical either way; the knob exists for
-	// benchmarking the kernels against each other and as an escape hatch.
+	// Solutions and Stats are bit-identical either way. It is the reference
+	// the kernel-equivalence tests and the kernel and incremental
+	// experiments compare the adaptive kernel against; no public option
+	// sets it.
 	SparseKernel bool
 	// Check, when non-nil, snapshots the search frontier to disk at every
 	// checkpoint boundary — after each subset-size iteration, after each

@@ -12,14 +12,12 @@ import (
 
 // FreqSet is the frequency set of a table with respect to a set of columns
 // (§1.1): a mapping from each distinct value group to the number of tuples
-// carrying it. Counts are signed: a FreqSet built by a scan holds only
-// positive counts, but Add, AddFrom, and Sub accept negative contributions,
-// so a FreqSet can also carry a delta (the signed difference between two
-// tables' frequency sets) for incremental maintenance. What is invariant is
+// carrying it. A FreqSet built by a scan holds only positive counts, but
+// Add and AddFrom accept negative contributions. What is invariant is
 // zero-pruning, not non-negativity: a group whose count reaches zero does
-// not exist — bump, bumpDense, AddFrom, and Sub all remove (or never
-// create) zero-count groups, so Each, Len, and EachSorted never report one
-// and both representations always agree on which groups exist.
+// not exist — bump, bumpDense, and AddFrom all remove (or never create)
+// zero-count groups, so Each, Len, and EachSorted never report one and
+// both representations always agree on which groups exist.
 //
 // Two representations back a FreqSet, chosen adaptively:
 //
@@ -34,15 +32,17 @@ import (
 //     §3.2's Cube Incognito.
 //
 // The two representations are observably identical: Add, Count, Each,
-// EachSorted, AddFrom, Merge, Recode, DropColumn, Total, MinCount,
+// EachSorted, AddFrom, RecodeWithCard, DropColumn, Total, MinCount,
 // TuplesBelow, and IsKAnonymous behave the same on both, and a dense set
 // converts to sparse transparently if it is ever handed a code outside its
 // declared cardinalities.
 //
 // A FreqSet is created in exactly two ways, mirroring the paper:
 //
-//   - GroupCount — one scan of the base table (the SQL COUNT(*) group-by);
-//   - Recode / DropColumn on an existing FreqSet — a SUM(count) rollup.
+//   - GroupCount or GroupCountParallelSched — one scan of the base table
+//     (the SQL COUNT(*) group-by);
+//   - RecodeWithCard / DropColumn on an existing FreqSet — a SUM(count)
+//     rollup.
 //
 // A FreqSet is not safe for concurrent mutation; the parallel scan path
 // builds one private FreqSet per worker and merges them with AddFrom.
@@ -533,58 +533,6 @@ func sameCard(a, b []int32) bool {
 	return true
 }
 
-// Merge folds every part into f with AddFrom.
-func (f *FreqSet) Merge(parts ...*FreqSet) {
-	for _, p := range parts {
-		f.AddFrom(p)
-	}
-}
-
-// Sub subtracts every group count of other from f — the removal half of a
-// delta merge. Both sets must range over the same columns. Like AddFrom it
-// prunes groups whose count reaches zero, so subtracting a set from an
-// equal set leaves an empty one; counts may go negative when other holds
-// groups f does not, which is the signed-delta contract documented on
-// FreqSet.
-func (f *FreqSet) Sub(other *FreqSet) {
-	if len(f.Cols) != len(other.Cols) {
-		panic(fmt.Sprintf("relation: Sub over mismatched columns %v and %v", f.Cols, other.Cols))
-	}
-	for i, c := range f.Cols {
-		if other.Cols[i] != c {
-			panic(fmt.Sprintf("relation: Sub over mismatched columns %v and %v", f.Cols, other.Cols))
-		}
-	}
-	if f.dense != nil && other.dense != nil && sameCard(f.card, other.card) {
-		for i, c := range other.dense {
-			if c != 0 {
-				f.bumpDense(int64(i), -c)
-			}
-		}
-		return
-	}
-	if f.groups != nil && other.groups != nil {
-		for key, c := range other.groups {
-			if p, ok := f.groups[key]; ok {
-				*p -= *c
-				if *p == 0 {
-					delete(f.groups, key)
-				}
-			} else if *c != 0 {
-				n := -*c
-				f.groups[key] = &n
-			}
-		}
-		return
-	}
-	other.Each(func(codes []int32, count int64) { f.Add(codes, -count) })
-}
-
-// ApplyDelta folds a signed delta set into f: identical to AddFrom, named
-// for the call sites where other is a delta rather than a shard, so the
-// intent reads at the call site.
-func (f *FreqSet) ApplyDelta(delta *FreqSet) { f.AddFrom(delta) }
-
 // InferCard derives the per-column cardinality bounds of a GroupCount over
 // t: a recoded column is bounded by its recode table's largest target code,
 // an identity column by its dictionary size. For the dimension tables
@@ -763,23 +711,6 @@ const minShardRows = 2048
 // per-chunk.
 const scanChunksPerWorker = 4
 
-// GroupCountParallel is GroupCount with the base-table scan chunked across
-// up to `workers` goroutines: each worker counts contiguous row ranges
-// into a private FreqSet and the partials are merged with AddFrom. Counts
-// are additive, so the result is identical to the sequential scan at every
-// worker count. workers ≤ 1 (or a table too small to shard) runs the plain
-// sequential GroupCount.
-func GroupCountParallel(t *Table, cols []int, recode [][]int32, workers int) *FreqSet {
-	return GroupCountParallelWithCard(t, cols, recode, InferCard(t, cols, recode), workers)
-}
-
-// GroupCountParallelWithCard is GroupCountParallel with explicit
-// cardinality bounds (nil card forces sparse). Dense shards share one
-// layout, so the merge is a vector add instead of a map iteration.
-func GroupCountParallelWithCard(t *Table, cols []int, recode [][]int32, card []int, workers int) *FreqSet {
-	return GroupCountParallelSched(t, cols, recode, card, workers, nil, nil)
-}
-
 // GroupCountParallelSched is the scheduled form of the parallel scan: row
 // chunks (at least minShardRows each, a few per worker) become tasks of
 // the work-stealing scheduler, each worker accumulates the chunks it
@@ -854,41 +785,13 @@ func GroupCountParallelSched(t *Table, cols []int, recode [][]int32, card []int,
 	return out
 }
 
-// Recode produces a new frequency set by mapping each column position i of
-// every group through maps[i] (nil = identity) and summing counts — the
-// paper's rollup property: a SUM(count) group-by over the dimension join.
-// The output's cardinalities are inferred from the maps (and the input's
-// metadata for identity columns); use RecodeWithCard to supply them.
-func (f *FreqSet) Recode(maps [][]int32) *FreqSet {
-	card := make([]int, len(f.Cols))
-	known := true
-	for i := range f.Cols {
-		switch {
-		case maps[i] != nil:
-			max := int32(-1)
-			for _, g := range maps[i] {
-				if g > max {
-					max = g
-				}
-			}
-			card[i] = int(max) + 1
-		case f.card != nil:
-			card[i] = int(f.card[i])
-		default:
-			known = false
-		}
-	}
-	if !known {
-		card = nil
-	}
-	return f.RecodeWithCard(maps, card)
-}
-
-// RecodeWithCard is Recode with explicit output cardinality bounds (nil
-// card forces a sparse result). A dense-to-dense rollup is a single pass
-// over the source array driven by per-column index-contribution tables
-// built once from the dimension maps — no hashing and no key material at
-// all.
+// RecodeWithCard produces a new frequency set by mapping each column
+// position i of every group through maps[i] (nil = identity) and summing
+// counts — the paper's rollup property: a SUM(count) group-by over the
+// dimension join. card bounds the output's codes per column (nil forces a
+// sparse result). A dense-to-dense rollup is a single pass over the source
+// array driven by per-column index-contribution tables built once from the
+// dimension maps — no hashing and no key material at all.
 func (f *FreqSet) RecodeWithCard(maps [][]int32, card []int) *FreqSet {
 	out := newFreqSetSized(f.Cols, card, f.Len())
 	if f.dense != nil && out.dense != nil {

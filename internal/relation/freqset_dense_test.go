@@ -225,19 +225,18 @@ func TestRecodeAndDropColumnAcrossRepresentations(t *testing.T) {
 			gamma[i] = int32(rng.Intn(3))
 		}
 		maps := [][]int32{gamma, nil}
-		denseOut := dense.Recode(maps)
-		sparseOut := sparse.Recode(maps)
+		target := []int{3, card[1]}
+		denseOut := dense.RecodeWithCard(maps, target)
+		sparseOut := sparse.RecodeWithCard(maps, nil)
 		if !denseOut.Dense() {
-			t.Fatal("dense Recode should stay dense for a small target layout")
+			t.Fatal("dense RecodeWithCard should stay dense for a small target layout")
 		}
 		if sparseOut.Dense() {
-			// sparse has no card metadata for the identity column, so its
-			// Recode cannot infer a complete layout.
-			t.Fatal("card-less Recode should stay sparse")
+			t.Fatal("RecodeWithCard with a nil card should stay sparse")
 		}
 		requireSameFreqSet(t, denseOut, sparseOut)
 		// Explicit card on the sparse input promotes the result to dense.
-		promoted := sparse.RecodeWithCard(maps, denseOut.Card())
+		promoted := sparse.RecodeWithCard(maps, target)
 		if !promoted.Dense() {
 			t.Fatal("RecodeWithCard with a small layout should produce a dense set")
 		}
@@ -269,7 +268,7 @@ func TestGroupCountDenseMatchesSparse(t *testing.T) {
 		}
 		requireSameFreqSet(t, dense, sparse)
 		for _, workers := range []int{2, 4, 7} {
-			requireSameFreqSet(t, GroupCountParallel(tab, cols, recode, workers), sparse)
+			requireSameFreqSet(t, GroupCountParallelSched(tab, cols, recode, InferCard(tab, cols, recode), workers, nil, nil), sparse)
 		}
 	}
 }
@@ -356,7 +355,7 @@ func BenchmarkFreqSetScan(b *testing.B) {
 }
 
 // BenchmarkFreqSetRollup compares the two kernels on the rollup hot loop
-// (Recode of a fine frequency set to a coarser generalization).
+// (RecodeWithCard of a fine frequency set to a coarser generalization).
 func BenchmarkFreqSetRollup(b *testing.B) {
 	tab, cols, _ := benchScanTable(b)
 	fineDense := GroupCount(tab, cols, nil)
@@ -369,6 +368,7 @@ func BenchmarkFreqSetRollup(b *testing.B) {
 		}
 		maps[i] = m
 	}
+	card := InferCard(tab, cols, maps)
 	b.Run("kernel=sparse", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -378,7 +378,7 @@ func BenchmarkFreqSetRollup(b *testing.B) {
 	b.Run("kernel=dense", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			fineDense.Recode(maps)
+			fineDense.RecodeWithCard(maps, card)
 		}
 	})
 }

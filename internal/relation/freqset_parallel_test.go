@@ -36,7 +36,7 @@ func TestGroupCountParallelMatchesSequential(t *testing.T) {
 	for _, recode := range [][][]int32{nil, {gamma, nil, nil}} {
 		want := freqAsMap(GroupCount(tab, []int{0, 1, 2}, recode))
 		for _, workers := range []int{0, 1, 2, 3, 4, 7, 64} {
-			got := freqAsMap(GroupCountParallel(tab, []int{0, 1, 2}, recode, workers))
+			got := freqAsMap(GroupCountParallelSched(tab, []int{0, 1, 2}, recode, InferCard(tab, []int{0, 1, 2}, recode), workers, nil, nil))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("workers=%d recode=%v: parallel GroupCount diverged from sequential", workers, recode != nil)
 			}
@@ -50,7 +50,7 @@ func TestGroupCountParallelMatchesSequential(t *testing.T) {
 func TestGroupCountParallelSmallTable(t *testing.T) {
 	p := patients()
 	want := freqAsMap(GroupCount(p, []int{0, 1}, nil))
-	got := freqAsMap(GroupCountParallel(p, []int{0, 1}, nil, 8))
+	got := freqAsMap(GroupCountParallelSched(p, []int{0, 1}, nil, InferCard(p, []int{0, 1}, nil), 8, nil, nil))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("parallel GroupCount on a small table diverged from sequential")
 	}
@@ -170,6 +170,7 @@ func BenchmarkFreqSetCount(b *testing.B) {
 func BenchmarkGroupCountSharded(b *testing.B) {
 	tab := randomTable(b, 16*minShardRows, 5)
 	cols := []int{0, 1, 2}
+	card := InferCard(tab, cols, nil)
 	b.Run("workers=1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -180,7 +181,7 @@ func BenchmarkGroupCountSharded(b *testing.B) {
 		b.Run(benchName(w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				GroupCountParallel(tab, cols, nil, w)
+				GroupCountParallelSched(tab, cols, nil, card, w, nil, nil)
 			}
 		})
 	}

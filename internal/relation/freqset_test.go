@@ -127,8 +127,9 @@ func TestRollupProperty(t *testing.T) {
 			gamma[i] = int32(r.Intn(3))
 		}
 		fine := GroupCount(tab, []int{0, 1}, nil)
-		viaRollup := fine.Recode([][]int32{gamma, nil})
-		direct := GroupCount(tab, []int{0, 1}, [][]int32{gamma, nil})
+		recode := [][]int32{gamma, nil}
+		viaRollup := fine.RecodeWithCard(recode, InferCard(tab, []int{0, 1}, recode))
+		direct := GroupCount(tab, []int{0, 1}, recode)
 		return reflect.DeepEqual(freqAsMap(viaRollup), freqAsMap(direct))
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rng}

@@ -83,8 +83,6 @@ type Policy struct {
 	// Parallelism bounds the run's intra-process workers (0 = daemon
 	// default; the daemon's default of 0 means all cores).
 	Parallelism int `json:"parallelism,omitempty"`
-	// Kernel is auto (adaptive dense/sparse, the default) or sparse.
-	Kernel string `json:"kernel,omitempty"`
 	// MemBudget is a per-job soft memory budget like "64Mi"; empty takes
 	// the daemon default. Over 2x the budget the job fails with a partial
 	// result rather than growing without bound.
@@ -240,7 +238,6 @@ type resolved struct {
 	k           int
 	maxSuppress int
 	parallelism int
-	sparse      bool
 	memBudget   int64
 	timeout     time.Duration
 	criterion   incognito.Criterion
@@ -276,14 +273,6 @@ func (c *Config) resolve(p Policy) (resolved, error) {
 		return r, fmt.Errorf("policy.algorithm: unknown algorithm %q", algoName)
 	}
 	r.algorithm = algo
-
-	switch p.Kernel {
-	case "", "auto":
-	case "sparse":
-		r.sparse = true
-	default:
-		return r, fmt.Errorf("policy.kernel must be auto or sparse, got %q", p.Kernel)
-	}
 
 	r.parallelism = p.Parallelism
 	if r.parallelism == 0 {

@@ -178,39 +178,15 @@ func TestRecoveryRequeuesInterruptedJob(t *testing.T) {
 	}
 }
 
-// A journal written before partitioned jobs were retired still replays: an
-// accepted record whose policy carries the old "partitions" field decodes
-// (replay does not refuse unknown fields), runs in-process, and releases
-// the same bytes as a plain job.
+// A journal written before partitioned jobs and the kernel switch were
+// retired still replays: an accepted record whose policy carries the old
+// "partitions" or "kernel" field decodes (replay does not refuse unknown
+// fields), runs in-process, and releases the same bytes as a plain job.
 func TestRecoveryReplaysRetiredPartitionsPolicy(t *testing.T) {
 	body, err := json.Marshal(acceptedRecord("job-000001"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Replace(body, []byte(`"policy":{"k":2}`), []byte(`"policy":{"k":2,"partitions":2}`), 1)
-	if bytes.Equal(old, body) {
-		t.Fatalf("accepted record has no plain k=2 policy to rewrite: %s", body)
-	}
-	sum := sha256.Sum256(old)
-	line := hex.EncodeToString(sum[:8]) + " " + string(old) + "\n"
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(line), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s := newTestService(t, Config{Workers: 1, JournalDir: dir})
-	s.WaitRecovered()
-	st := waitTerminal(t, s, "job-000001")
-	if st.State != StateDone || !st.Recovered {
-		t.Fatalf("old-format job finished %s (recovered %v, err %q), want done and recovered", st.State, st.Recovered, st.Error)
-	}
-
-	plain := newTestService(t, Config{Workers: 1})
-	resp, serr := plain.Submit(validRequest())
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	waitTerminal(t, plain, resp.ID)
 	released := func(s *Service, id string) string {
 		t.Helper()
 		j, _ := s.Job(id)
@@ -222,8 +198,35 @@ func TestRecoveryReplaysRetiredPartitionsPolicy(t *testing.T) {
 		}
 		return payload.ReleasedCSV
 	}
-	if got, want := released(s, "job-000001"), released(plain, resp.ID); got == "" || got != want {
-		t.Errorf("replayed job released\n%s\nwant the plain job's\n%s", got, want)
+	plain := newTestService(t, Config{Workers: 1})
+	resp, serr := plain.Submit(validRequest())
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	waitTerminal(t, plain, resp.ID)
+	want := released(plain, resp.ID)
+
+	for _, field := range []string{`"partitions":2`, `"kernel":"sparse"`} {
+		old := bytes.Replace(body, []byte(`"policy":{"k":2}`), []byte(`"policy":{"k":2,`+field+`}`), 1)
+		if bytes.Equal(old, body) {
+			t.Fatalf("accepted record has no plain k=2 policy to rewrite: %s", body)
+		}
+		sum := sha256.Sum256(old)
+		line := hex.EncodeToString(sum[:8]) + " " + string(old) + "\n"
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, journalName), []byte(line), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		s := newTestService(t, Config{Workers: 1, JournalDir: dir})
+		s.WaitRecovered()
+		st := waitTerminal(t, s, "job-000001")
+		if st.State != StateDone || !st.Recovered {
+			t.Fatalf("%s: old-format job finished %s (recovered %v, err %q), want done and recovered", field, st.State, st.Recovered, st.Error)
+		}
+		if got := released(s, "job-000001"); want == "" || got != want {
+			t.Errorf("%s: replayed job released\n%s\nwant the plain job's\n%s", field, got, want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -188,11 +189,25 @@ func writeSubmitError(w http.ResponseWriter, serr *submitError) {
 	writeError(w, serr.status, "%s", serr.msg)
 }
 
+// decodeBody decodes a request body holding exactly one JSON value into v.
+// It refuses fields v does not declare (retired policy fields included)
+// and anything but white space after the value: a second object would
+// otherwise be silently ignored.
+func decodeBody(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("unexpected data after the JSON value")
+	}
+	return nil
+}
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "request body: %v", err)
 		return
 	}
@@ -216,9 +231,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // from the cache (the parent's entry was just invalidated) or coalesced.
 func (s *Service) handleDelta(w http.ResponseWriter, r *http.Request) {
 	var req DeltaRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "request body: %v", err)
 		return
 	}

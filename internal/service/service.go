@@ -305,9 +305,9 @@ func rejectRetry(status int, base time.Duration, format string, args ...any) *su
 // see: the full dataset bytes (released views carry non-QI columns), the
 // canonical QI spec (two hierarchies of equal height may generalize
 // differently), and the minimality criterion (it picks the released
-// solution). Kernel, parallelism, memory budget and timeout are
-// deliberately absent: they are bit-identical-result knobs, so sibling
-// submissions differing only there share one cache entry.
+// solution). Parallelism, memory budget and timeout are deliberately
+// absent: they are bit-identical-result knobs, so sibling submissions
+// differing only there share one cache entry.
 func jobKey(fp incognito.Fingerprint, csv, qiSpec, critName string) string {
 	data := sha256.Sum256([]byte(csv))
 	spec := sha256.Sum256([]byte(qispec.Canonical(qiSpec)))
@@ -695,8 +695,7 @@ func (s *Service) execute(ctx context.Context, j *Job) (publish func()) {
 		Algorithm:         j.pol.algorithm,
 		MaterializeBudget: j.pol.matBudget,
 		Parallelism:       j.pol.parallelism,
-		SparseKernel:      j.pol.sparse,
-		MemoryBudgetBytes: j.pol.memBudget,
+		Budget:            incognito.NewMemoryBudget(j.pol.memBudget),
 		RetainState:       j.pol.retainState,
 		Progress:          j.progress,
 		Tracer:            j.jobTracer(),
@@ -773,11 +772,8 @@ func (s *Service) execute(ctx context.Context, j *Job) (publish func()) {
 // The rendered payload carries the savings counters, and the job retains
 // its follow-on state and edited table so further deltas chain off it.
 func (s *Service) executeDelta(ctx context.Context, j *Job, cfg incognito.Config, fail func(msg, event string) func()) func() {
-	// Delta runs reject budgets and always produce a follow-on state;
-	// resolve kept budgets off for every state-retaining lineage, so only
-	// the flags themselves need scrubbing here.
-	cfg.RetainState = false
-	cfg.MemoryBudgetBytes = 0
+	// Delta runs reject budgets; resolve keeps them off for every
+	// state-retaining lineage, so the cold run's cfg passes as built.
 	s.runs.Add(1)
 	s.logJob(j, "running delta of "+j.deltaParent)
 	dres, err := incognito.AnonymizeDelta(ctx, j.table, j.qi, cfg, j.deltaState, j.deltaAdd, j.deltaDel)

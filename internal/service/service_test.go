@@ -137,10 +137,9 @@ func TestDuplicateSubmissionIsCacheHit(t *testing.T) {
 		t.Fatalf("runs = %d, want 1 (duplicate must not re-run)", s.Runs())
 	}
 
-	// Kernel, parallelism, budget and timeout are result-transparent, so
-	// varying only them must land on the same cache entry.
+	// Parallelism, budget and timeout are result-transparent, so varying
+	// only them must land on the same cache entry.
 	variant := validRequest()
-	variant.Policy.Kernel = "sparse"
 	variant.Policy.Parallelism = 1
 	variant.Policy.Timeout = "1m"
 	v, serr := s.Submit(variant)
@@ -148,7 +147,7 @@ func TestDuplicateSubmissionIsCacheHit(t *testing.T) {
 		t.Fatalf("variant: %v", serr)
 	}
 	if !v.CacheHit {
-		t.Fatal("kernel/parallelism/timeout variant missed the cache; key over-discriminates")
+		t.Fatal("parallelism/timeout variant missed the cache; key over-discriminates")
 	}
 
 	// A different k is a different result: must miss.
@@ -383,26 +382,28 @@ func TestDrainFinishesInFlightCancelsQueued(t *testing.T) {
 	s.Drain()
 }
 
+// submitValidationCases are requests Submit refuses with 400, each with a
+// word its error must contain. FuzzSubmitRequest seeds from them too.
+var submitValidationCases = []struct {
+	name string
+	req  SubmitRequest
+	want string
+}{
+	{"zero k", SubmitRequest{CSV: patientsCSV, QI: patientsQI}, "policy.k"},
+	{"bad algorithm", SubmitRequest{CSV: patientsCSV, QI: patientsQI, Policy: Policy{K: 2, Algorithm: "quantum"}}, "policy.algorithm"},
+	{"bad timeout", SubmitRequest{CSV: patientsCSV, QI: patientsQI, Policy: Policy{K: 2, Timeout: "soon"}}, "policy.timeout"},
+	{"bad criterion", SubmitRequest{CSV: patientsCSV, QI: patientsQI, Policy: Policy{K: 2, Criterion: "vibes"}}, "policy.criterion"},
+	{"bad mem budget", SubmitRequest{CSV: patientsCSV, QI: patientsQI, Policy: Policy{K: 2, MemBudget: "lots"}}, "policy.mem_budget"},
+	{"empty csv", SubmitRequest{QI: patientsQI, Policy: Policy{K: 2}}, "csv"},
+	{"bad qi spec", SubmitRequest{CSV: patientsCSV, QI: "Sex", Policy: Policy{K: 2}}, "qi"},
+	{"unknown column", SubmitRequest{CSV: patientsCSV, QI: "Nope=suppress", Policy: Policy{K: 2}}, "Nope"},
+	{"file hierarchy denied", SubmitRequest{CSV: patientsCSV, QI: "Sex=taxonomy:/etc/passwd", Policy: Policy{K: 2}}, "not allowed"},
+	{"rounding height over the cap", SubmitRequest{CSV: patientsCSV, QI: "Birthdate=suppress;Sex=round:1;Zipcode=round:65", Policy: Policy{K: 2}}, "rounding height"},
+}
+
 func TestSubmitValidation(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1})
-	cases := []struct {
-		name string
-		req  SubmitRequest
-		want string
-	}{
-		{"zero k", SubmitRequest{CSV: patientsCSV, QI: patientsQI}, "policy.k"},
-		{"bad algorithm", SubmitRequest{CSV: patientsCSV, QI: patientsQI, Policy: Policy{K: 2, Algorithm: "quantum"}}, "policy.algorithm"},
-		{"bad kernel", SubmitRequest{CSV: patientsCSV, QI: patientsQI, Policy: Policy{K: 2, Kernel: "dense5"}}, "policy.kernel"},
-		{"bad timeout", SubmitRequest{CSV: patientsCSV, QI: patientsQI, Policy: Policy{K: 2, Timeout: "soon"}}, "policy.timeout"},
-		{"bad criterion", SubmitRequest{CSV: patientsCSV, QI: patientsQI, Policy: Policy{K: 2, Criterion: "vibes"}}, "policy.criterion"},
-		{"bad mem budget", SubmitRequest{CSV: patientsCSV, QI: patientsQI, Policy: Policy{K: 2, MemBudget: "lots"}}, "policy.mem_budget"},
-		{"empty csv", SubmitRequest{QI: patientsQI, Policy: Policy{K: 2}}, "csv"},
-		{"bad qi spec", SubmitRequest{CSV: patientsCSV, QI: "Sex", Policy: Policy{K: 2}}, "qi"},
-		{"unknown column", SubmitRequest{CSV: patientsCSV, QI: "Nope=suppress", Policy: Policy{K: 2}}, "Nope"},
-		{"file hierarchy denied", SubmitRequest{CSV: patientsCSV, QI: "Sex=taxonomy:/etc/passwd", Policy: Policy{K: 2}}, "not allowed"},
-		{"rounding height over the cap", SubmitRequest{CSV: patientsCSV, QI: "Birthdate=suppress;Sex=round:1;Zipcode=round:65", Policy: Policy{K: 2}}, "rounding height"},
-	}
-	for _, tc := range cases {
+	for _, tc := range submitValidationCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, serr := s.Submit(tc.req)
 			if serr == nil {
@@ -510,11 +511,21 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("unknown field = %d, want 400", code)
 	}
 	// A policy field this daemon does not know — such as the partition
-	// count older versions accepted — is refused by name.
+	// count or the kernel older versions accepted — is refused by name.
 	csvJSON, _ := json.Marshal(patientsCSV)
-	retired := `{"csv":` + string(csvJSON) + `,"qi":"` + patientsQI + `","policy":{"k":2,"partitions":2}}`
-	if code, m := post(retired); code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(m["error"]), `"partitions"`) {
-		t.Fatalf("retired policy field = %d %v, want 400 naming it", code, m)
+	for _, field := range []string{`"partitions":2`, `"kernel":"sparse"`} {
+		retired := `{"csv":` + string(csvJSON) + `,"qi":"` + patientsQI + `","policy":{"k":2,` + field + `}}`
+		name := field[:strings.Index(field, ":")]
+		if code, m := post(retired); code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(m["error"]), name) {
+			t.Fatalf("retired policy field %s = %d %v, want 400 naming it", name, code, m)
+		}
+	}
+	// One JSON value per body: a second value, or any other trailing
+	// bytes, is refused instead of silently dropped.
+	for _, trailing := range []string{`{"policy":{"k":5}}`, ` trailing garbage`} {
+		if code, m := post(string(reqBody) + trailing); code != http.StatusBadRequest || m["error"] == "" {
+			t.Fatalf("body with trailing %q = %d %v, want 400", trailing, code, m)
+		}
 	}
 
 	// DELETE on a finished job is 409; on an unknown job 404.
