@@ -336,7 +336,7 @@ func AnonymizeContext(ctx context.Context, t *Table, qi []QI, cfg Config) (*Resu
 		res.solutions = r.Solutions
 		res.stats = wrapStats(r.Stats)
 		if in.Capture != nil {
-			res.state = runStateOf(&in, in.Capture, cfg.Algorithm.String())
+			res.state = core.RunStateOf(&in, in.Capture, cfg.Algorithm.String())
 		}
 	case BottomUp, BottomUpRollup:
 		r, err := baseline.BottomUp(in, cfg.Algorithm == BottomUpRollup)

@@ -11,6 +11,7 @@
 package incognito_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -61,7 +62,7 @@ func runCell(b *testing.B, d *dataset.Dataset, qi int, k int64, algo bench.Algo)
 	b.Helper()
 	var last bench.Measurement
 	for i := 0; i < b.N; i++ {
-		m, err := bench.Run(d, qi, k, algo)
+		m, err := bench.Run(context.Background(), bench.Obs{}, d, qi, k, algo, bench.Sequential)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func BenchmarkFig12(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/qid=%d", tc.name, qi), func(b *testing.B) {
 				var last bench.Measurement
 				for i := 0; i < b.N; i++ {
-					m, err := bench.Run(tc.d, qi, 2, bench.CubeIncognito)
+					m, err := bench.Run(context.Background(), bench.Obs{}, tc.d, qi, 2, bench.CubeIncognito, bench.Sequential)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -356,14 +357,14 @@ func parallelLevels() []int {
 // sequential reference's solutions and counters bit for bit.
 func runParallelCell(b *testing.B, d *dataset.Dataset, qi int, k int64, algo bench.Algo, parallelism int) {
 	b.Helper()
-	ref, err := bench.Run(d, qi, k, algo)
+	ref, err := bench.Run(context.Background(), bench.Obs{}, d, qi, k, algo, bench.Sequential)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var last bench.Measurement
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := bench.RunParallel(d, qi, k, algo, parallelism)
+		m, err := bench.Run(context.Background(), bench.Obs{}, d, qi, k, algo, bench.Mode{Parallelism: parallelism})
 		if err != nil {
 			b.Fatal(err)
 		}

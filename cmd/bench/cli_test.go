@@ -90,21 +90,25 @@ func TestBenchParallelJSONAndTrace(t *testing.T) {
 	}
 
 	var report struct {
-		Cells []struct {
-			Algo      string `json:"algo"`
-			Solutions int    `json:"solutions"`
-			Identical bool   `json:"identical"`
+		Experiment string `json:"experiment"`
+		Cells      []struct {
+			Algo      string           `json:"algo"`
+			Counters  map[string]int64 `json:"counters"`
+			Identical bool             `json:"identical"`
 		} `json:"cells"`
 	}
 	if err := json.Unmarshal([]byte(stdout), &report); err != nil {
 		t.Fatalf("report is not valid JSON: %v\n%s", err, stdout)
 	}
-	if len(report.Cells) == 0 {
-		t.Fatal("report has no cells")
+	if len(report.Cells) == 0 || report.Experiment != "parallel" {
+		t.Fatalf("report names experiment %q and has %d cells", report.Experiment, len(report.Cells))
 	}
 	for _, c := range report.Cells {
 		if !c.Identical {
 			t.Errorf("cell %s: parallel run not identical to serial", c.Algo)
+		}
+		if c.Counters["solutions"] == 0 {
+			t.Errorf("cell %s: no solutions counted", c.Algo)
 		}
 	}
 
@@ -144,36 +148,34 @@ func TestBenchIncrementalExperiment(t *testing.T) {
 		t.Fatalf("exit %d, want 0:\n%s", code, stderr)
 	}
 	var report struct {
-		DeltaEvery int `json:"delta_every"`
-		Cells      []struct {
-			Dataset               string  `json:"dataset"`
-			Kernel                string  `json:"kernel"`
-			Parallelism           int     `json:"parallelism"`
-			AddedRows             int     `json:"added_rows"`
-			RowRescanRatio        float64 `json:"row_rescan_ratio"`
-			NodeRevalidationRatio float64 `json:"node_revalidation_ratio"`
-			Identical             bool    `json:"identical"`
+		Info  map[string]float64 `json:"info"`
+		Cells []struct {
+			Dataset     string             `json:"dataset"`
+			Kernel      string             `json:"kernel"`
+			Parallelism int                `json:"parallelism"`
+			Counters    map[string]int64   `json:"counters"`
+			Info        map[string]float64 `json:"info"`
+			Identical   bool               `json:"identical"`
 		} `json:"cells"`
 	}
 	if err := json.Unmarshal([]byte(stdout), &report); err != nil {
 		t.Fatalf("report is not valid JSON: %v\n%s", err, stdout)
 	}
 	// Two workloads × two kernels × two worker counts.
-	if len(report.Cells) != 8 || report.DeltaEvery == 0 {
-		t.Fatalf("unexpected report shape: delta_every=%d cells=%d\n%s",
-			report.DeltaEvery, len(report.Cells), stdout)
+	if len(report.Cells) != 8 || report.Info["delta_every"] == 0 {
+		t.Fatalf("unexpected report shape: info=%v cells=%d\n%s",
+			report.Info, len(report.Cells), stdout)
 	}
 	for _, c := range report.Cells {
 		key := c.Dataset + "/" + c.Kernel
 		if !c.Identical {
 			t.Errorf("cell %s p=%d: delta run not identical to cold run", key, c.Parallelism)
 		}
-		if c.AddedRows == 0 {
+		if c.Counters["added_rows"] == 0 {
 			t.Errorf("cell %s p=%d: empty delta", key, c.Parallelism)
 		}
-		if c.RowRescanRatio > 0.10 || c.NodeRevalidationRatio > 0.10 {
-			t.Errorf("cell %s p=%d: savings ratios %.4f/%.4f above the 0.10 bound",
-				key, c.Parallelism, c.RowRescanRatio, c.NodeRevalidationRatio)
+		if r, n := c.Info["row_rescan_ratio"], c.Info["node_revalidation_ratio"]; r > 0.10 || n > 0.10 {
+			t.Errorf("cell %s p=%d: savings ratios %.4f/%.4f above the 0.10 bound", key, c.Parallelism, r, n)
 		}
 	}
 }

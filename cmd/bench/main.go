@@ -59,7 +59,7 @@ func main() {
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		quiet      = flag.Bool("quiet", false, "suppress per-cell progress lines")
 		parallel   = flag.Int("parallelism", 0, "worker bound for the parallel experiment: 0 = all cores, n = at most n workers")
-		jsonOut    = flag.Bool("json", false, "emit the parallel experiment as JSON (for BENCH_parallel.json)")
+		jsonOut    = flag.Bool("json", false, "emit the parallel, kernel or incremental experiment's report as JSON (for benchcheck and the BENCH_*.json records)")
 
 		traceOut    = flag.String("trace", "", "write a JSON execution trace (span tree + per-phase counters) to this file")
 		chromeOut   = flag.String("trace-chrome", "", "write the execution trace as Chrome trace-event JSON (open in Perfetto) to this file")
@@ -70,8 +70,6 @@ func main() {
 		showVersion = flag.Bool("version", false, "print version information and exit")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile to this file")
-		checkpoint  = flag.String("checkpoint", "", "save resumable search snapshots to this file (Incognito-variant cells only)")
-		resume      = flag.String("resume", "", "resume an interrupted sweep from a snapshot file written by -checkpoint; cells other than the interrupted one rerun fresh")
 		memBudget   = flag.String("mem-budget", "", "soft memory budget for frequency sets, e.g. 64Mi or 1Gi (empty disables); past 2x a cell stops with the solutions proven so far (exit 3)")
 		timeout     = flag.Duration("timeout", 0, "abort the sweep after this duration, flushing telemetry and exiting 124 (0 disables)")
 	)
@@ -169,17 +167,7 @@ func main() {
 	r.obs.Metrics = cfg.reg.NewRunMetrics()
 	telemetry.RegisterProgress(cfg.reg, r.obs.Progress)
 	r.obs.Budget = resilience.NewAccountant(budgetBytes)
-	r.obs.Check = resilience.NewCheckpointer(*checkpoint)
-	if *resume != "" {
-		snap, rerr := resilience.Load(*resume)
-		if rerr != nil {
-			fmt.Fprintln(os.Stderr, "bench: "+rerr.Error())
-			os.Exit(1)
-		}
-		r.obs.Resume = snap
-	}
 	telemetry.RegisterBudget(cfg.reg, r.obs.Budget)
-	telemetry.RegisterCheckpoints(cfg.reg, r.obs.Check)
 	code := run(r, *experiment, cfg)
 	cancelTimeout()
 	stop()
@@ -343,12 +331,8 @@ func (r *runner) dispatch(experiment string) error {
 		return r.fig12()
 	case "nodes-table":
 		return r.nodesTable()
-	case "parallel":
-		return r.parallel()
-	case "kernel":
-		return r.kernel()
-	case "incremental":
-		return r.incremental()
+	case "parallel", "kernel", "incremental":
+		return r.compare(experiment)
 	case "all":
 		for _, f := range []func() error{
 			r.fig9,
@@ -490,91 +474,25 @@ func (r *runner) fig12() error {
 	return nil
 }
 
-// parallel compares the sequential reference against the intra-run
-// parallel path on the headline workloads: the Incognito variants on the
-// full 9-attribute Adults quasi-identifier and on Lands End at QID 6,
-// k=2. With -json the report is machine-readable (BENCH_parallel.json).
-func (r *runner) parallel() error {
+// compare runs one comparison experiment on the headline workloads — the
+// full 9-attribute Adults quasi-identifier and Lands End at QID 6, k=2 —
+// and prints its report: a reference run against a subject run per cell
+// (parallelism 1 against -parallelism, the sparse kernel against the
+// adaptive one, or a cold run against a delta run after a ~1% edit). The
+// parallel and kernel experiments compare the Incognito variants unless
+// -algos names others. With -json the report is machine-readable
+// (BENCH_<experiment>.json).
+func (r *runner) compare(experiment string) error {
 	algos := []bench.Algo{bench.BasicIncognito, bench.SuperRootsIncognito, bench.CubeIncognito}
 	if r.algosExplicit {
 		algos = r.algos
 	}
-	report := bench.NewParallelReport(r.parallelism)
-	for _, w := range []struct {
-		d  *dataset.Dataset
-		qi int
-	}{
-		{r.adults(), len(r.adults().QICols)},
-		{r.landsEnd(), 6},
-	} {
-		cells, err := bench.Parallel(r.ctx, r.obs, w.d, w.qi, 2, algos, r.parallelism, r.progress)
-		if err != nil {
-			return err
-		}
-		report.Cells = append(report.Cells, cells...)
-	}
-	if r.jsonOut {
-		return report.WriteJSON(os.Stdout)
-	}
-	return report.WriteTable(os.Stdout)
-}
-
-// kernel compares the sparse frequency-set kernel against the adaptive
-// dense mixed-radix kernel: end-to-end cells (the Incognito variants on the
-// full Adults quasi-identifier and on Lands End at QID 6, k=2) plus scan
-// and rollup microbenchmarks at each dataset's canonical dense-eligible
-// generalized layout. With -json the report is machine-readable
-// (BENCH_kernel.json).
-func (r *runner) kernel() error {
-	algos := []bench.Algo{bench.BasicIncognito, bench.SuperRootsIncognito, bench.CubeIncognito}
-	if r.algosExplicit {
-		algos = r.algos
-	}
-	report := bench.NewKernelReport()
-	for _, w := range []struct {
-		d  *dataset.Dataset
-		qi int
-	}{
-		{r.adults(), len(r.adults().QICols)},
-		{r.landsEnd(), 6},
-	} {
-		cells, err := bench.Kernel(r.ctx, r.obs, w.d, w.qi, 2, algos, r.progress)
-		if err != nil {
-			return err
-		}
-		report.Cells = append(report.Cells, cells...)
-		micro, err := bench.KernelMicros(w.d, w.qi, r.progress)
-		if err != nil {
-			return err
-		}
-		report.Micro = append(report.Micro, micro...)
-	}
-	if r.jsonOut {
-		return report.WriteJSON(os.Stdout)
-	}
-	return report.WriteTable(os.Stdout)
-}
-
-// incremental measures delta-driven re-anonymization: after a ~1% row
-// edit of each headline workload, a delta run screening against the
-// retained state must reproduce a cold recomputation's solutions and
-// Stats bit for bit while re-scanning a small fraction of the rows and
-// revalidating a small fraction of the nodes, across kernels and worker
-// counts. With -json the report is machine-readable (BENCH_incremental.json).
-func (r *runner) incremental() error {
-	report := bench.NewIncrementalReport()
-	for _, w := range []struct {
-		d  *dataset.Dataset
-		qi int
-	}{
-		{r.adults(), len(r.adults().QICols)},
-		{r.landsEnd(), 6},
-	} {
-		cells, err := bench.Incremental(r.ctx, r.obs, w.d, w.qi, 2, r.progress)
-		if err != nil {
-			return err
-		}
-		report.Cells = append(report.Cells, cells...)
+	adults, landsEnd := r.adults(), r.landsEnd()
+	workloads := []bench.Workload{{Data: adults, QISize: len(adults.QICols), K: 2}, {Data: landsEnd, QISize: 6, K: 2}}
+	report, err := bench.Compare(r.ctx, r.obs, experiment, workloads,
+		bench.Options{Algos: algos, Parallelism: r.parallelism}, r.progress)
+	if err != nil {
+		return err
 	}
 	if r.jsonOut {
 		return report.WriteJSON(os.Stdout)

@@ -1,38 +1,26 @@
-// Command benchcheck is the CI bench-regression gate: it compares a fresh
-// `bench -json` report against the golden report checked in under
-// results/, field by field — but only the fields that are deterministic
-// for a fixed (dataset, rows, seed, QI size, k, algorithm): solution
-// counts, minimal height, and the work counters (nodes checked, nodes
-// marked, candidates, table scans, rollups). Timings are never compared,
-// so the gate is immune to runner speed while still catching any change to
-// how much work the algorithms do.
+// Command benchcheck is the CI bench-regression gate: it checks a fresh
+// `bench -json` report of a comparison experiment (parallel, kernel or
+// incremental) against the golden report checked in under results/. Every
+// experiment reports in one schema: each cell is a reference run against a
+// subject run of one workload, and carries its coordinates, both wall
+// times, a map of deterministic counters, informational values, and
+// whether the two runs agreed. One path checks every report:
 //
-// Three report kinds are understood, selected with -kind:
-//
-//   - parallel (default): the intra-run parallelism experiment; every cell's
-//     counters and the serial/parallel identical flag are pinned.
-//   - kernel: the sparse-vs-dense frequency-set kernel experiment; every
-//     cell's counters and identical flag are pinned, and so are the
-//     microbenchmark rows' layouts, group counts, dense eligibility, and the
-//     dense hot path's zero-allocation guarantee.
-//   - incremental: the delta-driven re-anonymization experiment; every
-//     cell's counters and the delta-vs-cold identical flag are pinned, and
-//     two absolute gates hold regardless of the golden file: the delta run
-//     must re-scan at most 10% of the cold run's rows and revalidate at
-//     most 10% of its nodes.
-//
-// -min-speedup additionally gates wall-clock ratios measured inside one
-// process, so it holds on any runner:
-//
-//   - for -kind parallel, a comma-separated list of per-algorithm floors
-//     (short names, as -algos takes them) on the serial/parallel speedup;
-//   - for -kind incremental, one floor on cold_ms/delta_ms that every cell
-//     must meet — counters alone once let delta runs ship slower than the
-//     cold runs they replace.
-//
-// A gated cell must be identical AND meet its floor. With -min-speedup,
-// -golden becomes optional, because the gate checks timing ratios, not
-// machine-specific counters.
+//   - against -golden: the report must name the golden file's experiment,
+//     and every cell's coordinates, every counter the golden file records,
+//     and its identical flag must match. Timings and informational values
+//     are never compared, so the gate is immune to runner speed while still
+//     catching any change to how much work the algorithms do.
+//   - absolute rules, golden file or not: every cell must be identical, and
+//     a cell that counts them must hold dense_add_allocs_per_op at 0 and
+//     re-scan and revalidate at most 10% of the cold run's rows
+//     (rows_rescanned / cold_rows_scanned) and nodes (nodes_revalidated /
+//     nodes_checked).
+//   - -min-speedup: wall-clock floors on ref_ms/subject_ms, measured inside
+//     one process so they hold on any runner — either per algorithm (short
+//     names, as bench -algos takes them; cells of other algorithms are not
+//     gated) or one bare floor for every cell. With -min-speedup, -golden
+//     becomes optional.
 //
 // Usage:
 //
@@ -40,167 +28,236 @@
 //	  -parallelism 2 -quiet -json > got.json
 //	benchcheck -golden results/bench-regression-golden.json -got got.json
 //
-//	bench -experiment kernel -rows 800 -landsend-rows 2000 -seed 1 \
-//	  -quiet -json > kernel-got.json
-//	benchcheck -kind kernel -golden results/kernel-regression-golden.json \
-//	  -got kernel-got.json
-//
-//	bench -experiment incremental -rows 800 -landsend-rows 2000 -seed 1 \
-//	  -quiet -json > incremental-got.json
-//	benchcheck -kind incremental -golden results/incremental-regression-golden.json \
-//	  -got incremental-got.json
-//
 //	bench -experiment parallel -parallelism 4 -quiet -json > multicore.json
 //	benchcheck -got multicore.json -min-speedup 'basic=1.5,superroots=1.5,cube=1.0'
 //
 //	bench -experiment incremental -rows 8000 -landsend-rows 100000 -seed 1 \
 //	  -quiet -json > multicore-incremental.json
-//	benchcheck -kind incremental -got multicore-incremental.json -min-speedup 1.0
+//	benchcheck -got multicore-incremental.json -min-speedup 1.0
 //
-// Exit status: 0 when every cell matches, 1 on any drift (each difference
-// is reported), 2 on usage errors.
+// Exit status: 0 when every check passes, 1 on any drift or broken rule
+// (each one is reported), 2 on usage errors.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
 	"incognito/internal/bench"
 )
 
-// validKinds lists every report kind benchcheck understands, in the order
-// they are documented. The -kind flag help and the unknown-kind error both
-// render from it, so adding a kind cannot leave either message stale.
-var validKinds = []string{"parallel", "kernel", "incremental"}
-
-// kindList renders the valid kinds for usage and error text: "parallel,
-// kernel, or incremental".
-func kindList() string {
-	n := len(validKinds)
-	return strings.Join(validKinds[:n-1], ", ") + ", or " + validKinds[n-1]
-}
-
 func main() {
 	golden := flag.String("golden", "", "path to the golden report (required unless -min-speedup is given)")
 	got := flag.String("got", "", "path to the freshly generated report (required)")
-	kind := flag.String("kind", validKinds[0], "report kind: "+kindList())
-	minSpeedup := flag.String("min-speedup", "", "speedup floors: per algorithm for -kind parallel (e.g. basic=1.5,superroots=1.5,cube=1.0), one cold_ms/delta_ms floor for every cell of -kind incremental (e.g. 1.0); gated cells must be identical and meet their floor")
+	minSpeedup := flag.String("min-speedup", "", "ref_ms/subject_ms floors: per algorithm (e.g. basic=1.5,superroots=1.5,cube=1.0) or one bare floor for every cell (e.g. 1.0)")
 	flag.Parse()
-	speedupKind := *kind == "parallel" || *kind == "incremental"
-	goldenOptional := speedupKind && *minSpeedup != ""
-	if *minSpeedup != "" && !speedupKind {
-		fmt.Fprintln(os.Stderr, "benchcheck: -min-speedup applies to -kind parallel and incremental only")
-		fmt.Fprintln(os.Stderr, "run 'benchcheck -help' for usage")
-		os.Exit(2)
+	if (*golden == "" && *minSpeedup == "") || *got == "" || flag.NArg() > 0 {
+		usageError("-golden (unless -min-speedup is given) and -got are required, and take no positional arguments")
 	}
-	if (*golden == "" && !goldenOptional) || *got == "" || flag.NArg() > 0 {
-		fmt.Fprintln(os.Stderr, "benchcheck: -golden (unless -min-speedup is given) and -got are required, and take no positional arguments")
-		fmt.Fprintln(os.Stderr, "run 'benchcheck -help' for usage")
-		os.Exit(2)
+	var floors map[string]float64
+	if *minSpeedup != "" {
+		var err error
+		if floors, err = parseSpeedupFloors(*minSpeedup); err != nil {
+			usageError(err.Error())
+		}
 	}
-	var diffs []string
-	var cells int
-	switch *kind {
-	case "parallel":
-		have, err := loadParallel(*got)
-		if err != nil {
+	var want *bench.Report
+	experiment := ""
+	if *golden != "" {
+		var err error
+		if want, err = load(*golden, ""); err != nil {
 			fatal(err)
 		}
-		cells = len(have.Cells)
-		if *golden != "" {
-			want, err := loadParallel(*golden)
-			if err != nil {
-				fatal(err)
-			}
-			diffs, cells = compare(want, have), len(want.Cells)
-		}
-		if *minSpeedup != "" {
-			floors, err := parseSpeedupFloors(*minSpeedup)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchcheck: "+err.Error())
-				os.Exit(2)
-			}
-			diffs = append(diffs, gateSpeedups(have, floors)...)
-		}
-	case "kernel":
-		want, err := loadKernel(*golden)
-		if err != nil {
-			fatal(err)
-		}
-		have, err := loadKernel(*got)
-		if err != nil {
-			fatal(err)
-		}
-		diffs, cells = compareKernel(want, have), len(want.Cells)+len(want.Micro)
-	case "incremental":
-		have, err := loadIncremental(*got)
-		if err != nil {
-			fatal(err)
-		}
-		cells = len(have.Cells)
-		if *golden != "" {
-			want, err := loadIncremental(*golden)
-			if err != nil {
-				fatal(err)
-			}
-			diffs, cells = compareIncremental(want, have), len(want.Cells)
-		}
-		if *minSpeedup != "" {
-			floor, err := parseFloor(*minSpeedup)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchcheck: "+err.Error())
-				os.Exit(2)
-			}
-			diffs = append(diffs, gateIncrementalSpeedups(have, floor)...)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "benchcheck: unknown -kind %q (want %s)\n", *kind, kindList())
-		os.Exit(2)
+		experiment = want.Experiment
 	}
+	have, err := load(*got, experiment)
+	if err != nil {
+		fatal(err)
+	}
+
+	diffs, gated := check(want, have, floors)
 	if len(diffs) > 0 {
 		for _, d := range diffs {
 			fmt.Fprintln(os.Stderr, "benchcheck: "+d)
 		}
-		gate := *golden
-		if gate == "" {
-			gate = "the speedup gate"
-		}
-		fmt.Fprintf(os.Stderr, "benchcheck: %d difference(s) against %s\n", len(diffs), gate)
-		if *golden != "" {
+		fmt.Fprintf(os.Stderr, "benchcheck: %d difference(s) in %s\n", len(diffs), *got)
+		if want != nil {
 			fmt.Fprintln(os.Stderr, "benchcheck: if the change is intentional, regenerate the golden file (see results/README.md)")
 		}
 		os.Exit(1)
 	}
-	if *golden == "" {
-		fmt.Printf("benchcheck: %d cells pass the speedup gate\n", cells)
-		return
+	if want != nil {
+		fmt.Printf("benchcheck: %d cells match the golden counters\n", len(want.Cells))
 	}
-	fmt.Printf("benchcheck: %d cells match the golden counters\n", cells)
+	if floors != nil {
+		fmt.Printf("benchcheck: %d cells pass the speedup gate\n", gated)
+	}
 }
 
-func loadParallel(path string) (*bench.ParallelReport, error) {
+// check is the one path every report takes: drift against the golden
+// report want (when given), then the absolute rules, then the speedup
+// floors (when given). It returns one message per failure and the number
+// of cells the floors gated.
+func check(want, got *bench.Report, floors map[string]float64) (diffs []string, gated int) {
+	if want != nil {
+		diffs = compare(want, got)
+	}
+	diffs = append(diffs, rules(got)...)
+	if floors != nil {
+		var gateDiffs []string
+		gateDiffs, gated = gateSpeedups(got, floors)
+		diffs = append(diffs, gateDiffs...)
+	}
+	return diffs, gated
+}
+
+// load reads a report, refusing one with a field the schema does not
+// declare, no experiment name, no cells, or — when experiment is not empty
+// — a different experiment.
+func load(path, experiment string) (*bench.Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var r bench.ParallelReport
-	if err := json.Unmarshal(data, &r); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var r bench.Report
+	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(r.Cells) == 0 {
+	switch {
+	case r.Experiment == "":
+		return nil, fmt.Errorf("%s: report names no experiment", path)
+	case experiment != "" && r.Experiment != experiment:
+		return nil, fmt.Errorf("%s: report is of the %s experiment, the golden file of the %s experiment", path, r.Experiment, experiment)
+	case len(r.Cells) == 0:
 		return nil, fmt.Errorf("%s: report has no cells", path)
 	}
 	return &r, nil
 }
 
-// parseSpeedupFloors parses "basic=1.5,superroots=1.5,cube=1.0" into a map
-// keyed by the algorithms' display names (the Algo strings the report
-// cells carry).
+// cellKey names cell i in messages.
+func cellKey(i int, c *bench.Cell) string {
+	return fmt.Sprintf("cell %d (%s)", i, c.Key())
+}
+
+// compare returns one message per pinned value that drifted from the golden
+// report: a coordinate, a counter the golden file records, or the identical
+// flag. Cells are matched positionally: the experiment emits them in a
+// fixed order.
+func compare(want, got *bench.Report) []string {
+	if len(want.Cells) != len(got.Cells) {
+		return []string{fmt.Sprintf("cell count: got %d, want %d", len(got.Cells), len(want.Cells))}
+	}
+	var diffs []string
+	for i := range want.Cells {
+		w, g := &want.Cells[i], &got.Cells[i]
+		key := cellKey(i, w)
+		have := map[string]string{}
+		for _, kv := range g.Coordinates() {
+			have[kv[0]] = kv[1]
+		}
+		for _, kv := range w.Coordinates() {
+			if v := have[kv[0]]; v != kv[1] {
+				diffs = append(diffs, fmt.Sprintf("%s: %s = %q, want %q", key, kv[0], v, kv[1]))
+			}
+			delete(have, kv[0])
+		}
+		for _, name := range sortedKeys(have) {
+			diffs = append(diffs, fmt.Sprintf("%s: %s = %q, want none", key, name, have[name]))
+		}
+		for _, name := range sortedKeys(w.Counters) {
+			if v, ok := g.Counters[name]; !ok {
+				diffs = append(diffs, fmt.Sprintf("%s: counter %s missing, want %d", key, name, w.Counters[name]))
+			} else if v != w.Counters[name] {
+				diffs = append(diffs, fmt.Sprintf("%s: %s = %d, want %d", key, name, v, w.Counters[name]))
+			}
+		}
+		if g.Identical != w.Identical {
+			diffs = append(diffs, fmt.Sprintf("%s: identical = %v, want %v", key, g.Identical, w.Identical))
+		}
+	}
+	return diffs
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// bounds are the absolute rules on counters, applied by name to every cell
+// that records the counter, whatever the golden file says: counter must
+// stay at or under max times the cell's per counter (or under max itself
+// when per is empty). The dense kernel's per-tuple hot path must not
+// allocate, and a ~1% delta must re-scan at most 10% of the cold run's
+// rows and revalidate at most 10% of its nodes.
+var bounds = []struct {
+	counter, per string
+	max          float64
+}{
+	{"dense_add_allocs_per_op", "", 0},
+	{"rows_rescanned", "cold_rows_scanned", 0.10},
+	{"nodes_revalidated", "nodes_checked", 0.10},
+}
+
+// rules returns one message per broken absolute rule: a cell whose subject
+// run did not reproduce its reference run, or a counter past its bound.
+func rules(r *bench.Report) []string {
+	var diffs []string
+	for i := range r.Cells {
+		c := &r.Cells[i]
+		key := cellKey(i, c)
+		if !c.Identical {
+			diffs = append(diffs, fmt.Sprintf("%s: %s run was not identical to the %s run", key, r.Subject, r.Ref))
+		}
+		for _, b := range bounds {
+			v, ok := c.Counters[b.counter]
+			if !ok {
+				continue
+			}
+			if b.per == "" {
+				if float64(v) > b.max {
+					diffs = append(diffs, fmt.Sprintf("%s: %s = %d, want at most %g", key, b.counter, v, b.max))
+				}
+				continue
+			}
+			per, ok := c.Counters[b.per]
+			if !ok {
+				diffs = append(diffs, fmt.Sprintf("%s: %s has no %s to bound it", key, b.counter, b.per))
+			} else if float64(v) > b.max*float64(per) {
+				diffs = append(diffs, fmt.Sprintf("%s: %s = %d is above %.2f of %s = %d",
+					key, b.counter, v, b.max, b.per, per))
+			}
+		}
+	}
+	return diffs
+}
+
+// parseSpeedupFloors parses -min-speedup: either one bare floor for every
+// cell ("1.0", keyed "") or per-algorithm floors ("basic=1.5,cube=1.0",
+// keyed by the algorithms' display names, as report cells carry them).
 func parseSpeedupFloors(spec string) (map[string]float64, error) {
+	floor := func(s, name string) (float64, error) {
+		f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil || f <= 0 {
+			return 0, fmt.Errorf("-min-speedup floor %q for %s (want a positive number)", s, name)
+		}
+		return f, nil
+	}
+	if !strings.Contains(spec, "=") {
+		f, err := floor(spec, "every cell")
+		return map[string]float64{"": f}, err
+	}
 	floors := make(map[string]float64)
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
@@ -215,276 +272,47 @@ func parseSpeedupFloors(spec string) (map[string]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		floor, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil || floor <= 0 {
-			return nil, fmt.Errorf("-min-speedup floor %q for %s (want a positive number)", val, name)
+		if floors[a.String()], err = floor(val, name); err != nil {
+			return nil, err
 		}
-		floors[a.String()] = floor
-	}
-	if len(floors) == 0 {
-		return nil, fmt.Errorf("-min-speedup spec %q names no algorithms", spec)
 	}
 	return floors, nil
 }
 
-// gateSpeedups enforces the per-algorithm speedup floors on a parallel
-// report: every cell whose algorithm has a floor must have reproduced the
-// serial results exactly AND meet the floor. Cells of algorithms without a
-// floor are ignored.
-func gateSpeedups(r *bench.ParallelReport, floors map[string]float64) []string {
-	var diffs []string
-	gated := 0
-	for i, c := range r.Cells {
+// gateSpeedups enforces the speedup floors: every cell with a floor — its
+// algorithm's, or the bare floor — must run its subject at least floor
+// times as fast as its reference (ref_ms/subject_ms). It returns one
+// message per failing cell and the number of cells it gated.
+func gateSpeedups(r *bench.Report, floors map[string]float64) (diffs []string, gated int) {
+	for i := range r.Cells {
+		c := &r.Cells[i]
 		floor, ok := floors[c.Algo]
 		if !ok {
-			continue
+			if floor, ok = floors[""]; !ok {
+				continue
+			}
 		}
 		gated++
-		key := fmt.Sprintf("cell %d (%s rows=%d qi=%d k=%d %s)", i, c.Dataset, c.Rows, c.QISize, c.K, c.Algo)
-		if !c.Identical {
-			diffs = append(diffs, key+": parallel run was not identical to the serial run")
+		key := cellKey(i, c)
+		if c.SubjectMS <= 0 {
+			diffs = append(diffs, fmt.Sprintf("%s: subject_ms %.3f is not a measured time", key, c.SubjectMS))
+			continue
 		}
-		if c.Speedup < floor {
-			diffs = append(diffs, fmt.Sprintf("%s: speedup %.2fx below the %.2fx floor (serial %.1fms, parallel %.1fms, workers %d)",
-				key, c.Speedup, floor, c.SerialMS, c.ParallelMS, c.Workers))
+		if ratio := c.RefMS / c.SubjectMS; ratio < floor {
+			diffs = append(diffs, fmt.Sprintf("%s: speedup %.2fx below the %.2fx floor (%s %.1fms, %s %.1fms)",
+				key, ratio, floor, r.Ref, c.RefMS, r.Subject, c.SubjectMS))
 		}
 	}
 	if gated == 0 {
-		diffs = append(diffs, "no report cell matches any -min-speedup algorithm")
+		diffs = append(diffs, "no report cell matches any -min-speedup floor")
 	}
-	return diffs
+	return diffs, gated
 }
 
-// parseFloor parses the single -min-speedup floor of -kind incremental.
-func parseFloor(spec string) (float64, error) {
-	floor, err := strconv.ParseFloat(strings.TrimSpace(spec), 64)
-	if err != nil || floor <= 0 {
-		return 0, fmt.Errorf("-min-speedup %q for -kind incremental (want one positive number, e.g. 1.0)", spec)
-	}
-	return floor, nil
-}
-
-// gateIncrementalSpeedups enforces the wall-clock floor on an incremental
-// report: every cell's delta run must have reproduced the cold run exactly
-// AND run at least floor times as fast (cold_ms/delta_ms).
-func gateIncrementalSpeedups(r *bench.IncrementalReport, floor float64) []string {
-	var diffs []string
-	for i, c := range r.Cells {
-		key := fmt.Sprintf("incremental cell %d (%s rows=%d qi=%d k=%d %s p=%d)", i, c.Dataset, c.Rows, c.QISize, c.K, c.Kernel, c.Parallelism)
-		if !c.Identical {
-			diffs = append(diffs, key+": delta run was not identical to the cold run")
-		}
-		if c.DeltaMS <= 0 {
-			diffs = append(diffs, fmt.Sprintf("%s: delta_ms %.3f is not a measured time", key, c.DeltaMS))
-			continue
-		}
-		if ratio := c.ColdMS / c.DeltaMS; ratio < floor {
-			diffs = append(diffs, fmt.Sprintf("%s: cold_ms/delta_ms %.2fx below the %.2fx floor (cold %.1fms, delta %.1fms)",
-				key, ratio, floor, c.ColdMS, c.DeltaMS))
-		}
-	}
-	return diffs
-}
-
-func loadKernel(path string) (*bench.KernelReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r bench.KernelReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(r.Cells) == 0 {
-		return nil, fmt.Errorf("%s: report has no cells", path)
-	}
-	return &r, nil
-}
-
-// fieldDiffs appends one message per mismatched (name, want, have) triple.
-func fieldDiffs(diffs []string, key string, fields []struct {
-	name       string
-	want, have any
-}) []string {
-	for _, f := range fields {
-		if f.want != f.have {
-			diffs = append(diffs, fmt.Sprintf("%s: %s = %v, want %v", key, f.name, f.have, f.want))
-		}
-	}
-	return diffs
-}
-
-// compare returns one message per drifted deterministic field. Cells are
-// matched positionally: the experiment emits them in a fixed order.
-func compare(want, got *bench.ParallelReport) []string {
-	if len(want.Cells) != len(got.Cells) {
-		return []string{fmt.Sprintf("cell count: got %d, want %d", len(got.Cells), len(want.Cells))}
-	}
-	var diffs []string
-	for i := range want.Cells {
-		w, g := want.Cells[i], got.Cells[i]
-		key := fmt.Sprintf("cell %d (%s rows=%d qi=%d k=%d %s)", i, w.Dataset, w.Rows, w.QISize, w.K, w.Algo)
-		diffs = fieldDiffs(diffs, key, []struct {
-			name       string
-			want, have any
-		}{
-			{"dataset", w.Dataset, g.Dataset},
-			{"rows", w.Rows, g.Rows},
-			{"qi_size", w.QISize, g.QISize},
-			{"k", w.K, g.K},
-			{"algo", w.Algo, g.Algo},
-			{"solutions", w.Solutions, g.Solutions},
-			{"min_height", w.MinHeight, g.MinHeight},
-			{"nodes_checked", w.NodesChecked, g.NodesChecked},
-			{"nodes_marked", w.NodesMarked, g.NodesMarked},
-			{"candidates", w.Candidates, g.Candidates},
-			{"table_scans", w.TableScans, g.TableScans},
-			{"rollups", w.Rollups, g.Rollups},
-			{"identical", w.Identical, g.Identical},
-		})
-	}
-	return diffs
-}
-
-// compareKernel is compare for the kernel experiment: end-to-end cells are
-// pinned on the same counters, microbenchmark rows on their layout, group
-// count, dense eligibility, cross-kernel agreement, and the zero-allocation
-// dense hot path. Timings and speedups are never compared.
-func compareKernel(want, got *bench.KernelReport) []string {
-	var diffs []string
-	if len(want.Cells) != len(got.Cells) {
-		diffs = append(diffs, fmt.Sprintf("cell count: got %d, want %d", len(got.Cells), len(want.Cells)))
-	} else {
-		for i := range want.Cells {
-			w, g := want.Cells[i], got.Cells[i]
-			key := fmt.Sprintf("kernel cell %d (%s rows=%d qi=%d k=%d %s)", i, w.Dataset, w.Rows, w.QISize, w.K, w.Algo)
-			diffs = fieldDiffs(diffs, key, []struct {
-				name       string
-				want, have any
-			}{
-				{"dataset", w.Dataset, g.Dataset},
-				{"rows", w.Rows, g.Rows},
-				{"qi_size", w.QISize, g.QISize},
-				{"k", w.K, g.K},
-				{"algo", w.Algo, g.Algo},
-				{"solutions", w.Solutions, g.Solutions},
-				{"min_height", w.MinHeight, g.MinHeight},
-				{"nodes_checked", w.NodesChecked, g.NodesChecked},
-				{"nodes_marked", w.NodesMarked, g.NodesMarked},
-				{"candidates", w.Candidates, g.Candidates},
-				{"table_scans", w.TableScans, g.TableScans},
-				{"rollups", w.Rollups, g.Rollups},
-				{"identical", w.Identical, g.Identical},
-			})
-		}
-	}
-	if len(want.Micro) != len(got.Micro) {
-		diffs = append(diffs, fmt.Sprintf("micro row count: got %d, want %d", len(got.Micro), len(want.Micro)))
-		return diffs
-	}
-	for i := range want.Micro {
-		w, g := want.Micro[i], got.Micro[i]
-		key := fmt.Sprintf("kernel micro %d (%s rows=%d qi=%d %s)", i, w.Dataset, w.Rows, w.QISize, w.Op)
-		diffs = fieldDiffs(diffs, key, []struct {
-			name       string
-			want, have any
-		}{
-			{"op", w.Op, g.Op},
-			{"dataset", w.Dataset, g.Dataset},
-			{"rows", w.Rows, g.Rows},
-			{"qi_size", w.QISize, g.QISize},
-			{"levels", fmt.Sprint(w.Levels), fmt.Sprint(g.Levels)},
-			{"target_levels", fmt.Sprint(w.TargetLevels), fmt.Sprint(g.TargetLevels)},
-			{"cells", w.Cells, g.Cells},
-			{"dense_eligible", w.DenseEligible, g.DenseEligible},
-			{"groups", w.Groups, g.Groups},
-			{"identical", w.Identical, g.Identical},
-			{"dense_add_allocs_per_op", w.DenseAddAllocsPerOp, g.DenseAddAllocsPerOp},
-		})
-		// The allocation pin is absolute, not just drift-free: the dense
-		// per-tuple hot path must never allocate.
-		if g.DenseAddAllocsPerOp != 0 {
-			diffs = append(diffs, fmt.Sprintf("%s: dense_add_allocs_per_op = %v, want 0", key, g.DenseAddAllocsPerOp))
-		}
-	}
-	return diffs
-}
-
-func loadIncremental(path string) (*bench.IncrementalReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r bench.IncrementalReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(r.Cells) == 0 {
-		return nil, fmt.Errorf("%s: report has no cells", path)
-	}
-	return &r, nil
-}
-
-// maxRescanRatio / maxRevalidationRatio are the absolute savings gates of
-// -kind incremental: a ~1% delta must re-scan at most this fraction of the
-// cold run's rows and revalidate at most this fraction of its nodes, no
-// matter what the golden file says.
-const (
-	maxRescanRatio       = 0.10
-	maxRevalidationRatio = 0.10
-)
-
-// compareIncremental is compare for the delta-driven re-anonymization
-// experiment: every deterministic counter is pinned against the golden
-// file, and two gates are absolute — the delta run must have reproduced
-// the cold run exactly (identical) and its savings ratios must stay under
-// the 10% bounds. Timings and speedups are never compared.
-func compareIncremental(want, got *bench.IncrementalReport) []string {
-	var diffs []string
-	if len(want.Cells) != len(got.Cells) {
-		return []string{fmt.Sprintf("cell count: got %d, want %d", len(got.Cells), len(want.Cells))}
-	}
-	for i := range want.Cells {
-		w, g := want.Cells[i], got.Cells[i]
-		key := fmt.Sprintf("incremental cell %d (%s rows=%d qi=%d k=%d %s p=%d)", i, w.Dataset, w.Rows, w.QISize, w.K, w.Kernel, w.Parallelism)
-		diffs = fieldDiffs(diffs, key, []struct {
-			name       string
-			want, have any
-		}{
-			{"dataset", w.Dataset, g.Dataset},
-			{"rows", w.Rows, g.Rows},
-			{"qi_size", w.QISize, g.QISize},
-			{"k", w.K, g.K},
-			{"kernel", w.Kernel, g.Kernel},
-			{"parallelism", w.Parallelism, g.Parallelism},
-			{"added_rows", w.AddedRows, g.AddedRows},
-			{"removed_rows", w.RemovedRows, g.RemovedRows},
-			{"solutions", w.Solutions, g.Solutions},
-			{"min_height", w.MinHeight, g.MinHeight},
-			{"nodes_checked", w.NodesChecked, g.NodesChecked},
-			{"nodes_marked", w.NodesMarked, g.NodesMarked},
-			{"candidates", w.Candidates, g.Candidates},
-			{"table_scans", w.TableScans, g.TableScans},
-			{"rollups", w.Rollups, g.Rollups},
-			{"cold_rows_scanned", w.ColdRowsScanned, g.ColdRowsScanned},
-			{"rows_rescanned", w.RowsRescanned, g.RowsRescanned},
-			{"nodes_screened", w.NodesScreened, g.NodesScreened},
-			{"nodes_revalidated", w.NodesRevalidated, g.NodesRevalidated},
-			{"identical", w.Identical, g.Identical},
-		})
-		if !g.Identical {
-			diffs = append(diffs, key+": delta run was not identical to the cold run")
-		}
-		if g.RowRescanRatio > maxRescanRatio {
-			diffs = append(diffs, fmt.Sprintf("%s: row_rescan_ratio %.4f above the %.2f bound (%d of %d rows)",
-				key, g.RowRescanRatio, maxRescanRatio, g.RowsRescanned, g.ColdRowsScanned))
-		}
-		if g.NodeRevalidationRatio > maxRevalidationRatio {
-			diffs = append(diffs, fmt.Sprintf("%s: node_revalidation_ratio %.4f above the %.2f bound (%d of %d nodes)",
-				key, g.NodeRevalidationRatio, maxRevalidationRatio, g.NodesRevalidated, g.NodesChecked))
-		}
-	}
-	return diffs
+func usageError(msg string) {
+	fmt.Fprintln(os.Stderr, "benchcheck: "+msg)
+	fmt.Fprintln(os.Stderr, "run 'benchcheck -help' for usage")
+	os.Exit(2)
 }
 
 func fatal(err error) {

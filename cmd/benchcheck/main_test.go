@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,333 +12,314 @@ import (
 	"incognito/internal/bench"
 )
 
-func goldenReport() *bench.ParallelReport {
-	return &bench.ParallelReport{
-		GOMAXPROCS:  4,
-		Parallelism: 2,
-		Cells: []bench.ParallelCell{
-			{
-				Dataset: "Adults", Rows: 800, QISize: 9, K: 2, Algo: "Basic Incognito",
-				SerialMS: 12.5, ParallelMS: 7.1, Speedup: 1.76,
-				Solutions: 116, MinHeight: 7,
-				NodesChecked: 1500, NodesMarked: 300, Candidates: 2000,
-				TableScans: 120, Rollups: 1380, Identical: true,
-			},
-		},
-	}
+// goldens are the committed golden files, one per comparison experiment.
+var goldens = []struct{ experiment, path string }{
+	{"parallel", "../../results/bench-regression-golden.json"},
+	{"kernel", "../../results/kernel-regression-golden.json"},
+	{"incremental", "../../results/incremental-regression-golden.json"},
 }
+
+// readGolden loads a committed golden file through the command's loader,
+// and again as a generic JSON tree that tests can mutate.
+func readGolden(t *testing.T, path string) (*bench.Report, map[string]any) {
+	t.Helper()
+	r, err := load(path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tree map[string]any
+	if err := json.Unmarshal(data, &tree); err != nil {
+		t.Fatal(err)
+	}
+	return r, tree
+}
+
+// decode turns a (mutated) JSON tree back into a report.
+func decode(t *testing.T, tree map[string]any) *bench.Report {
+	t.Helper()
+	data, err := json.Marshal(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r bench.Report
+	if err := json.Unmarshal(data, &r); err != nil {
+		t.Fatal(err)
+	}
+	return &r
+}
+
+func cellsOf(tree map[string]any) []map[string]any {
+	var out []map[string]any
+	for _, c := range tree["cells"].([]any) {
+		out = append(out, c.(map[string]any))
+	}
+	return out
+}
+
+// measured lists the fields of a cell that are measurements, never pinned.
+var measured = map[string]bool{"ref_ms": true, "subject_ms": true, "speedup": true, "info": true}
 
 func TestCompareIgnoresTimings(t *testing.T) {
-	got := goldenReport()
-	got.Cells[0].SerialMS = 999
-	got.Cells[0].ParallelMS = 0.001
-	got.Cells[0].Speedup = 42
-	got.GOMAXPROCS = 1
-	if diffs := compare(goldenReport(), got); len(diffs) != 0 {
-		t.Fatalf("timing-only changes flagged: %v", diffs)
+	for _, g := range goldens {
+		t.Run(g.experiment, func(t *testing.T) {
+			want, tree := readGolden(t, g.path)
+			tree["gomaxprocs"] = 64.0
+			tree["ref"], tree["subject"] = "before", "after"
+			tree["info"] = map[string]any{"anything": 1.0}
+			for _, c := range cellsOf(tree) {
+				c["ref_ms"], c["subject_ms"], c["speedup"] = 999.0, 0.001, 42.0
+				c["info"] = map[string]any{"utilization": 7.0, "row_rescan_ratio": 0.9}
+			}
+			if diffs, _ := check(want, decode(t, tree), nil); len(diffs) != 0 {
+				t.Fatalf("timing-only changes flagged: %v", diffs)
+			}
+		})
 	}
 }
 
-func TestCompareFlagsCounterDrift(t *testing.T) {
-	got := goldenReport()
-	got.Cells[0].TableScans++
-	got.Cells[0].Solutions--
-	diffs := compare(goldenReport(), got)
-	if len(diffs) != 2 {
-		t.Fatalf("got %d diffs, want 2: %v", len(diffs), diffs)
-	}
-	joined := strings.Join(diffs, "\n")
-	for _, want := range []string{"table_scans", "solutions"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("diffs missing %q:\n%s", want, joined)
+// mutations returns one change per value the gate pins in a cell: every
+// coordinate, every counter and the identical flag, named by field.
+func mutations(cell map[string]any) map[string]func(map[string]any) {
+	out := map[string]func(map[string]any){}
+	for name, v := range cell {
+		switch {
+		case measured[name]:
+		case name == "counters":
+			for counter := range v.(map[string]any) {
+				out[counter] = func(c map[string]any) {
+					counters := c["counters"].(map[string]any)
+					counters[counter] = counters[counter].(float64) + 1
+				}
+			}
+		default:
+			out[name] = func(c map[string]any) {
+				switch x := v.(type) {
+				case bool:
+					c[name] = !x
+				case string:
+					c[name] = x + "x"
+				case float64:
+					c[name] = x + 1
+				case []any:
+					y := append([]any(nil), x...)
+					y[0] = y[0].(float64) + 1
+					c[name] = y
+				default:
+					panic(fmt.Sprintf("field %s has unexpected type %T", name, v))
+				}
+			}
 		}
+	}
+	return out
+}
+
+// TestCompareFlagsCounterDrift changes each pinned value of each committed
+// golden file, one at a time, in a copy: every change must fail with a
+// message naming the field and the cell.
+func TestCompareFlagsCounterDrift(t *testing.T) {
+	for _, g := range goldens {
+		t.Run(g.experiment, func(t *testing.T) {
+			want, _ := readGolden(t, g.path)
+			checked := 0
+			for i := range want.Cells {
+				_, tree := readGolden(t, g.path)
+				for field, mutate := range mutations(cellsOf(tree)[i]) {
+					_, tree := readGolden(t, g.path)
+					mutate(cellsOf(tree)[i])
+					diffs, _ := check(want, decode(t, tree), nil)
+					cell := fmt.Sprintf("cell %d (", i)
+					found := false
+					for _, d := range diffs {
+						found = found || strings.Contains(d, cell) && strings.Contains(d, field)
+					}
+					if !found {
+						t.Errorf("changing %s of cell %d: diffs %v name no %q and %q", field, i, diffs, field, cell)
+					}
+					checked++
+				}
+			}
+			if checked < 10*len(want.Cells) {
+				t.Fatalf("only %d pinned values mutated across %d cells", checked, len(want.Cells))
+			}
+		})
 	}
 }
 
 func TestCompareFlagsCellCountMismatch(t *testing.T) {
-	got := goldenReport()
-	got.Cells = append(got.Cells, got.Cells[0])
-	diffs := compare(goldenReport(), got)
-	if len(diffs) != 1 || !strings.Contains(diffs[0], "cell count") {
-		t.Fatalf("cell count mismatch not flagged: %v", diffs)
+	for _, g := range goldens {
+		t.Run(g.experiment, func(t *testing.T) {
+			want, _ := readGolden(t, g.path)
+			for _, n := range []int{len(want.Cells) - 1, len(want.Cells) + 1} {
+				got, _ := readGolden(t, g.path)
+				got.Cells = append(got.Cells, got.Cells[0])[:n]
+				diffs := compare(want, got)
+				if len(diffs) != 1 || !strings.Contains(diffs[0], "cell count") {
+					t.Errorf("%d cells against %d: %v", n, len(want.Cells), diffs)
+				}
+			}
+		})
 	}
 }
 
+// TestCompareFlagsIdenticalRegression: a cell whose subject run diverged
+// from its reference run drifts from the golden file and breaks the
+// absolute rule, in every experiment.
 func TestCompareFlagsIdenticalRegression(t *testing.T) {
-	got := goldenReport()
-	got.Cells[0].Identical = false
-	diffs := compare(goldenReport(), got)
-	if len(diffs) != 1 || !strings.Contains(diffs[0], "identical") {
-		t.Fatalf("identical=false not flagged: %v", diffs)
+	for _, g := range goldens {
+		t.Run(g.experiment, func(t *testing.T) {
+			want, _ := readGolden(t, g.path)
+			got, _ := readGolden(t, g.path)
+			got.Cells[1].Identical = false
+			diffs, _ := check(want, got, nil)
+			if len(diffs) != 2 || !strings.Contains(diffs[0], "cell 1 (") || !strings.Contains(diffs[0], "identical = false, want true") ||
+				!strings.Contains(diffs[1], fmt.Sprintf("%s run was not identical to the %s run", want.Subject, want.Ref)) {
+				t.Fatalf("identical=false not flagged twice: %v", diffs)
+			}
+		})
+	}
+}
+
+// TestCompareKernelPinsAllocsAtZero: a non-zero allocs/op is flagged even
+// when the golden file carries the same value — the pin is absolute, not
+// drift-relative.
+func TestCompareKernelPinsAllocsAtZero(t *testing.T) {
+	want, _ := readGolden(t, goldens[1].path)
+	got, _ := readGolden(t, goldens[1].path)
+	scan := -1
+	for i, c := range want.Cells {
+		if c.Op == "scan" {
+			scan = i
+			break
+		}
+	}
+	if scan < 0 {
+		t.Fatal("kernel golden file has no scan row")
+	}
+	want.Cells[scan].Counters["dense_add_allocs_per_op"] = 2
+	got.Cells[scan].Counters["dense_add_allocs_per_op"] = 2
+	diffs, _ := check(want, got, nil)
+	if len(diffs) != 1 || !strings.Contains(diffs[0], "dense_add_allocs_per_op = 2, want at most 0") {
+		t.Fatalf("non-zero allocs/op not flagged: %v", diffs)
+	}
+}
+
+// TestCompareIncrementalGatesRatios pins the absolute savings bounds: a
+// cell past 10% fails even when it matches the golden file exactly, and a
+// bounded counter without its denominator is refused.
+func TestCompareIncrementalGatesRatios(t *testing.T) {
+	want, _ := readGolden(t, goldens[2].path)
+	got, _ := readGolden(t, goldens[2].path)
+	for _, r := range []*bench.Report{want, got} {
+		n := r.Cells[0].Counters
+		n["rows_rescanned"] = n["cold_rows_scanned"]/4 + 1
+		n["nodes_revalidated"] = n["nodes_checked"]
+		delete(r.Cells[1].Counters, "cold_rows_scanned")
+	}
+	diffs, _ := check(want, got, nil)
+	joined := strings.Join(diffs, "\n")
+	for _, s := range []string{"cell 0 (", "rows_rescanned = ", "is above 0.10 of cold_rows_scanned", "nodes_revalidated = ",
+		"is above 0.10 of nodes_checked", "cell 1 (", "rows_rescanned has no cold_rows_scanned to bound it"} {
+		if !strings.Contains(joined, s) {
+			t.Errorf("diffs missing %q:\n%s", s, joined)
+		}
+	}
+	if len(diffs) != 3 {
+		t.Fatalf("got %d diffs, want 3: %v", len(diffs), diffs)
 	}
 }
 
 func TestParseSpeedupFloors(t *testing.T) {
-	floors, err := parseSpeedupFloors("basic=1.5, superroots=1.5,cube=1.0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{
-		bench.BasicIncognito.String():      1.5,
-		bench.SuperRootsIncognito.String(): 1.5,
-		bench.CubeIncognito.String():       1.0,
-	}
-	if len(floors) != len(want) {
-		t.Fatalf("got %d floors, want %d: %v", len(floors), len(want), floors)
-	}
-	for k, v := range want {
-		if floors[k] != v {
-			t.Errorf("floor[%s] = %v, want %v", k, floors[k], v)
+	for _, tc := range []struct {
+		spec string
+		want map[string]float64
+	}{
+		{"basic=1.5, superroots=1.5,cube=1.0", map[string]float64{
+			bench.BasicIncognito.String():      1.5,
+			bench.SuperRootsIncognito.String(): 1.5,
+			bench.CubeIncognito.String():       1.0,
+		}},
+		{" 1.25 ", map[string]float64{"": 1.25}},
+	} {
+		floors, err := parseSpeedupFloors(tc.spec)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.spec, err)
+		}
+		if fmt.Sprint(floors) != fmt.Sprint(tc.want) {
+			t.Errorf("%q: got %v, want %v", tc.spec, floors, tc.want)
 		}
 	}
-	for _, bad := range []string{"", "basic", "quantum=2", "basic=0", "basic=-1", "basic=fast"} {
+	for _, bad := range []string{"", "0", "-1", "fast", "basic", "quantum=2", "basic=0", "basic=-1", "basic=fast", "1.0,basic=2"} {
 		if _, err := parseSpeedupFloors(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
 }
 
+// TestGateSpeedups pins the per-algorithm floors: cells of an algorithm
+// without a floor are not gated and not counted, yet every cell must still
+// be identical.
 func TestGateSpeedups(t *testing.T) {
 	floors := map[string]float64{
 		bench.BasicIncognito.String(): 1.5,
 		bench.CubeIncognito.String():  1.0,
 	}
-	report := &bench.ParallelReport{Cells: []bench.ParallelCell{
-		{Algo: bench.BasicIncognito.String(), Speedup: 2.1, Identical: true},
-		{Algo: bench.CubeIncognito.String(), Speedup: 1.2, Identical: true},
+	report := &bench.Report{Ref: "serial", Subject: "parallel", Cells: []bench.Cell{
+		{Algo: bench.BasicIncognito.String(), RefMS: 21, SubjectMS: 10, Identical: true},
+		{Algo: bench.CubeIncognito.String(), RefMS: 12, SubjectMS: 10, Identical: true},
 		// No floor declared for Super-roots: never gated, even at 0.1x.
-		{Algo: bench.SuperRootsIncognito.String(), Speedup: 0.1, Identical: true},
+		{Algo: bench.SuperRootsIncognito.String(), RefMS: 1, SubjectMS: 10, Identical: true},
 	}}
-	if diffs := gateSpeedups(report, floors); len(diffs) != 0 {
-		t.Fatalf("clean report gated: %v", diffs)
+	if diffs, gated := check(nil, report, floors); len(diffs) != 0 || gated != 2 {
+		t.Fatalf("clean report: gated %d, diffs %v", gated, diffs)
 	}
 
-	report.Cells[0].Speedup = 1.4 // below its 1.5x floor
-	report.Cells[1].Identical = false
-	diffs := gateSpeedups(report, floors)
-	if len(diffs) != 2 {
-		t.Fatalf("got %d diffs, want 2: %v", len(diffs), diffs)
-	}
-	if !strings.Contains(diffs[0], "below the 1.50x floor") || !strings.Contains(diffs[1], "not identical") {
-		t.Fatalf("unexpected diff messages: %v", diffs)
+	report.Cells[0].RefMS = 14 // 1.4x, below its 1.5x floor
+	report.Cells[2].Identical = false
+	diffs, _ := check(nil, report, floors)
+	if len(diffs) != 2 || !strings.Contains(diffs[0], "cell 2 (") || !strings.Contains(diffs[0], "parallel run was not identical to the serial run") ||
+		!strings.Contains(diffs[1], "cell 0 (") || !strings.Contains(diffs[1], "1.40x below the 1.50x floor") {
+		t.Fatalf("unexpected diffs: %v", diffs)
 	}
 
-	if diffs := gateSpeedups(&bench.ParallelReport{}, floors); len(diffs) != 1 ||
+	if diffs, gated := gateSpeedups(&bench.Report{}, floors); len(diffs) != 1 || gated != 0 ||
 		!strings.Contains(diffs[0], "no report cell") {
 		t.Fatalf("empty report not flagged: %v", diffs)
 	}
 }
 
-func goldenKernelReport() *bench.KernelReport {
-	return &bench.KernelReport{
-		GOMAXPROCS:    1,
-		DenseMaxCells: 1 << 22,
-		Cells: []bench.KernelCell{
-			{
-				Dataset: "Adults", Rows: 800, QISize: 9, K: 2, Algo: "Basic Incognito",
-				SparseMS: 140.0, DenseMS: 60.0, Speedup: 2.3,
-				Solutions: 116, MinHeight: 7,
-				NodesChecked: 1500, NodesMarked: 300, Candidates: 2000,
-				TableScans: 120, Rollups: 1380, Identical: true,
-			},
-		},
-		Micro: []bench.KernelMicro{
-			{
-				Op: "scan", Dataset: "Adults", Rows: 800, QISize: 9,
-				Levels: []int{4, 0, 1, 1, 1, 1, 1, 1, 0}, Cells: 2880,
-				DenseEligible: true, Groups: 311, Identical: true,
-				SparseMS: 0.1, DenseMS: 0.02, Speedup: 5,
-			},
-		},
-	}
-}
-
-func TestCompareKernelIgnoresTimings(t *testing.T) {
-	got := goldenKernelReport()
-	got.Cells[0].SparseMS = 999
-	got.Cells[0].DenseMS = 0.001
-	got.Cells[0].Speedup = 42
-	got.Micro[0].SparseMS = 7
-	got.Micro[0].DenseMS = 7
-	got.Micro[0].Speedup = 1
-	got.GOMAXPROCS = 8
-	if diffs := compareKernel(goldenKernelReport(), got); len(diffs) != 0 {
-		t.Fatalf("timing-only changes flagged: %v", diffs)
-	}
-}
-
-func TestCompareKernelFlagsDrift(t *testing.T) {
-	got := goldenKernelReport()
-	got.Cells[0].Rollups++
-	got.Cells[0].Identical = false
-	got.Micro[0].Groups--
-	got.Micro[0].DenseEligible = false
-	got.Micro[0].Levels = []int{4, 0, 1, 1, 1, 1, 1, 1, 1}
-	diffs := compareKernel(goldenKernelReport(), got)
-	joined := strings.Join(diffs, "\n")
-	for _, want := range []string{"rollups", "identical", "groups", "dense_eligible", "levels"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("diffs missing %q:\n%s", want, joined)
-		}
-	}
-	if len(diffs) != 5 {
-		t.Fatalf("got %d diffs, want 5: %v", len(diffs), diffs)
-	}
-}
-
-func TestCompareKernelPinsAllocsAtZero(t *testing.T) {
-	// A non-zero allocs/op is flagged even when the golden file carries the
-	// same non-zero value — the pin is absolute, not drift-relative.
-	want := goldenKernelReport()
-	want.Micro[0].DenseAddAllocsPerOp = 2
-	got := goldenKernelReport()
-	got.Micro[0].DenseAddAllocsPerOp = 2
-	diffs := compareKernel(want, got)
-	if len(diffs) != 1 || !strings.Contains(diffs[0], "dense_add_allocs_per_op") {
-		t.Fatalf("non-zero allocs/op not flagged: %v", diffs)
-	}
-}
-
-func TestCompareKernelFlagsRowCountMismatch(t *testing.T) {
-	got := goldenKernelReport()
-	got.Micro = append(got.Micro, got.Micro[0])
-	diffs := compareKernel(goldenKernelReport(), got)
-	if len(diffs) != 1 || !strings.Contains(diffs[0], "micro row count") {
-		t.Fatalf("micro row count mismatch not flagged: %v", diffs)
-	}
-}
-
-// TestLoaders exercises all three report loaders against real files: a
-// valid report, a missing file, malformed JSON, and an empty cell list.
-func goldenIncrementalReport() *bench.IncrementalReport {
-	return &bench.IncrementalReport{
-		GOMAXPROCS: 1,
-		DeltaEvery: 200,
-		Cells: []bench.IncrementalCell{
-			{
-				Dataset: "Adults", Rows: 800, QISize: 9, K: 2, Kernel: "auto", Parallelism: 1,
-				AddedRows: 4, RemovedRows: 4,
-				ColdMS: 80.0, DeltaMS: 40.0, Speedup: 2.0,
-				Solutions: 116, MinHeight: 7,
-				NodesChecked: 1500, NodesMarked: 300, Candidates: 2000,
-				TableScans: 120, Rollups: 1380,
-				ColdRowsScanned: 96000, RowsRescanned: 8,
-				NodesScreened: 1500, NodesRevalidated: 0,
-				RowRescanRatio: 0.0001, NodeRevalidationRatio: 0,
-				Identical: true,
-			},
-		},
-	}
-}
-
-func TestCompareIncrementalIgnoresTimings(t *testing.T) {
-	got := goldenIncrementalReport()
-	got.Cells[0].ColdMS = 999
-	got.Cells[0].DeltaMS = 0.1
-	got.Cells[0].Speedup = 42
-	if diffs := compareIncremental(goldenIncrementalReport(), got); len(diffs) != 0 {
-		t.Fatalf("timing-only changes flagged: %v", diffs)
-	}
-}
-
-func TestCompareIncrementalFlagsDrift(t *testing.T) {
-	got := goldenIncrementalReport()
-	got.Cells[0].Identical = false
-	got.Cells[0].RowsRescanned += 7
-	got.Cells[0].NodesRevalidated++
-	diffs := compareIncremental(goldenIncrementalReport(), got)
-	joined := strings.Join(diffs, "\n")
-	for _, want := range []string{"identical", "rows_rescanned", "nodes_revalidated", "not identical to the cold run"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("diffs missing %q:\n%s", want, joined)
-		}
-	}
-
-	got = goldenIncrementalReport()
-	got.Cells = got.Cells[:0]
-	if diffs := compareIncremental(goldenIncrementalReport(), got); len(diffs) != 1 ||
-		!strings.Contains(diffs[0], "cell count") {
-		t.Fatalf("cell count mismatch not flagged: %v", diffs)
-	}
-}
-
-// TestCompareIncrementalGatesRatios pins the absolute savings bounds: a
-// cell whose ratios drift above 10% fails even when it matches the golden
-// file exactly.
-func TestCompareIncrementalGatesRatios(t *testing.T) {
-	want := goldenIncrementalReport()
-	want.Cells[0].RowRescanRatio = 0.25
-	want.Cells[0].NodeRevalidationRatio = 0.30
-	got := goldenIncrementalReport()
-	got.Cells[0].RowRescanRatio = 0.25
-	got.Cells[0].NodeRevalidationRatio = 0.30
-	diffs := compareIncremental(want, got)
-	joined := strings.Join(diffs, "\n")
-	for _, s := range []string{"row_rescan_ratio 0.2500 above the 0.10 bound", "node_revalidation_ratio 0.3000 above the 0.10 bound"} {
-		if !strings.Contains(joined, s) {
-			t.Errorf("diffs missing %q:\n%s", s, joined)
-		}
-	}
-	if len(diffs) != 2 {
-		t.Fatalf("got %d diffs, want 2: %v", len(diffs), diffs)
-	}
-}
-
-// TestGateIncrementalSpeedups pins the wall-clock gate: every cell must be
-// identical and have cold_ms/delta_ms at or above the floor.
+// TestGateIncrementalSpeedups pins the bare floor: every cell must run its
+// subject at least floor times as fast as its reference, read from the
+// recorded times.
 func TestGateIncrementalSpeedups(t *testing.T) {
-	report := goldenIncrementalReport() // cold 80ms, delta 40ms: 2.0x
-	if diffs := gateIncrementalSpeedups(report, 2.0); len(diffs) != 0 {
-		t.Fatalf("cell at exactly its floor gated: %v", diffs)
+	report, _ := readGolden(t, goldens[2].path)
+	for i := range report.Cells {
+		report.Cells[i].RefMS, report.Cells[i].SubjectMS = 80, 40 // 2.0x
 	}
-	slow := goldenIncrementalReport()
-	slow.Cells = append(slow.Cells, slow.Cells[0])
-	slow.Cells[1].DeltaMS = 100 // 0.8x
-	slow.Cells[1].Speedup = 9   // the gate reads the times, not this field
-	slow.Cells[0].Identical = false
-	diffs := gateIncrementalSpeedups(slow, 1.0)
-	if len(diffs) != 2 {
-		t.Fatalf("got %d diffs, want 2: %v", len(diffs), diffs)
+	if diffs, gated := check(nil, report, map[string]float64{"": 2.0}); len(diffs) != 0 || gated != len(report.Cells) {
+		t.Fatalf("cells at exactly their floor: gated %d, diffs %v", gated, diffs)
 	}
-	if !strings.Contains(diffs[0], "not identical") || !strings.Contains(diffs[1], "0.80x below the 1.00x floor") {
-		t.Fatalf("unexpected diff messages: %v", diffs)
-	}
-	unmeasured := goldenIncrementalReport()
-	unmeasured.Cells[0].DeltaMS = 0
-	if diffs := gateIncrementalSpeedups(unmeasured, 1.0); len(diffs) != 1 || !strings.Contains(diffs[0], "not a measured time") {
-		t.Fatalf("zero delta_ms not flagged: %v", diffs)
-	}
-
-	if f, err := parseFloor(" 1.25 "); err != nil || f != 1.25 {
-		t.Fatalf("parseFloor(1.25) = %v, %v", f, err)
-	}
-	for _, bad := range []string{"", "0", "-1", "fast", "basic=1.5"} {
-		if _, err := parseFloor(bad); err == nil {
-			t.Errorf("floor %q accepted", bad)
-		}
+	report.Cells[1].SubjectMS = 100 // 0.8x
+	report.Cells[1].Speedup = 9     // the gate reads the times, not this field
+	report.Cells[2].SubjectMS = 0
+	diffs, _ := check(nil, report, map[string]float64{"": 1.0})
+	if len(diffs) != 2 || !strings.Contains(diffs[0], "cell 1 (") || !strings.Contains(diffs[0], "0.80x below the 1.00x floor (cold 80.0ms, delta 100.0ms)") ||
+		!strings.Contains(diffs[1], "cell 2 (") || !strings.Contains(diffs[1], "not a measured time") {
+		t.Fatalf("unexpected diffs: %v", diffs)
 	}
 }
 
-// TestCLIIncrementalSpeedupGate runs the real binary the way the
-// multi-core CI job does: no golden file, one floor for every cell.
-func TestCLIIncrementalSpeedupGate(t *testing.T) {
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "benchcheck")
+// buildBenchcheck builds the command into a temporary directory.
+func buildBenchcheck(t *testing.T) func(args ...string) (int, string) {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "benchcheck")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building benchcheck: %v\n%s", err, out)
 	}
-	report := goldenIncrementalReport()
-	report.Cells = append(report.Cells, report.Cells[0])
-	report.Cells[1].ColdMS, report.Cells[1].DeltaMS = 30, 20 // 1.5x
-	raw, err := json.Marshal(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := filepath.Join(dir, "got.json")
-	if err := os.WriteFile(got, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	exitCode := func(args ...string) (int, string) {
+	return func(args ...string) (int, string) {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		if err == nil {
 			return 0, string(out)
@@ -348,126 +330,141 @@ func TestCLIIncrementalSpeedupGate(t *testing.T) {
 		}
 		return ee.ExitCode(), string(out)
 	}
-	if code, out := exitCode("-kind", "incremental", "-got", got, "-min-speedup", "1.0"); code != 0 ||
+}
+
+// writeReport writes r as a report file in dir.
+func writeReport(t *testing.T, dir, name string, r *bench.Report) string {
+	t.Helper()
+	raw, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCLIIncrementalSpeedupGate runs the real binary the way the
+// multi-core CI job does: no golden file, one floor for every cell.
+func TestCLIIncrementalSpeedupGate(t *testing.T) {
+	run := buildBenchcheck(t)
+	report, _ := readGolden(t, goldens[2].path)
+	report.Cells = report.Cells[:2]
+	report.Cells[0].RefMS, report.Cells[0].SubjectMS = 80, 40 // 2.0x
+	report.Cells[1].RefMS, report.Cells[1].SubjectMS = 30, 20 // 1.5x
+	got := writeReport(t, t.TempDir(), "got.json", report)
+	if code, out := run("-got", got, "-min-speedup", "1.0"); code != 0 ||
 		!strings.Contains(out, "2 cells pass the speedup gate") {
 		t.Fatalf("passing report: exit %d\n%s", code, out)
 	}
-	if code, out := exitCode("-kind", "incremental", "-got", got, "-min-speedup", "1.6"); code != 1 ||
+	if code, out := run("-got", got, "-min-speedup", "1.6"); code != 1 ||
 		!strings.Contains(out, "1.50x below the 1.60x floor") {
 		t.Fatalf("slow cell: exit %d\n%s", code, out)
 	}
-	if code, out := exitCode("-kind", "incremental", "-got", got, "-min-speedup", "basic=1.0"); code != 2 {
-		t.Fatalf("per-algorithm floor for -kind incremental: exit %d\n%s", code, out)
+	if code, out := run("-got", got, "-min-speedup", "basic=1.0"); code != 1 ||
+		!strings.Contains(out, "no report cell matches any -min-speedup floor") {
+		t.Fatalf("per-algorithm floor on cells without an algorithm: exit %d\n%s", code, out)
 	}
-	if code, out := exitCode("-kind", "kernel", "-got", got, "-min-speedup", "1.0"); code != 2 ||
-		!strings.Contains(out, "parallel and incremental only") {
-		t.Fatalf("-min-speedup with -kind kernel: exit %d\n%s", code, out)
-	}
-	if code, out := exitCode("-kind", "incremental", "-got", got); code != 2 {
-		t.Fatalf("incremental without -golden or -min-speedup: exit %d\n%s", code, out)
+	for _, args := range [][]string{
+		{"-got", got},
+		{"-got", got, "-min-speedup", "0"},
+	} {
+		if code, out := run(args...); code != 2 {
+			t.Errorf("%v: exit %d, want 2\n%s", args, code, out)
+		}
 	}
 }
 
+// TestCLIUnknownKindError: the report names its experiment, so -kind is
+// retired; a caller still passing it, with any kind, gets a usage error
+// (exit 2) instead of a check that silently ignores what it asked for.
+func TestCLIUnknownKindError(t *testing.T) {
+	run := buildBenchcheck(t)
+	for _, kind := range []string{"parallel", "kernel", "incremental", "sideways"} {
+		code, out := run("-kind", kind, "-golden", goldens[0].path, "-got", goldens[0].path)
+		if code != 2 || !strings.Contains(out, "flag provided but not defined: -kind") {
+			t.Errorf("-kind %s: exit %d, want 2 with a flag error\n%s", kind, code, out)
+		}
+	}
+}
+
+// TestCLIGateChecksEveryCellIdentical: a per-algorithm gate no longer
+// passes a report whose ungated cells diverged, and counts only the cells
+// it gated.
+func TestCLIGateChecksEveryCellIdentical(t *testing.T) {
+	run := buildBenchcheck(t)
+	dir := t.TempDir()
+	report, _ := readGolden(t, goldens[0].path)
+	got := writeReport(t, dir, "clean.json", report)
+	if code, out := run("-got", got, "-min-speedup", "basic=0.1"); code != 0 ||
+		!strings.Contains(out, "2 cells pass the speedup gate") {
+		t.Fatalf("clean report: exit %d\n%s", code, out)
+	}
+	cube := 0
+	for i := range report.Cells {
+		if report.Cells[i].Algo == bench.CubeIncognito.String() {
+			report.Cells[i].Identical = false
+			cube++
+		}
+	}
+	if cube != 2 {
+		t.Fatalf("golden file has %d Cube cells, want 2", cube)
+	}
+	got = writeReport(t, dir, "diverged.json", report)
+	code, out := run("-got", got, "-min-speedup", "basic=0.1")
+	if code != 1 || strings.Count(out, "parallel run was not identical to the serial run") != 2 ||
+		strings.Contains(out, "pass the speedup gate") {
+		t.Fatalf("diverged Cube cells: exit %d\n%s", code, out)
+	}
+}
+
+// TestLoaders pins what a report must be: one JSON document of the
+// schema, naming its experiment — the golden file's, when one is given —
+// with at least one cell.
 func TestLoaders(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name, content string) string {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	golden, tree := readGolden(t, goldens[0].path)
+	encode := func(edit func(map[string]any)) string {
+		_, tree := readGolden(t, goldens[0].path)
+		edit(tree)
+		raw, err := json.Marshal(tree)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return path
+		return string(raw)
 	}
-	parallelJSON, err := json.Marshal(goldenReport())
-	if err != nil {
-		t.Fatal(err)
+	if len(tree) == 0 || len(golden.Cells) == 0 {
+		t.Fatal("golden file is empty")
 	}
-	kernelJSON, err := json.Marshal(goldenKernelReport())
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name, content, experiment, err string
+	}{
+		{"valid", encode(func(map[string]any) {}), "parallel", ""},
+		{"valid, any experiment", encode(func(map[string]any) {}), "", ""},
+		{"malformed", "{not json", "", "invalid character"},
+		{"no experiment", encode(func(r map[string]any) { delete(r, "experiment") }), "", "names no experiment"},
+		{"other experiment", encode(func(r map[string]any) { r["experiment"] = "kernel" }), "parallel", "the golden file of the parallel experiment"},
+		{"no cells", encode(func(r map[string]any) { r["cells"] = []any{} }), "", "has no cells"},
+		{"undeclared report field", encode(func(r map[string]any) { r["parallelism"] = 2.0 }), "", `unknown field "parallelism"`},
+		{"undeclared cell field", encode(func(r map[string]any) { cellsOf(r)[0]["serial_ms"] = 1.0 }), "", `unknown field "serial_ms"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "_")+".json")
+			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := load(path, tc.experiment)
+			switch {
+			case tc.err == "" && (err != nil || len(r.Cells) != len(golden.Cells)):
+				t.Fatalf("refused: %v", err)
+			case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+				t.Fatalf("err = %v, want one containing %q", err, tc.err)
+			}
+		})
 	}
-	incrementalJSON, err := json.Marshal(goldenIncrementalReport())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if r, err := loadParallel(write("p.json", string(parallelJSON))); err != nil || len(r.Cells) != 1 {
-		t.Fatalf("loadParallel: %v", err)
-	}
-	if r, err := loadKernel(write("k.json", string(kernelJSON))); err != nil || len(r.Cells) != 1 {
-		t.Fatalf("loadKernel: %v", err)
-	}
-	if r, err := loadIncremental(write("i.json", string(incrementalJSON))); err != nil || len(r.Cells) != 1 {
-		t.Fatalf("loadIncremental: %v", err)
-	}
-
-	missing := filepath.Join(dir, "no-such-file.json")
-	garbage := write("garbage.json", "{not json")
-	empty := write("empty.json", "{}")
-	if _, err := loadParallel(missing); err == nil {
-		t.Error("loadParallel accepted a missing file")
-	}
-	if _, err := loadKernel(garbage); err == nil {
-		t.Error("loadKernel accepted malformed JSON")
-	}
-	if _, err := loadParallel(empty); err == nil {
-		t.Error("loadParallel accepted a cell-less report")
-	}
-	if _, err := loadKernel(empty); err == nil {
-		t.Error("loadKernel accepted a cell-less report")
-	}
-	if _, err := loadIncremental(garbage); err == nil {
-		t.Error("loadIncremental accepted malformed JSON")
-	}
-	if _, err := loadIncremental(empty); err == nil {
-		t.Error("loadIncremental accepted a cell-less report")
-	}
-}
-
-// TestKindUsageListsEveryKind pins the single source of truth for report
-// kinds: the -kind flag help and the unknown-kind error must both name
-// every valid kind, exactly as a caller would type it.
-func TestKindUsageListsEveryKind(t *testing.T) {
-	list := kindList()
-	for _, k := range validKinds {
-		if !strings.Contains(list, k) {
-			t.Errorf("kindList() = %q omits %q", list, k)
-		}
-	}
-	if want := "parallel, kernel, or incremental"; list != want {
-		t.Errorf("kindList() = %q, want %q", list, want)
-	}
-}
-
-// TestCLIUnknownKindError runs the real binary: a bogus -kind must exit 2
-// and the error must enumerate every kind a caller could have meant, while
-// each valid kind must get past the kind check (failing later, on the
-// missing report files, with a different message).
-func TestCLIUnknownKindError(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "benchcheck")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building benchcheck: %v\n%s", err, out)
-	}
-	out, err := exec.Command(bin, "-kind", "sideways", "-golden", "g.json", "-got", "x.json").CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("bogus -kind: err %v (out %q), want exit 2", err, out)
-	}
-	if !strings.Contains(string(out), `unknown -kind "sideways"`) {
-		t.Errorf("error %q does not name the bad kind", out)
-	}
-	for _, k := range validKinds {
-		if !strings.Contains(string(out), k) {
-			t.Errorf("error %q omits valid kind %q", out, k)
-		}
-	}
-	for _, k := range validKinds {
-		out, err := exec.Command(bin, "-kind", k, "-golden", "missing.json", "-got", "missing.json").CombinedOutput()
-		if err == nil {
-			t.Fatalf("-kind %s with missing files succeeded", k)
-		}
-		if strings.Contains(string(out), "unknown -kind") {
-			t.Errorf("-kind %s rejected as unknown:\n%s", k, out)
-		}
+	if _, err := load(filepath.Join(dir, "no-such-file.json"), ""); err == nil {
+		t.Error("accepted a missing file")
 	}
 }

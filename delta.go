@@ -6,8 +6,6 @@ import (
 	"fmt"
 
 	"incognito/internal/core"
-	"incognito/internal/hierarchy"
-	"incognito/internal/relation"
 	"incognito/internal/resilience"
 )
 
@@ -157,7 +155,13 @@ func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *R
 	attrs, names, specs, err := bindQISpecs(edited, qi)
 	var added, removed []core.DeltaRow
 	if err == nil {
-		added, removed, err = deltaRowsFor(edited, qi, specs, add, del)
+		cols := make([]int, len(attrs))
+		for i, a := range attrs {
+			cols[i] = a.Col
+		}
+		if added, removed, err = core.DeltaRows(cols, specs, add, del); err != nil {
+			err = fmt.Errorf("incognito: %w", err)
+		}
 	}
 	sp.End()
 	if err != nil {
@@ -195,65 +199,4 @@ func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *R
 		out.Counters = *r.Delta
 	}
 	return out, nil
-}
-
-// runStateOf assembles the persistent state of a completed cold run: F0
-// rendered as strings, plus every record the capture observed.
-func runStateOf(in *core.Input, capture *core.StateCapture, alg string) *RunState {
-	cols := make([]string, len(in.QI))
-	for i, q := range in.QI {
-		cols[i] = q.H.Attr()
-	}
-	return &resilience.RunState{
-		Fingerprint: in.Fingerprint(alg),
-		Cols:        cols,
-		K:           in.K,
-		MaxSuppress: in.MaxSuppress,
-		Rows:        in.Table.NumRows(),
-		Base:        core.CaptureBase(in),
-		Records:     capture.Records(),
-	}
-}
-
-// deltaRowsFor pre-generalizes the full-schema added and removed rows
-// through the QI's specs bound to a scratch dictionary holding exactly the
-// delta rows' values. The scratch binding is what lets a DELETED value
-// generalize even when it no longer occurs in the edited table (and so is
-// absent from its dictionaries): the level functions are pure functions of
-// the base string, so any binding yields the same generalized values.
-func deltaRowsFor(edited *Table, qi []QI, specs []*hierarchy.Spec, add, del [][]string) (added, removed []core.DeltaRow, err error) {
-	rows := append(append([][]string(nil), add...), del...)
-	if len(rows) == 0 {
-		return nil, nil, nil
-	}
-	out := make([]core.DeltaRow, len(rows))
-	for r := range out {
-		out[r].Gen = make([][]string, len(qi))
-	}
-	for d, q := range qi {
-		col := edited.rel.ColumnIndex(q.Column)
-		if col < 0 {
-			return nil, nil, fmt.Errorf("incognito: table has no column %q", q.Column)
-		}
-		dict := relation.NewDict()
-		for _, row := range rows {
-			dict.Encode(row[col])
-		}
-		h, err := specs[d].Bind(dict)
-		if err != nil {
-			return nil, nil, fmt.Errorf("incognito: attribute %q: %w", q.Column, err)
-		}
-		for r, row := range rows {
-			gen := make([]string, h.Height()+1)
-			for l := 0; l <= h.Height(); l++ {
-				g, err := h.GeneralizeValue(l, row[col])
-				if err != nil {
-					return nil, nil, fmt.Errorf("incognito: attribute %q: %w", q.Column, err)
-				}
-				gen[l] = g
-			}
-			out[r].Gen[d] = gen
-		}
-	}
-	return out[:len(add)], out[len(add):], nil
 }

@@ -1,8 +1,11 @@
 // Package bench is the experiment harness behind §4 of the paper: it runs
 // one (dataset, quasi-identifier size, k, algorithm) cell, measures elapsed
 // time and the work counters, and formats the sweeps that regenerate each
-// figure. cmd/bench drives it from the command line; the repository-root
-// benchmark suite drives it from testing.B.
+// figure. Beyond the paper, its comparison experiments (parallel, kernel,
+// incremental) time a reference run against a subject run of each cell and
+// report in one schema (Report, Cell) that cmd/benchcheck gates. cmd/bench
+// drives it from the command line; the repository-root benchmark suite
+// drives it from testing.B.
 package bench
 
 import (
@@ -20,18 +23,15 @@ import (
 
 // Obs bundles the optional observability and resilience instruments a cell
 // runs under: a span tracer, live progress counters, runtime-metrics
-// histograms, a checkpointer (with an optional snapshot to resume from),
-// and a memory-budget accountant. The zero value disables all of them;
-// each field is independently optional (nil handles are no-ops), so
-// callers opt into exactly the instruments they need. Instruments never
+// histograms, and a memory-budget accountant. The zero value disables all
+// of them; each field is independently optional (nil handles are no-ops),
+// so callers opt into exactly the instruments they need. Instruments never
 // change Solutions or Stats; Budget can (it degrades the run under memory
 // pressure), which is the point.
 type Obs struct {
 	Tracer   *trace.Tracer
 	Progress *telemetry.Progress
 	Metrics  *telemetry.RunMetrics
-	Check    *resilience.Checkpointer
-	Resume   *resilience.Snapshot
 	Budget   *resilience.Accountant
 }
 
@@ -98,7 +98,7 @@ type Measurement struct {
 	QISize      int
 	K           int64
 	Parallelism int // the Input.Parallelism knob the cell ran with
-	Workers     int // the effective worker bound (knob clamped to GOMAXPROCS)
+	Workers     int // the worker bound the run used (core.Input.Workers)
 	Elapsed     time.Duration
 	BuildTime   time.Duration // cube pre-computation, separated as in Fig. 12
 	AnonTime    time.Duration // anonymization excluding cube build
@@ -107,57 +107,39 @@ type Measurement struct {
 	MinHeight   int
 }
 
+// Mode is how a run executes. Solutions and Stats are identical in every
+// mode; only the elapsed time changes.
+type Mode struct {
+	// Parallelism bounds the run's workers: 0 = GOMAXPROCS, 1 = sequential,
+	// n = at most n workers.
+	Parallelism int
+	// Sparse forces the reference sparse map kernel instead of the adaptive
+	// dense mixed-radix one.
+	Sparse bool
+}
+
+// Sequential is the reference mode every paper figure is regenerated with.
+var Sequential = Mode{Parallelism: 1}
+
 // Run executes one cell: the given algorithm on the first qiSize attributes
-// of the dataset at anonymity parameter k, strictly sequentially — the
-// reference configuration every paper figure is regenerated with.
-func Run(d *dataset.Dataset, qiSize int, k int64, algo Algo) (Measurement, error) {
-	return RunParallel(d, qiSize, k, algo, 1)
-}
-
-// RunParallel is Run with an explicit intra-run parallelism bound
-// (0 = GOMAXPROCS, 1 = sequential, n = at most n workers). Solutions and
-// Stats are identical at every setting; only Elapsed changes.
-func RunParallel(d *dataset.Dataset, qiSize int, k int64, algo Algo, parallelism int) (Measurement, error) {
-	return RunCell(context.Background(), Obs{}, d, qiSize, k, algo, parallelism)
-}
-
-// RunCell is the fully instrumented cell runner: RunParallel with a
-// cancellation context and an optional observability bundle (the zero Obs
-// disables all instruments). Cancelling ctx mid-cell returns an error
-// wrapping ctx.Err().
-func RunCell(ctx context.Context, obs Obs, d *dataset.Dataset, qiSize int, k int64, algo Algo, parallelism int) (Measurement, error) {
-	return RunCellKernel(ctx, obs, d, qiSize, k, algo, parallelism, false)
-}
-
-// RunCellKernel is RunCell with an explicit frequency-set kernel selection:
-// sparseKernel forces the reference sparse map representation instead of
-// the adaptive dense mixed-radix kernel. Solutions and Stats are identical
-// either way; the -experiment kernel sweep measures the difference.
-func RunCellKernel(ctx context.Context, obs Obs, d *dataset.Dataset, qiSize int, k int64, algo Algo, parallelism int, sparseKernel bool) (Measurement, error) {
+// of the dataset at anonymity parameter k, in the given mode, under ctx and
+// the instruments in obs (the zero Obs disables them all). Cancelling ctx
+// mid-cell returns an error wrapping ctx.Err().
+func Run(ctx context.Context, obs Obs, d *dataset.Dataset, qiSize int, k int64, algo Algo, mode Mode) (Measurement, error) {
 	cols, hs, err := d.QISubset(qiSize)
 	if err != nil {
 		return Measurement{}, err
 	}
 	in := core.NewInput(d.Table, cols, hs, k, 0)
-	in.Parallelism = parallelism
-	in.SparseKernel = sparseKernel
+	in.Parallelism = mode.Parallelism
+	in.SparseKernel = mode.Sparse
 	in.Ctx = ctx
 	in.Trace = obs.Tracer
 	in.Progress = obs.Progress
 	in.Metrics = obs.Metrics
 	in.Budget = obs.Budget
-	// Checkpoint/resume applies to the Incognito-variant cells only (the
-	// baselines have no resumable frontier), and a resume snapshot is handed
-	// to exactly the cell it was written by — a sweep that was killed mid-cell
-	// reruns the earlier cells fresh and resumes the interrupted one.
-	if algo == BasicIncognito || algo == SuperRootsIncognito || algo == CubeIncognito {
-		in.Check = obs.Check
-		if obs.Resume != nil && in.SnapshotMatches(obs.Resume, algo.String()) {
-			in.Resume = obs.Resume
-		}
-	}
 	m := Measurement{Dataset: d.Name, Algo: algo, QISize: qiSize, K: k,
-		Parallelism: parallelism, Workers: in.Workers()}
+		Parallelism: mode.Parallelism, Workers: in.Workers()}
 
 	cell := obs.Tracer.Start("cell")
 	cell.SetAttr("dataset", d.Name)

@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,11 +13,50 @@ import (
 
 func small() *dataset.Dataset { return dataset.Adults(400, 1) }
 
+// checkRenders smoke-tests a comparison report's two output formats: the
+// JSON decodes strictly back into the same report, every cell is
+// identical, and the table carries one line per cell plus each of wants.
+func checkRenders(t *testing.T, r *Report, wants ...string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(&buf)
+	dec.DisallowUnknownFields()
+	var decoded Report
+	if err := dec.Decode(&decoded); err != nil {
+		t.Fatalf("report is not valid JSON: %v", err)
+	}
+	if len(decoded.Cells) == 0 || !reflect.DeepEqual(decoded.Cells[0].Counters, r.Cells[0].Counters) {
+		t.Fatalf("decoded report lost its cells: %+v", decoded)
+	}
+	for _, c := range r.Cells {
+		if !c.Identical {
+			t.Errorf("cell %s: not identical", c.Key())
+		}
+	}
+
+	buf.Reset()
+	if err := r.WriteTable(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if lines := strings.Count(out, "\n"); lines != 1+len(r.Cells) {
+		t.Errorf("table has %d lines, want a header and %d cells:\n%s", lines, len(r.Cells), out)
+	}
+	for _, want := range wants {
+		if !strings.Contains(out, want) {
+			t.Errorf("table output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestRunAllAlgorithmsAgree(t *testing.T) {
 	d := small()
 	var wantSolutions, wantMin int
 	for i, a := range AllAlgos {
-		m, err := Run(d, 3, 2, a)
+		m, err := Run(context.Background(), Obs{}, d, 3, 2, a, Sequential)
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
@@ -42,7 +83,7 @@ func TestRunAllAlgorithmsAgree(t *testing.T) {
 
 func TestRunCubeSeparatesPhases(t *testing.T) {
 	d := small()
-	m, err := Run(d, 4, 2, CubeIncognito)
+	m, err := Run(context.Background(), Obs{}, d, 4, 2, CubeIncognito, Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,16 +97,16 @@ func TestRunCubeSeparatesPhases(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	d := small()
-	if _, err := Run(d, 0, 2, BasicIncognito); err == nil {
+	if _, err := Run(context.Background(), Obs{}, d, 0, 2, BasicIncognito, Sequential); err == nil {
 		t.Fatal("QI size 0 accepted")
 	}
-	if _, err := Run(d, 99, 2, BasicIncognito); err == nil {
+	if _, err := Run(context.Background(), Obs{}, d, 99, 2, BasicIncognito, Sequential); err == nil {
 		t.Fatal("oversized QI accepted")
 	}
-	if _, err := Run(d, 3, 0, BasicIncognito); err == nil {
+	if _, err := Run(context.Background(), Obs{}, d, 3, 0, BasicIncognito, Sequential); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := Run(d, 3, 2, Algo(42)); err == nil {
+	if _, err := Run(context.Background(), Obs{}, d, 3, 2, Algo(42), Sequential); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }

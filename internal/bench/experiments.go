@@ -46,7 +46,7 @@ func Fig10(ctx context.Context, obs Obs, d *dataset.Dataset, k int64, qiMin, qiM
 	for qi := qiMin; qi <= qiMax; qi++ {
 		row := make([]*Measurement, len(algos))
 		for i, a := range algos {
-			m, err := RunCell(ctx, obs, d, qi, k, a, 1)
+			m, err := Run(ctx, obs, d, qi, k, a, Sequential)
 			if err != nil {
 				return nil, err
 			}
@@ -81,7 +81,7 @@ func Fig11(ctx context.Context, obs Obs, d *dataset.Dataset, qiSize int, ks []in
 			if o, ok := qiOverride[a]; ok {
 				qi = o
 			}
-			m, err := RunCell(ctx, obs, d, qi, k, a, 1)
+			m, err := Run(ctx, obs, d, qi, k, a, Sequential)
 			if err != nil {
 				return nil, err
 			}
@@ -104,11 +104,11 @@ func NodesTable(ctx context.Context, obs Obs, d *dataset.Dataset, k int64, qiMin
 		ColNames: []string{"Bottom-Up", "Incognito"},
 	}
 	for qi := qiMin; qi <= qiMax; qi++ {
-		bu, err := RunCell(ctx, obs, d, qi, k, BottomUpRollup, 1)
+		bu, err := Run(ctx, obs, d, qi, k, BottomUpRollup, Sequential)
 		if err != nil {
 			return nil, err
 		}
-		inc, err := RunCell(ctx, obs, d, qi, k, BasicIncognito, 1)
+		inc, err := Run(ctx, obs, d, qi, k, BasicIncognito, Sequential)
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +128,7 @@ func Fig12(ctx context.Context, obs Obs, d *dataset.Dataset, k int64, qiMin, qiM
 		ColNames: []string{"Cube Build Time", "Anonymization Time", "Total"},
 	}
 	for qi := qiMin; qi <= qiMax; qi++ {
-		m, err := RunCell(ctx, obs, d, qi, k, CubeIncognito, 1)
+		m, err := Run(ctx, obs, d, qi, k, CubeIncognito, Sequential)
 		if err != nil {
 			return nil, err
 		}

@@ -1,54 +1,52 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"strings"
+	"reflect"
 	"testing"
 )
 
-// TestIncrementalCellsIdenticalAndBounded is the tentpole's acceptance
+// TestIncrementalCellsIdenticalAndBounded is the delta runs' acceptance
 // contract at bench scale: on a small Adults sample, every delta cell
 // (kernel × parallelism) reproduces the cold run's solutions and Stats
 // bit for bit while re-scanning at most 10% of the cold run's rows and
 // revalidating at most 10% of its nodes.
 func TestIncrementalCellsIdenticalAndBounded(t *testing.T) {
-	d := small()
-	cells, err := Incremental(context.Background(), Obs{}, d, 4, 2, nil)
+	r, err := Compare(context.Background(), Obs{}, "incremental", []Workload{{small(), 4, 2}}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := r.Cells
 	if len(cells) != 4 {
 		t.Fatalf("got %d cells, want 4 (kernel {auto,sparse} × parallelism {1,2})", len(cells))
 	}
 	for _, c := range cells {
 		name := c.Kernel + "/p=" + string(rune('0'+c.Parallelism))
+		n := c.Counters
 		if !c.Identical {
 			t.Errorf("%s: delta run diverged from the cold run", name)
 		}
-		if c.Solutions <= 0 {
+		if n["solutions"] <= 0 {
 			t.Errorf("%s: no solutions recorded", name)
 		}
-		if c.AddedRows == 0 || c.RemovedRows == 0 {
-			t.Errorf("%s: empty delta (added=%d removed=%d)", name, c.AddedRows, c.RemovedRows)
+		if n["added_rows"] == 0 || n["removed_rows"] == 0 {
+			t.Errorf("%s: empty delta (added=%d removed=%d)", name, n["added_rows"], n["removed_rows"])
 		}
-		if c.RowRescanRatio <= 0 || c.RowRescanRatio > 0.10 {
-			t.Errorf("%s: row rescan ratio %.4f outside (0, 0.10]", name, c.RowRescanRatio)
+		if r := c.Info["row_rescan_ratio"]; r <= 0 || r > 0.10 {
+			t.Errorf("%s: row rescan ratio %.4f outside (0, 0.10]", name, r)
 		}
-		if c.NodeRevalidationRatio < 0 || c.NodeRevalidationRatio > 0.10 {
-			t.Errorf("%s: node revalidation ratio %.4f outside [0, 0.10]", name, c.NodeRevalidationRatio)
+		if r := c.Info["node_revalidation_ratio"]; r < 0 || r > 0.10 {
+			t.Errorf("%s: node revalidation ratio %.4f outside [0, 0.10]", name, r)
 		}
-		if c.NodesScreened+c.NodesRevalidated != int64(c.NodesChecked) {
+		if n["nodes_screened"]+n["nodes_revalidated"] != n["nodes_checked"] {
 			t.Errorf("%s: screened %d + revalidated %d != nodes checked %d",
-				name, c.NodesScreened, c.NodesRevalidated, c.NodesChecked)
+				name, n["nodes_screened"], n["nodes_revalidated"], n["nodes_checked"])
 		}
 	}
 	// The deterministic counters must not depend on the kernel or the
 	// worker count — only the timings may differ across cells.
 	for _, c := range cells[1:] {
-		a, b := cells[0], c
-		a.Kernel, a.Parallelism, a.ColdMS, a.DeltaMS, a.Speedup = b.Kernel, b.Parallelism, b.ColdMS, b.DeltaMS, b.Speedup
-		if a != b {
+		if !reflect.DeepEqual(c.Counters, cells[0].Counters) || !reflect.DeepEqual(c.Info, cells[0].Info) {
 			t.Errorf("counters differ between cells:\n  %+v\n  %+v", cells[0], c)
 		}
 	}
@@ -56,27 +54,9 @@ func TestIncrementalCellsIdenticalAndBounded(t *testing.T) {
 
 // TestIncrementalReportRenders smoke-tests both output formats.
 func TestIncrementalReportRenders(t *testing.T) {
-	d := small()
-	r := NewIncrementalReport()
-	cells, err := Incremental(context.Background(), Obs{}, d, 3, 2, nil)
+	r, err := Compare(context.Background(), Obs{}, "incremental", []Workload{{small(), 3, 2}}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Cells = cells
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"\"delta_every\"", "\"rows_rescanned\"", "\"row_rescan_ratio\"", "\"identical\""} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("JSON output missing %s", want)
-		}
-	}
-	buf.Reset()
-	if err := r.WriteTable(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "identical=true") {
-		t.Errorf("table output missing identical=true:\n%s", buf.String())
-	}
+	checkRenders(t, r, "incremental experiment: cold vs delta", "delta_every=200", "kernel=sparse parallelism=2", "row_rescan_ratio=")
 }

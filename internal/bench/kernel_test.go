@@ -1,30 +1,37 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"strings"
 	"testing"
 )
+
+// kernelCells runs the kernel experiment on a small Adults sample.
+func kernelCells(t *testing.T, qi int, algos []Algo) []Cell {
+	t.Helper()
+	r, err := Compare(context.Background(), Obs{}, "kernel", []Workload{{small(), qi, 2}}, Options{Algos: algos}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Cells
+}
 
 // TestKernelCellsIdentical runs the end-to-end kernel comparison on a
 // small Adults sample and requires the dense kernel to reproduce the
 // sparse kernel's results exactly in every cell.
 func TestKernelCellsIdentical(t *testing.T) {
-	d := small()
 	algos := []Algo{BasicIncognito, SuperRootsIncognito, CubeIncognito}
-	cells, err := Kernel(context.Background(), Obs{}, d, 4, 2, algos, nil)
-	if err != nil {
-		t.Fatal(err)
+	cells := kernelCells(t, 4, algos)
+	if len(cells) != len(algos)+2 {
+		t.Fatalf("got %d cells, want %d (one per algorithm, then scan and rollup)", len(cells), len(algos)+2)
 	}
-	if len(cells) != len(algos) {
-		t.Fatalf("got %d cells, want %d", len(cells), len(algos))
-	}
-	for _, c := range cells {
+	for i, c := range cells[:len(algos)] {
+		if c.Algo != algos[i].String() {
+			t.Errorf("cell %d: algo %q, want %q", i, c.Algo, algos[i])
+		}
 		if !c.Identical {
 			t.Errorf("%s: dense kernel diverged from sparse", c.Algo)
 		}
-		if c.Solutions <= 0 {
+		if c.Counters["solutions"] <= 0 {
 			t.Errorf("%s: no solutions recorded", c.Algo)
 		}
 	}
@@ -35,56 +42,35 @@ func TestKernelCellsIdentical(t *testing.T) {
 // kernels agree on the scan and the rollup, with the dense per-tuple hot
 // path allocation-free.
 func TestKernelMicrosAreDenseEligibleAndIdentical(t *testing.T) {
-	d := small()
-	micros, err := KernelMicros(d, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(micros) != 2 {
-		t.Fatalf("got %d micro rows, want 2 (scan, rollup)", len(micros))
+	micros := kernelCells(t, 4, nil)
+	if len(micros) != 2 || micros[0].Op != "scan" || micros[1].Op != "rollup" {
+		t.Fatalf("got %+v, want two micro rows (scan, rollup)", micros)
 	}
 	for _, m := range micros {
-		if !m.DenseEligible {
-			t.Errorf("%s: layout %v (%d cells) is not dense-eligible", m.Op, m.Levels, m.Cells)
+		if m.Counters["dense_eligible"] != 1 {
+			t.Errorf("%s: layout %v (%d cells) is not dense-eligible", m.Op, m.Levels, m.Counters["cells"])
 		}
 		if !m.Identical {
 			t.Errorf("%s: kernels disagree", m.Op)
 		}
-		if m.Groups <= 0 {
+		if m.Counters["groups"] <= 0 {
 			t.Errorf("%s: no groups", m.Op)
 		}
-		if m.DenseAddAllocsPerOp != 0 {
-			t.Errorf("%s: dense Add allocates %.2f objects/op, want 0", m.Op, m.DenseAddAllocsPerOp)
+		if a := m.Counters["dense_add_allocs_per_op"]; a != 0 {
+			t.Errorf("%s: dense Add allocates %d objects/op, want 0", m.Op, a)
 		}
+	}
+	if _, ok := micros[0].Counters["dense_add_allocs_per_op"]; !ok {
+		t.Error("scan row does not pin dense_add_allocs_per_op")
 	}
 }
 
 // TestKernelReportRenders smoke-tests both output formats.
 func TestKernelReportRenders(t *testing.T) {
-	d := small()
-	r := NewKernelReport()
-	cells, err := Kernel(context.Background(), Obs{}, d, 3, 2, []Algo{BasicIncognito}, nil)
+	r, err := Compare(context.Background(), Obs{}, "kernel", []Workload{{small(), 3, 2}},
+		Options{Algos: []Algo{BasicIncognito}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Cells = cells
-	micros, err := KernelMicros(d, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Micro = micros
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "\"dense_max_cells\"") {
-		t.Fatal("JSON report missing dense_max_cells")
-	}
-	buf.Reset()
-	if err := r.WriteTable(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "kernel") {
-		t.Fatal("table report missing header")
-	}
+	checkRenders(t, r, "kernel experiment: sparse vs dense", "dense_max_cells=", "op=scan", "op=rollup")
 }

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"strings"
 	"testing"
 
 	"incognito/internal/dataset"
@@ -17,60 +14,34 @@ import (
 func TestParallelExperimentCells(t *testing.T) {
 	d := dataset.Adults(300, 7)
 	algos := []Algo{BasicIncognito, CubeIncognito}
-	cells, err := Parallel(context.Background(), Obs{}, d, 4, 2, algos, 2, nil)
+	r, err := Compare(context.Background(), Obs{}, "parallel", []Workload{{d, 4, 2}}, Options{Algos: algos, Parallelism: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != len(algos) {
-		t.Fatalf("got %d cells, want %d", len(cells), len(algos))
+	if len(r.Cells) != len(algos) || r.Info["parallelism"] != 2 {
+		t.Fatalf("got %d cells and info %v, want %d cells at parallelism 2", len(r.Cells), r.Info, len(algos))
 	}
-	for _, c := range cells {
+	for _, c := range r.Cells {
 		if !c.Identical {
 			t.Errorf("%s: parallel run diverged from the serial run", c.Algo)
 		}
-		if c.GOMAXPROCS < 1 || c.Workers < 1 || c.Rows != d.Table.NumRows() {
+		if c.Info["gomaxprocs"] < 1 || c.Info["workers"] < 1 || c.Rows != d.Table.NumRows() {
 			t.Errorf("%s: implausible environment fields %+v", c.Algo, c)
 		}
-		if c.SerialMS < 0 || c.ParallelMS < 0 || c.Utilization < 0 || c.Utilization > 1 {
+		if u := c.Info["utilization"]; c.RefMS < 0 || c.SubjectMS < 0 || u < 0 || u > 1 {
 			t.Errorf("%s: out-of-range timing fields %+v", c.Algo, c)
 		}
-		if c.Solutions == 0 || c.Candidates == 0 {
+		if c.Counters["solutions"] == 0 || c.Counters["candidates"] == 0 {
 			t.Errorf("%s: empty work counters %+v", c.Algo, c)
 		}
 	}
 }
 
 func TestParallelReportRenders(t *testing.T) {
-	d := dataset.Adults(200, 7)
-	cells, err := Parallel(context.Background(), Obs{}, d, 3, 2, []Algo{BasicIncognito}, 2, nil)
+	r, err := Compare(context.Background(), Obs{}, "parallel", []Workload{{dataset.Adults(200, 7), 3, 2}},
+		Options{Algos: []Algo{BasicIncognito}, Parallelism: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	report := NewParallelReport(2)
-	report.Cells = cells
-	if report.GOMAXPROCS < 1 || report.Parallelism != 2 {
-		t.Fatalf("bad report header %+v", report)
-	}
-
-	var buf bytes.Buffer
-	if err := report.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var decoded ParallelReport
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if len(decoded.Cells) != 1 || !decoded.Cells[0].Identical {
-		t.Fatalf("decoded report lost its cell: %+v", decoded)
-	}
-
-	buf.Reset()
-	if err := report.WriteTable(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Serial vs parallel", "Basic Incognito", "identical=true", "workers="} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("table output missing %q:\n%s", want, buf.String())
-		}
-	}
+	checkRenders(t, r, "parallel experiment: serial vs parallel", "algo=Basic Incognito", "identical=true", "workers=")
 }

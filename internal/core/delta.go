@@ -46,6 +46,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"incognito/internal/hierarchy"
 	"incognito/internal/lattice"
 	"incognito/internal/relation"
 	"incognito/internal/resilience"
@@ -315,6 +316,65 @@ func CaptureBase(in *Input) []resilience.BaseGroup {
 	g := codeGroups{width: len(dims), codes: make([]int32, 0, f.Len()*len(dims)), counts: make([]int64, 0, f.Len())}
 	f.Each(g.add)
 	return g.render(in.QI)
+}
+
+// RunStateOf assembles the persistent state of a completed cold run of in
+// under the named algorithm: F0 rendered as value strings (CaptureBase),
+// plus every record capture observed.
+func RunStateOf(in *Input, capture *StateCapture, algorithm string) *resilience.RunState {
+	cols := make([]string, len(in.QI))
+	for i, q := range in.QI {
+		cols[i] = q.H.Attr()
+	}
+	return &resilience.RunState{
+		Fingerprint: in.Fingerprint(algorithm),
+		Cols:        cols,
+		K:           in.K,
+		MaxSuppress: in.MaxSuppress,
+		Rows:        in.Table.NumRows(),
+		Base:        CaptureBase(in),
+		Records:     capture.Records(),
+	}
+}
+
+// DeltaRows pre-generalizes full-schema added and removed rows: cols are
+// the table columns of the QI attributes and specs their hierarchies. Each
+// spec is bound to a scratch dictionary holding exactly the delta rows'
+// values, which lets a deleted value generalize even when it no longer
+// occurs in the edited table (and so is absent from its dictionaries): the
+// level functions are pure functions of the base string, so any binding
+// yields the same generalized values.
+func DeltaRows(cols []int, specs []*hierarchy.Spec, add, del [][]string) (added, removed []DeltaRow, err error) {
+	rows := append(append([][]string(nil), add...), del...)
+	if len(rows) == 0 {
+		return nil, nil, nil
+	}
+	out := make([]DeltaRow, len(rows))
+	for r := range out {
+		out[r].Gen = make([][]string, len(cols))
+	}
+	for d, col := range cols {
+		dict := relation.NewDict()
+		for _, row := range rows {
+			dict.Encode(row[col])
+		}
+		h, err := specs[d].Bind(dict)
+		if err != nil {
+			return nil, nil, fmt.Errorf("attribute %q: %w", specs[d].Attr, err)
+		}
+		for r, row := range rows {
+			gen := make([]string, h.Height()+1)
+			for l := 0; l <= h.Height(); l++ {
+				g, err := h.GeneralizeValue(l, row[col])
+				if err != nil {
+					return nil, nil, fmt.Errorf("attribute %q: %w", specs[d].Attr, err)
+				}
+				gen[l] = g
+			}
+			out[r].Gen[d] = gen
+		}
+	}
+	return out[:len(add)], out[len(add):], nil
 }
 
 // DeltaRow is one added or removed row of a delta, pre-generalized:

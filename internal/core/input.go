@@ -348,14 +348,6 @@ func (in *Input) releaseFreq(f *relation.FreqSet) {
 	}
 }
 
-// SnapshotMatches reports whether snap was written by a run over this exact
-// problem instance under the named algorithm (a Variant or Algo String).
-// Harnesses sweeping many configurations against one shared snapshot use it
-// to resume only the cell the snapshot belongs to.
-func (in *Input) SnapshotMatches(snap *resilience.Snapshot, algorithm string) bool {
-	return snap != nil && snap.Fingerprint.Equal(in.Fingerprint(algorithm))
-}
-
 // Fingerprint pins a checkpoint to this exact problem instance: algorithm,
 // lattice shape, parameters, and an FNV-1a hash of the table's QI columns,
 // so a snapshot can never be resumed against different data. It is also

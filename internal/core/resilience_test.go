@@ -200,18 +200,6 @@ func TestResumeRejectsMismatchedFingerprint(t *testing.T) {
 			t.Fatal("resume with different k succeeded")
 		}
 	})
-	t.Run("SnapshotMatches", func(t *testing.T) {
-		in := base
-		if !in.SnapshotMatches(snap, Basic.String()) {
-			t.Error("SnapshotMatches rejects the snapshot's own configuration")
-		}
-		if in.SnapshotMatches(snap, Cube.String()) {
-			t.Error("SnapshotMatches accepts a different algorithm")
-		}
-		if in.SnapshotMatches(nil, Basic.String()) {
-			t.Error("SnapshotMatches accepts a nil snapshot")
-		}
-	})
 }
 
 // TestResumeRejectsInconsistentSnapshot: structurally corrupt snapshots
