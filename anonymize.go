@@ -59,13 +59,14 @@ type RunMetrics = telemetry.RunMetrics
 // panic value and stack attached.
 type PanicError = resilience.PanicError
 
-// Checkpointer writes versioned, checksummed search-frontier snapshots with
-// atomic replace semantics; pass one in Config.Checkpoint. Create with
-// NewCheckpointer, reload a snapshot with LoadCheckpoint.
+// Checkpointer writes versioned, checksummed snapshots of a run's node
+// verdicts with atomic replace semantics; pass one in Config.Checkpoint.
+// Create with NewCheckpointer, reload a snapshot with LoadCheckpoint.
 type Checkpointer = resilience.Checkpointer
 
 // Snapshot is one saved checkpoint of a run, as written by a Checkpointer
-// and reloaded by LoadCheckpoint; pass it in Config.Resume.
+// and reloaded by LoadCheckpoint: the run's fingerprint and the pass/fail
+// verdict of every lattice node it had checked. Pass it in Config.Resume.
 type Snapshot = resilience.Snapshot
 
 // MemoryAccountant tracks the run's long-lived frequency-set bytes against
@@ -222,17 +223,22 @@ type Config struct {
 	// observations (frequency-set sizes, rollup fan-in). nil disables them
 	// with zero overhead.
 	Metrics *RunMetrics
-	// Checkpoint, when non-nil, saves the search frontier after every
-	// breadth-first level, candidate family, and subset-size iteration, so a
+	// Checkpoint, when non-nil, saves the verdict of every node checked so
+	// far after every breadth-first level (sequential search), completed
+	// candidate family (parallel search), and subset-size iteration, so a
 	// killed run can resume with Resume. Only the Incognito variants
 	// checkpoint; combining it with a baseline algorithm is an error. nil
 	// disables checkpointing with zero overhead.
 	Checkpoint *Checkpointer
-	// Resume, when non-nil, restarts the run from a snapshot written by a
-	// previous run's Checkpoint. The snapshot's fingerprint (table, QI
+	// Resume, when non-nil, replays a snapshot written by a previous run's
+	// Checkpoint: the run starts from the first iteration again, but every
+	// node the snapshot holds a verdict for is answered from it without
+	// building a frequency set. The snapshot's fingerprint (table, QI
 	// hierarchies, K, suppression threshold, algorithm) must match this
-	// configuration; the resumed run's Solutions and Stats are bit-identical
-	// to an uninterrupted run's.
+	// configuration, and its verdicts must name nodes of this run's lattice;
+	// the resumed run's Solutions and Stats are bit-identical to an
+	// uninterrupted run's, at any Parallelism. With Checkpoint also set, the
+	// new snapshots keep the replayed verdicts.
 	Resume *Snapshot
 	// Budget, when non-nil, is the run's memory accountant, built with
 	// NewMemoryBudget: a soft limit on the estimated bytes held in

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -118,5 +121,25 @@ func TestCLIResumeMissingSnapshotExitsOne(t *testing.T) {
 	}
 	if !strings.Contains(out, "incognito:") {
 		t.Fatalf("error output missing command prefix:\n%s", out)
+	}
+}
+
+// A snapshot in format version 1 is a runtime failure (exit 1) whose
+// message names both format versions.
+func TestCLIResumeVersionOneSnapshotExitsOne(t *testing.T) {
+	payload := `{"fingerprint":{"algorithm":"Basic Incognito","heights":[2,1,2],"k":2,"max_suppress":0,"rows":6,"table_hash":1},` +
+		`"boundary":"iteration","seq":1,"iter":1,"history":[[{"d":[0],"l":[1]}]],"stats":{"nodes_checked":5}}`
+	sum := sha256.Sum256([]byte(payload))
+	env := fmt.Sprintf(`{"version":1,"checksum":"sha256:%s","payload":%s}`, hex.EncodeToString(sum[:]), payload)
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := os.WriteFile(path, []byte(env), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code := runCLI(t, "-demo", "-k", "2", "-resume", path)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1:\n%s", code, out)
+	}
+	if !strings.Contains(out, "format version 1") || !strings.Contains(out, "reads 2") {
+		t.Errorf("error output does not name both versions:\n%s", out)
 	}
 }

@@ -435,9 +435,10 @@ func (d *DeltaRun) BaseGroups() []resilience.BaseGroup {
 }
 
 // UntouchedRecords returns the prior state's records for nodes this run
-// never visited (marked away, or behind a resumed checkpoint), each
-// patched with the delta's group contributions so the full output state
-// uniformly describes the edited table. Call after the run completes.
+// never screened or revalidated (marked away, or answered from a resumed
+// checkpoint's verdicts), each patched with the delta's group contributions
+// so the full output state uniformly describes the edited table. Call after
+// the run completes.
 func (d *DeltaRun) UntouchedRecords(in *Input) []resilience.NodeRecord {
 	st := d.st
 	var out []resilience.NodeRecord
@@ -1068,31 +1069,5 @@ func (st *deltaState) rootFromF0(in *Input, n *lattice.Node) *relation.FreqSet {
 		f.Add(codes, count)
 	}
 	st.rowsRescanned.Add(int64(in.Table.NumRows()))
-	return f
-}
-
-// force materializes the frequency set of a screened-failed node whose set
-// was deferred (freqs holds nil): it walks the rollup-parent chain down to
-// a root, builds the root from the patched base state, and rolls back up,
-// filling freqs along the way. This work re-derives what the replayed
-// Stats already charged for, so it is deliberately uncounted there.
-func (st *deltaState) force(in *Input, g *lattice.Graph, parentOf map[int]int, freqs map[int]*relation.FreqSet, n *lattice.Node) *relation.FreqSet {
-	if f, ok := freqs[n.ID]; ok && f != nil {
-		return f
-	}
-	var f *relation.FreqSet
-	if pid, ok := parentOf[n.ID]; ok {
-		parent := g.Node(pid)
-		pf := freqs[pid]
-		if pf == nil {
-			pf = st.force(in, g, parentOf, freqs, parent)
-		}
-		f = in.RollupTo(pf, n.Dims, parent.Levels, n.Levels)
-	} else {
-		f = st.rootFromF0(in, n)
-	}
-	if _, tracked := freqs[n.ID]; tracked {
-		freqs[n.ID] = f
-	}
 	return f
 }

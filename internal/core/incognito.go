@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/heap"
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -186,7 +187,7 @@ func RunWithCube(in Input, cube *CubeIndex) (res *Result, err error) {
 // run dispatches the variant's root frequency-set provider into the shared
 // outer loop.
 func run(in *Input, v Variant, cube *CubeIndex) (*Result, error) {
-	return runSearch(in, variantRootFreqMaker(in, v, cube), v.String())
+	return runSearch(in, variantRootSource(in, v, cube), v.String())
 }
 
 // runSearch is the outer loop of Fig. 8: iterate over subset sizes, search
@@ -195,13 +196,13 @@ func run(in *Input, v Variant, cube *CubeIndex) (*Result, error) {
 // per-component search counters) and checks the input's context, so runs
 // are observable and cancellable at every subset size.
 //
-// With Input.Check set, a snapshot is saved after every completed iteration
-// (and at family/level boundaries inside each one, see searchGraphFamilies)
-// and cleared when the run completes. With Input.Resume set, completed
-// iterations are replayed from the snapshot's survivor history — candidate
-// generation and node IDs are deterministic, so the replay is exact — and
-// the interrupted iteration continues from its recorded partial state.
-func runSearch(in *Input, maker rootFreqMaker, label string) (*Result, error) {
+// With Input.Check set, a snapshot of the verdicts so far is saved after
+// every iteration but the last (and at family/level boundaries inside each
+// one, see searchGraphFamilies) and cleared when the run completes. With
+// Input.Resume set, the run still starts at the first iteration, but every
+// node the snapshot holds a verdict for is answered from it (see
+// resume.go).
+func runSearch(in *Input, maker rootSourceMaker, label string) (*Result, error) {
 	sp := in.StartSpan("search")
 	sp.SetAttr("algorithm", label)
 	in.Progress.SetPhase(label)
@@ -209,45 +210,24 @@ func runSearch(in *Input, maker rootFreqMaker, label string) (*Result, error) {
 	if in.Delta != nil {
 		defer func() { sp.Add(CounterDeltaScreenNS, in.Delta.st.screenNS.Load()) }()
 	}
+	rp, err := newReplay(in, label)
+	if err != nil {
+		return nil, err
+	}
+	if in.Resume != nil {
+		sp.SetAttr("resumed_verdicts", len(in.Resume.Verdicts))
+	}
+	ctx := in.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	var stats Stats
 	n := len(in.QI)
 	ids := lattice.NewIDGen()
 	graph := lattice.FirstIteration(in.Heights(), ids)
 	res := &Result{}
 
-	var fp resilience.Fingerprint
-	if in.Check != nil || in.Resume != nil {
-		fp = in.Fingerprint(label)
-	}
-	var history [][]resilience.NodeKey
-	startIter := 1
-	var resumed *iterResume
-	if snap := in.Resume; snap != nil {
-		if !snap.Fingerprint.Equal(fp) {
-			return nil, fmt.Errorf("core: resume snapshot was written by a different run (snapshot: %s, k=%d, %d rows; this run: %s, k=%d, %d rows)",
-				snap.Fingerprint.Algorithm, snap.Fingerprint.K, snap.Fingerprint.Rows, fp.Algorithm, fp.K, fp.Rows)
-		}
-		if snap.Iter >= n || snap.Iter != len(snap.History) {
-			return nil, fmt.Errorf("core: corrupt resume snapshot: %d completed iterations recorded with %d history entries for a %d-iteration run",
-				snap.Iter, len(snap.History), n)
-		}
-		for it, keys := range snap.History {
-			surv, err := survivorsFromKeys(graph, keys)
-			if err != nil {
-				return nil, fmt.Errorf("core: replaying iteration %d: %w", it+1, err)
-			}
-			graph = lattice.Generate(graph, surv, ids)
-		}
-		startIter = snap.Iter + 1
-		stats = statsFromMap(snap.Stats)
-		history = append(history, snap.History...)
-		if len(snap.Families) > 0 || snap.Frontier != nil {
-			resumed = &iterResume{families: snap.Families, frontier: snap.Frontier}
-		}
-		sp.SetAttr("resumed_at_iteration", startIter)
-	}
-
-	for i := startIter; ; i++ {
+	for i := 1; ; i++ {
 		if err := in.Err(); err != nil {
 			return nil, cancelled(err)
 		}
@@ -257,33 +237,16 @@ func runSearch(in *Input, maker rootFreqMaker, label string) (*Result, error) {
 		}
 		it := sp.Start("iteration")
 		it.SetAttr("subset_size", i)
-		var rc *iterResume
-		if i == startIter {
-			rc = resumed
-		}
-		// A level-boundary snapshot's Stats already include this iteration's
-		// candidate count (see iterCkpt); every other entry path adds it here.
-		if rc == nil || rc.frontier == nil {
-			it.Add(CounterCandidates, int64(graph.Len()))
-			stats.Candidates += graph.Len()
-			in.Progress.AddCandidates(int64(graph.Len()))
-		}
-		var ck *iterCkpt
-		if in.Check != nil {
-			base := stats
-			base.Candidates -= graph.Len() // family snapshots exclude the bump
-			ck = &iterCkpt{check: in.Check, fp: fp, iter: i - 1, history: history, base: base}
-		}
+		it.Add(CounterCandidates, int64(graph.Len()))
+		stats.Candidates += graph.Len()
+		in.Progress.AddCandidates(int64(graph.Len()))
 		var proven map[int]bool
 		if in.Budget != nil {
 			proven = make(map[int]bool)
 		}
-		surv, complete, err := searchGraphFamilies(in, graph, maker, &stats, it, rc, ck, proven)
+		surv, complete, err := searchGraphFamilies(in, graph, maker, &stats, it, rp, proven)
 		it.End()
 		if err != nil {
-			return nil, err
-		}
-		if err := ck.takeErr(); err != nil {
 			return nil, err
 		}
 		if cerr := in.Err(); cerr != nil {
@@ -311,23 +274,15 @@ func runSearch(in *Input, maker rootFreqMaker, label string) (*Result, error) {
 			}
 			break
 		}
-		history = append(history, survivorKeys(graph, surv))
-		if in.Check != nil {
-			snap := &resilience.Snapshot{
-				Fingerprint: fp,
-				Boundary:    "iteration",
-				Iter:        i,
-				History:     history,
-				Stats:       statsToMap(stats),
-			}
-			if err := in.Check.Save(snap); err != nil {
-				return nil, err
-			}
+		if err := rp.save("iteration"); err != nil {
+			return nil, err
 		}
 		if cerr := in.Err(); cerr != nil {
 			return nil, cancelled(cerr)
 		}
-		graph = lattice.Generate(graph, surv, ids)
+		if graph, err = lattice.Generate(ctx, graph, surv, ids); err != nil {
+			return nil, cancelled(err)
+		}
 	}
 	SortSolutions(res.Solutions)
 	res.Stats = stats
@@ -395,15 +350,14 @@ func (q *nodeQueue) Pop() interface{} {
 // set) and roots must be exactly the members of nodes with no incoming
 // edge.
 //
-// The maker's counters go to a private sink merged into stats at the end,
-// so that on a frontier resume (fr non-nil) the restore phase — which
-// recomputes frequency sets the original run already counted before the
-// snapshot — can be discarded from the totals. ck, when non-nil, saves a
-// frontier snapshot at every breadth-first level boundary. proven, when
-// non-nil, collects the nodes known k-anonymous (checked-passed or marked),
-// the best-so-far set a budget-aborted run returns. complete is false when
-// the search bailed early (cancellation or the budget's hard stop).
-func searchComponent(in *Input, g *lattice.Graph, nodes, roots []*lattice.Node, maker rootFreqMaker, stats *Stats, ck *iterCkpt, fr *resilience.Frontier, proven map[int]bool) (surv map[int]bool, complete bool, err error) {
+// Each node is answered in one place, first from a resumed snapshot's
+// verdict, then by the delta screen, and only then by a real check.
+// levelSaves makes rp save a snapshot at every breadth-first level
+// boundary. proven, when non-nil, collects the nodes known k-anonymous
+// (checked-passed or marked), the best-so-far set a budget-aborted run
+// returns. complete is false when the search bailed early (cancellation or
+// the budget's hard stop); err is a failed save.
+func searchComponent(in *Input, g *lattice.Graph, nodes, roots []*lattice.Node, maker rootSourceMaker, stats *Stats, rp *replay, levelSaves bool, proven map[int]bool) (surv map[int]bool, complete bool, err error) {
 	surv = make(map[int]bool, len(nodes))
 	for _, n := range nodes {
 		surv[n.ID] = true
@@ -411,57 +365,68 @@ func searchComponent(in *Input, g *lattice.Graph, nodes, roots []*lattice.Node, 
 	if len(nodes) == 0 {
 		return surv, true, nil
 	}
-
-	var makerStats Stats
-	rootFreq := maker(roots, &makerStats)
-	defer func() { stats.Add(makerStats) }()
+	src := maker(roots, stats)
 
 	marked := make(map[int]bool)
 	processed := make(map[int]bool)
-	parentOf := make(map[int]int)            // node → the failed parent that enqueued it
-	freqs := make(map[int]*relation.FreqSet) // frequency sets of failed nodes, for rollup
+	parentOf := make(map[int]int) // node → the failed parent that enqueued it
+	// freqs holds the frequency sets of failed nodes, for rollup. A node
+	// answered without a set (a replayed or screened verdict) holds nil
+	// until a rollup needs it and force builds it.
+	freqs := make(map[int]*relation.FreqSet)
 	// pendingUps[id] counts the unprocessed direct generalizations of a
 	// failed node; when it reaches zero that node's frequency set can never
 	// be needed again and is released, bounding memory on large graphs.
 	pendingUps := make(map[int]int)
+	// rebuilt keeps the sets force built for nodes freqs had already
+	// released, so no set is built twice.
+	var rebuilt map[int]*relation.FreqSet
 	if in.Budget != nil {
 		defer func() {
 			for _, f := range freqs {
 				in.releaseFreq(f)
 			}
+			for _, f := range rebuilt {
+				in.releaseFreq(f)
+			}
 		}()
 	}
-
-	// outcomes is the processed list a frontier snapshot persists; only
-	// maintained when checkpointing is on.
-	var outcomes []resilience.NodeOutcome
-	record := func(n *lattice.Node, o string) {
-		if ck != nil {
-			outcomes = append(outcomes, resilience.NodeOutcome{Key: nodeKey(n), Outcome: o})
+	// force returns a failed node's frequency set, building it when its
+	// verdict came without one: a root through the provider, anything else
+	// by rollup from its rollup parent, forced in turn. The counters for
+	// these sets were spent when the verdicts were answered, so force
+	// counts nothing.
+	var force func(n *lattice.Node) *relation.FreqSet
+	force = func(n *lattice.Node) *relation.FreqSet {
+		if f := freqs[n.ID]; f != nil {
+			return f
 		}
+		if f := rebuilt[n.ID]; f != nil {
+			return f
+		}
+		var f *relation.FreqSet
+		if pid, ok := parentOf[n.ID]; ok {
+			parent := g.Node(pid)
+			f = in.RollupTo(force(parent), n.Dims, parent.Levels, n.Levels)
+		} else {
+			f = src.build(n)
+		}
+		if _, tracked := freqs[n.ID]; tracked {
+			freqs[n.ID] = f
+		} else {
+			if rebuilt == nil {
+				rebuilt = make(map[int]*relation.FreqSet)
+			}
+			rebuilt[n.ID] = f
+		}
+		in.grantFreq(f)
+		return f
 	}
 
 	pq := &nodeQueue{}
-	if fr != nil {
-		// An eager maker (super-roots) already ran against makerStats; its
-		// work, like all restore work, was counted before the snapshot.
-		queue, rerr := restoreFrontier(in, g, fr, roots, surv, marked, processed, proven, parentOf, pendingUps, freqs, rootFreq)
-		if rerr != nil {
-			return nil, false, rerr
-		}
-		makerStats = Stats{}
-		if ck != nil {
-			outcomes = append(outcomes, fr.Processed...)
-		}
-		for _, n := range queue {
-			heap.Push(pq, n)
-		}
-	} else {
-		for _, r := range roots {
-			heap.Push(pq, r)
-		}
+	for _, r := range roots {
+		heap.Push(pq, r)
 	}
-
 	lastHeight := -1
 	for pq.Len() > 0 {
 		if in.Err() != nil {
@@ -484,12 +449,12 @@ func searchComponent(in *Input, g *lattice.Graph, nodes, roots []*lattice.Node, 
 		if processed[node.ID] {
 			continue
 		}
-		if ck != nil {
+		if levelSaves {
 			if h := node.Height(); h > lastHeight {
-				if lastHeight >= 0 && len(outcomes) > 0 {
-					total := *stats
-					total.Add(makerStats)
-					ck.saveLevel(outcomes, total)
+				if lastHeight >= 0 {
+					if err := rp.save("level"); err != nil {
+						return nil, false, err
+					}
 				}
 				lastHeight = h
 			}
@@ -523,44 +488,42 @@ func searchComponent(in *Input, g *lattice.Graph, nodes, roots []*lattice.Node, 
 			if proven != nil {
 				proven[node.ID] = true
 			}
-			record(node, resilience.OutcomeMarked)
 			release()
 			continue
 		}
-		// A delta run tries the record screen first: an exact verdict skips
-		// materializing the frequency set but replays the very counters the
-		// cold run would have spent at this node, so Stats stay identical.
-		var f *relation.FreqSet
-		var pass, screened bool
-		if in.Delta != nil {
-			pass, screened = in.Delta.st.screen(in, node)
+		// A known verdict (replayed from a snapshot, or an exact delta
+		// screen) skips materializing the frequency set but spends the very
+		// counters the real check would have spent at this node, so Stats
+		// stay identical.
+		pass, known := rp.verdict(node)
+		if !known && in.Delta != nil {
+			if pass, known = in.Delta.st.screen(in, node); known {
+				rp.record(node, pass)
+			}
 		}
-		if screened {
-			if _, ok := parentOf[node.ID]; ok {
-				stats.Rollups++
-			} else {
-				stats.TableScans++ // delta runs are Basic-only: roots scan
-			}
-		} else if pid, ok := parentOf[node.ID]; ok {
-			parent := g.Node(pid)
-			pf := freqs[pid]
-			if pf == nil && in.Delta != nil {
-				// The parent failed by screen alone; materialize its set now
-				// that a child genuinely needs it.
-				pf = in.Delta.st.force(in, g, parentOf, freqs, parent)
-			}
-			f = in.RollupTo(pf, node.Dims, parent.Levels, node.Levels)
+		var f *relation.FreqSet
+		pid, rolled := parentOf[node.ID]
+		switch {
+		case known && rolled:
 			stats.Rollups++
-		} else {
-			f = rootFreq(node)
+		case known:
+			src.count(node)
+		case rolled:
+			parent := g.Node(pid)
+			f = in.RollupTo(force(parent), node.Dims, parent.Levels, node.Levels)
+			stats.Rollups++
+		default:
+			src.count(node)
+			f = src.build(node)
 		}
 		stats.NodesChecked++
-		if !screened {
+		if !known {
 			pass = in.CheckFreq(f)
 			if in.Delta != nil {
 				in.Delta.st.noteRevalidated(node)
 			}
 			in.Capture.Observe(in, node, f)
+			rp.record(node, pass)
 		}
 		if pass {
 			// Mark all direct generalizations: they are k-anonymous by the
@@ -571,7 +534,6 @@ func searchComponent(in *Input, g *lattice.Graph, nodes, roots []*lattice.Node, 
 			if proven != nil {
 				proven[node.ID] = true
 			}
-			record(node, resilience.OutcomePassed)
 		} else {
 			surv[node.ID] = false
 			if ups := g.Up(node.ID); len(ups) > 0 {
@@ -587,65 +549,92 @@ func searchComponent(in *Input, g *lattice.Graph, nodes, roots []*lattice.Node, 
 					}
 				}
 			}
-			record(node, resilience.OutcomeFailed)
 		}
 		release()
 	}
 	return surv, true, nil
 }
 
-// variantRootFreqMaker returns the per-variant rootFreqMaker: handed a
-// component's roots and a Stats sink, it builds that component's root
-// frequency-set provider. The same maker serves the sequential search
-// (handed the whole graph's roots) and the per-family parallel search.
-func variantRootFreqMaker(in *Input, v Variant, cube *CubeIndex) rootFreqMaker {
+// variantRootSource returns the per-variant rootSourceMaker. The same maker
+// serves the sequential search (handed the whole graph's roots) and the
+// per-family parallel search.
+func variantRootSource(in *Input, v Variant, cube *CubeIndex) rootSourceMaker {
 	switch v {
 	case Basic:
-		return func(_ []*lattice.Node, stats *Stats) func(*lattice.Node) *relation.FreqSet {
-			return func(n *lattice.Node) *relation.FreqSet {
-				stats.TableScans++
-				if in.Delta != nil {
-					// A delta run replays the scan counter but builds the
-					// set from the patched base state (rollup property).
-					return in.Delta.st.rootFromF0(in, n)
-				}
-				return in.ScanFreq(n.Dims, n.Levels)
+		return func(_ []*lattice.Node, stats *Stats) rootSource {
+			return rootSource{
+				count: func(*lattice.Node) { stats.TableScans++ },
+				build: func(n *lattice.Node) *relation.FreqSet {
+					if in.Delta != nil {
+						// A delta run builds the set from the patched base
+						// state instead of scanning (rollup property).
+						return in.Delta.st.rootFromF0(in, n)
+					}
+					return in.ScanFreq(n.Dims, n.Levels)
+				},
 			}
 		}
 	case Cube:
-		return func(_ []*lattice.Node, stats *Stats) func(*lattice.Node) *relation.FreqSet {
-			return func(n *lattice.Node) *relation.FreqSet {
-				zero := cube.Get(n.Dims)
-				zeros := make([]int, len(n.Dims))
-				if sameLevels(zeros, n.Levels) {
-					return zero
-				}
-				stats.Rollups++
-				return in.RollupTo(zero, n.Dims, zeros, n.Levels)
+		return func(_ []*lattice.Node, stats *Stats) rootSource {
+			return rootSource{
+				count: func(n *lattice.Node) {
+					if !atBase(n.Levels) {
+						stats.Rollups++
+					}
+				},
+				build: func(n *lattice.Node) *relation.FreqSet {
+					return in.RollupTo(cube.Get(n.Dims), n.Dims, make([]int, len(n.Dims)), n.Levels)
+				},
 			}
 		}
 	case SuperRoots:
-		// Pre-compute one scan per family at the meet of its roots, then
-		// derive every root's frequency set by rollup (§3.3.1).
-		return func(roots []*lattice.Node, stats *Stats) func(*lattice.Node) *relation.FreqSet {
-			rootSets := make(map[int]*relation.FreqSet)
-			for _, fam := range groupRootsByFamily(roots) {
-				dims, meet := lattice.Meet(fam)
+		// One scan per family at the meet of its roots, every root's set by
+		// rollup from it (§3.3.1). The counters are spent when the family is
+		// entered; the scan and its rollups wait for the first root whose
+		// set is needed, so a family answered wholly from known verdicts
+		// costs nothing.
+		return func(roots []*lattice.Node, stats *Stats) rootSource {
+			fams := groupRootsByFamily(roots)
+			meets := make([][]int, len(fams))
+			famOf := make(map[int]int, len(roots))
+			for i, fam := range fams {
+				_, meets[i] = lattice.Meet(fam)
 				stats.TableScans++
-				base := in.ScanFreq(dims, meet)
 				for _, r := range fam {
-					if sameLevels(meet, r.Levels) {
-						rootSets[r.ID] = base
-						continue
+					famOf[r.ID] = i
+					if !sameLevels(meets[i], r.Levels) {
+						stats.Rollups++
 					}
-					stats.Rollups++
-					rootSets[r.ID] = in.RollupTo(base, dims, meet, r.Levels)
 				}
 			}
-			return func(n *lattice.Node) *relation.FreqSet { return rootSets[n.ID] }
+			rootSets := make(map[int]*relation.FreqSet, len(roots))
+			return rootSource{
+				count: func(*lattice.Node) {},
+				build: func(n *lattice.Node) *relation.FreqSet {
+					if f, ok := rootSets[n.ID]; ok {
+						return f
+					}
+					i := famOf[n.ID]
+					base := in.ScanFreq(n.Dims, meets[i])
+					for _, r := range fams[i] {
+						rootSets[r.ID] = in.RollupTo(base, r.Dims, meets[i], r.Levels)
+					}
+					return rootSets[n.ID]
+				},
+			}
 		}
 	}
 	panic("core: unknown variant")
+}
+
+// atBase reports whether every level is 0: the zero generalization.
+func atBase(levels []int) bool {
+	for _, l := range levels {
+		if l != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func sameLevels(a, b []int) bool {

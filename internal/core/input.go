@@ -72,18 +72,18 @@ type Input struct {
 	// experiments compare the adaptive kernel against; no public option
 	// sets it.
 	SparseKernel bool
-	// Check, when non-nil, snapshots the search frontier to disk at every
-	// checkpoint boundary — after each subset-size iteration, after each
-	// family completes on the parallel path, after each breadth-first level
-	// on the sequential path — so a killed run can be resumed. Snapshots
-	// hold marked lattice state and counters, never raw frequency sets;
-	// those are recomputed by rollup on resume.
+	// Check, when non-nil, saves the verdict of every node checked so far
+	// at every checkpoint boundary — after each subset-size iteration, after
+	// each family completes on the parallel path, after each breadth-first
+	// level on the sequential path — so a killed run can be resumed.
+	// Snapshots hold verdicts only, never frequency sets or counters.
 	Check *resilience.Checkpointer
-	// Resume, when non-nil, is a snapshot previously written by Check.
-	// The run replays candidate generation up to the snapshot (node IDs are
-	// deterministic, so the replay is exact), restores the partial iteration
-	// state, and continues; Solutions and Stats are bit-identical to an
-	// uninterrupted run. The snapshot's fingerprint must match this input.
+	// Resume, when non-nil, is a snapshot previously written by Check. The
+	// run starts at the first iteration and answers every node the snapshot
+	// holds a verdict for from it, spending the counters the check would
+	// have spent (see resume.go); Solutions and Stats are bit-identical to
+	// an uninterrupted run. The snapshot's fingerprint must match this
+	// input, and its verdicts must name nodes of this input's lattice.
 	Resume *resilience.Snapshot
 	// Budget, when non-nil, enforces a soft memory budget over the run's
 	// long-lived frequency sets (cube and materialized views, failure

@@ -277,6 +277,13 @@ func (m *MaterializedSet) Root(dims []int) *relation.FreqSet {
 	return nil
 }
 
+// covers reports whether Root serves dims from a view, without computing
+// the margin.
+func (m *MaterializedSet) covers(dims []int) bool {
+	_, ok := m.byKey[dimsKey(dims)]
+	return ok || m.lookupSuperset(dims) != nil
+}
+
 // lookupSuperset returns the materialized view over the smallest strict
 // superset of dims (smallest by frequency-set size), or nil.
 func (m *MaterializedSet) lookupSuperset(dims []int) *matView {
@@ -366,15 +373,21 @@ func RunMaterialized(in Input, mat *MaterializedSet) (res *Result, err error) {
 	// The maker serves roots from the (read-only) materialized set; each
 	// search component writes its counters to its own Stats, so the family
 	// searches can run in parallel.
-	maker := func(_ []*lattice.Node, stats *Stats) func(*lattice.Node) *relation.FreqSet {
-		return func(nd *lattice.Node) *relation.FreqSet {
-			if zero := mat.Root(nd.Dims); zero != nil {
-				stats.Rollups++
-				zeros := make([]int, len(nd.Dims))
-				return in.RollupTo(zero, nd.Dims, zeros, nd.Levels)
-			}
-			stats.TableScans++
-			return in.ScanFreq(nd.Dims, nd.Levels)
+	maker := func(_ []*lattice.Node, stats *Stats) rootSource {
+		return rootSource{
+			count: func(nd *lattice.Node) {
+				if mat.covers(nd.Dims) {
+					stats.Rollups++
+				} else {
+					stats.TableScans++
+				}
+			},
+			build: func(nd *lattice.Node) *relation.FreqSet {
+				if zero := mat.Root(nd.Dims); zero != nil {
+					return in.RollupTo(zero, nd.Dims, make([]int, len(nd.Dims)), nd.Levels)
+				}
+				return in.ScanFreq(nd.Dims, nd.Levels)
+			},
 		}
 	}
 	return runSearch(&in, maker, "Materialized Incognito")

@@ -132,11 +132,21 @@ func runGraphSafe(in *Input, workers, n int, children [][]int, site func(i int) 
 	return nil
 }
 
-// rootFreqMaker builds the root frequency-set provider for one search
-// component, given the component's roots; all the counter writes of the
-// provider must go to stats, so the parallel driver can hand every family
-// its own Stats and merge them deterministically.
-type rootFreqMaker func(roots []*lattice.Node, stats *Stats) func(*lattice.Node) *relation.FreqSet
+// rootSource is a variant's root frequency-set provider for one search
+// component. count spends the Stats counters a cold run spends to obtain a
+// root's set; build produces the set and counts nothing. A root whose
+// verdict is replayed or screened only counts; a root that is checked, or
+// whose set a later rollup needs, is built too.
+type rootSource struct {
+	count func(n *lattice.Node)
+	build func(n *lattice.Node) *relation.FreqSet
+}
+
+// rootSourceMaker builds the root provider for one search component, given
+// the component's roots; all the counter writes of the provider must go to
+// stats, so the parallel search can hand every family its own Stats and
+// merge them deterministically.
+type rootSourceMaker func(roots []*lattice.Node, stats *Stats) rootSource
 
 // searchGraphFamilies runs the Fig. 8 breadth-first search over a whole
 // candidate graph. At Workers() ≤ 1 it takes the sequential reference path
@@ -149,47 +159,25 @@ type rootFreqMaker func(roots []*lattice.Node, stats *Stats) func(*lattice.Node)
 // subset on the parallel path — carrying that component's work counters,
 // and the worker loop checks the input's context before starting a family.
 //
-// rc restores a resumed snapshot's partial state for this iteration (nil
-// otherwise): recorded families force the family path regardless of worker
-// count, a frontier forces the sequential path — either way the results are
-// identical, per the package comment. ck, when non-nil, saves a snapshot as
-// each family (or breadth-first level) completes. complete is false when
-// the search bailed early at the memory budget's hard stop; cancellation is
-// reported by in.Err as before, and a worker panic comes back as the error.
-func searchGraphFamilies(in *Input, g *lattice.Graph, maker rootFreqMaker, stats *Stats, parent *trace.Span, rc *iterResume, ck *iterCkpt, proven map[int]bool) (surv map[int]bool, complete bool, err error) {
+// With checkpointing on, rp saves a snapshot as each family completes on
+// the parallel path, and at each breadth-first level on the sequential
+// one. complete is false when the search bailed early at the memory
+// budget's hard stop; cancellation is reported by in.Err as before, and a
+// worker panic or a failed save comes back as the error.
+func searchGraphFamilies(in *Input, g *lattice.Graph, maker rootSourceMaker, stats *Stats, parent *trace.Span, rp *replay, proven map[int]bool) (surv map[int]bool, complete bool, err error) {
 	if g.Len() == 0 {
 		return map[int]bool{}, true, nil
 	}
-	workers := in.Workers()
 	fams := g.Families()
-	useFamilies := workers > 1 && len(fams) > 1
-	if rc != nil && len(rc.families) > 0 {
-		useFamilies = true
-	}
-	if rc != nil && rc.frontier != nil {
-		useFamilies = false
-	}
-	if !useFamilies {
+	if in.Workers() <= 1 || len(fams) <= 1 {
 		sp := parent.Start("component")
 		sp.SetAttr("families", len(fams))
 		sp.SetAttr("nodes", g.Len())
 		before := *stats
-		roots := g.Roots()
-		var fr *resilience.Frontier
-		if rc != nil {
-			fr = rc.frontier
-		}
-		surv, complete, err = searchComponent(in, g, g.Nodes(), roots, maker, stats, ck, fr, proven)
+		surv, complete, err = searchComponent(in, g, g.Nodes(), g.Roots(), maker, stats, rp, in.Check != nil, proven)
 		stats.Sub(before).recordOn(sp)
 		sp.End()
 		return surv, complete, err
-	}
-	restored := make(map[string]*resilience.FamilyState)
-	if rc != nil {
-		for i := range rc.families {
-			restored[dimsKey(rc.families[i].Dims)] = &rc.families[i]
-		}
-		ck.preload(rc.families)
 	}
 	results := make([]map[int]bool, len(fams))
 	famStats := make([]Stats, len(fams))
@@ -201,34 +189,6 @@ func searchGraphFamilies(in *Input, g *lattice.Graph, maker rootFreqMaker, stats
 	// way — the inline loop runs the same tasks in index order.
 	dispatch := in.floorWorkers(in.workersFor(len(fams)))
 	werr := runIndexedSafe(in, dispatch, len(fams), func(i int) string { return fmt.Sprintf("family[%d]", i) }, func(i int) {
-		nodes := fams[i]
-		if fs := restored[dimsKey(nodes[0].Dims)]; fs != nil {
-			// This family completed before the checkpoint: reconstruct its
-			// survivor map from the recorded failures and take its counters
-			// verbatim instead of re-searching it.
-			m := make(map[int]bool, len(nodes))
-			for _, nd := range nodes {
-				m[nd.ID] = true
-			}
-			for _, k := range fs.Failed {
-				nd := g.Lookup(k.Dims, k.Levels)
-				if nd == nil {
-					errs[i] = fmt.Errorf("core: resume snapshot names a node %v/%v absent from iteration graph", k.Dims, k.Levels)
-					return
-				}
-				m[nd.ID] = false
-			}
-			results[i] = m
-			famStats[i] = statsFromMap(fs.Stats)
-			completes[i] = true
-			sp := parent.Start("family")
-			sp.SetAttr("dims", nodes[0].DimsKey())
-			sp.SetAttr("nodes", len(nodes))
-			sp.SetAttr("restored", true)
-			famStats[i].recordOn(sp)
-			sp.End()
-			return
-		}
 		if in.Err() != nil {
 			return // cancelled: the driver discards everything anyway
 		}
@@ -236,16 +196,16 @@ func searchGraphFamilies(in *Input, g *lattice.Graph, maker rootFreqMaker, stats
 			return // hard stop: reported as complete=false below
 		}
 		faultinject.Point("core.family")
+		nodes := fams[i]
 		sp := parent.Start("family")
 		sp.SetAttr("dims", nodes[0].DimsKey())
 		sp.SetAttr("nodes", len(nodes))
-		roots := familyRoots(g, nodes)
 		st := &famStats[i]
-		results[i], completes[i], errs[i] = searchComponent(in, g, nodes, roots, maker, st, nil, nil, nil)
+		results[i], completes[i], errs[i] = searchComponent(in, g, nodes, familyRoots(g, nodes), maker, st, rp, false, nil)
 		st.recordOn(sp)
 		sp.End()
-		if completes[i] && in.Err() == nil {
-			ck.addFamily(familyState(nodes, results[i], *st))
+		if completes[i] && errs[i] == nil && in.Err() == nil {
+			errs[i] = rp.save("family")
 		}
 	})
 	if werr != nil {
@@ -271,19 +231,6 @@ func searchGraphFamilies(in *Input, g *lattice.Graph, maker rootFreqMaker, stats
 		}
 	}
 	return surv, complete, nil
-}
-
-// familyState records one completed family for a checkpoint: its attribute
-// subset, the candidates that failed the k-anonymity check (in node-ID
-// order), and the search counters it spent.
-func familyState(nodes []*lattice.Node, surv map[int]bool, st Stats) resilience.FamilyState {
-	fs := resilience.FamilyState{Dims: append([]int(nil), nodes[0].Dims...), Stats: statsToMap(st)}
-	for _, nd := range nodes {
-		if !surv[nd.ID] {
-			fs.Failed = append(fs.Failed, nodeKey(nd))
-		}
-	}
-	return fs
 }
 
 // familyRoots returns the roots (no incoming edge) among one family's

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"incognito/internal/resilience"
@@ -202,9 +203,10 @@ func TestResumeRejectsMismatchedFingerprint(t *testing.T) {
 	})
 }
 
-// TestResumeRejectsInconsistentSnapshot: structurally corrupt snapshots
-// (history shorter than the recorded iteration count, too many iterations
-// for the instance) are refused.
+// TestResumeRejectsInconsistentSnapshot: a snapshot holding a verdict for
+// a node outside the run's lattice (a dim out of range, unsorted dims, a
+// level above the hierarchy's height, or mismatched dims and levels) is
+// refused with an error naming the node.
 func TestResumeRejectsInconsistentSnapshot(t *testing.T) {
 	base := determinismInputs(t)[0]
 	path := filepath.Join(t.TempDir(), "run.ckpt")
@@ -226,20 +228,24 @@ func TestResumeRejectsInconsistentSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mangled := *snap
-	mangled.Iter = len(base.QI) + 1
-	re := base
-	re.Resume = &mangled
-	if _, err := Run(re, Basic); err == nil {
-		t.Error("resume with Iter beyond the instance succeeded")
-	}
-
-	mangled = *snap
-	mangled.History = nil
-	re = base
-	re.Resume = &mangled
-	if _, err := Run(re, Basic); err == nil {
-		t.Error("resume with missing history succeeded")
+	n := len(base.QI)
+	top := base.QI[0].H.Height()
+	for name, bad := range map[string]resilience.Verdict{
+		"dim out of range":   {Dims: []int{n}, Levels: []int{0}},
+		"unsorted dims":      {Dims: []int{1, 0}, Levels: []int{0, 0}},
+		"level above height": {Dims: []int{0}, Levels: []int{top + 1}},
+		"length mismatch":    {Dims: []int{0, 1}, Levels: []int{0}},
+	} {
+		mangled := *snap
+		mangled.Verdicts = append(append([]resilience.Verdict(nil), snap.Verdicts...), bad)
+		re := base
+		re.Resume = &mangled
+		_, err := Run(re, Basic)
+		if err == nil {
+			t.Errorf("%s: resume succeeded", name)
+		} else if want := fmt.Sprintf("dims=%v levels=%v", bad.Dims, bad.Levels); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name the node (%s)", name, err, want)
+		}
 	}
 }
 

@@ -1,289 +1,111 @@
 package core
 
-// This file implements checkpoint/resume for the Incognito outer loop. A
-// snapshot never stores frequency sets — only which nodes were processed
-// with what outcome, plus the survivor history of completed iterations.
-// Everything else is derived on resume:
-//
-//   - candidate graphs and node IDs are replayed through lattice.Generate,
-//     which is deterministic, so heap tie-breaks (by ID) behave identically;
-//   - queue contents, marks, rollup parents and retained frequency sets of
-//     a partial breadth-first search are reconstructed from the processed
-//     list, replaying outcomes in their original order;
-//   - frequency sets of failure-frontier nodes are recomputed by walking
-//     each node's rollup-parent chain down to a root (rollup property).
-//
-// Restore work is deliberately not counted in Stats — it re-does work the
-// original run already counted before the snapshot — so a resumed run's
-// final Solutions and Stats are bit-identical to an uninterrupted one.
+// This file implements checkpoint/resume as a replay. A snapshot holds the
+// pass/fail verdict of every node the run had checked, keyed by the node's
+// attribute subset and levels, never a frequency set. A resumed run starts
+// again at the first iteration: candidate generation is deterministic, and
+// the breadth-first search answers each recorded node from its verdict in
+// the same branch that answers a delta run's screened nodes (see
+// searchComponent). That branch spends the counters a real check would
+// have spent, and the verdicts alone decide marks, queue pushes and
+// survivors, so Solutions and Stats equal an uninterrupted run's by
+// construction.
 
 import (
 	"fmt"
 	"sync"
 
 	"incognito/internal/lattice"
-	"incognito/internal/relation"
 	"incognito/internal/resilience"
 )
 
-// iterResume carries a resumed snapshot's partial state into the iteration
-// it interrupts: completed families on the parallel path, or the processed
-// frontier on the sequential path (at most one is set).
-type iterResume struct {
-	families []resilience.FamilyState
-	frontier *resilience.Frontier
+// replay is a run's verdict bookkeeping: the verdicts of the snapshot it
+// resumes, looked up by node, and, with checkpointing on, the log of every
+// verdict known so far, which each save writes out. A resumed run's log
+// starts from the snapshot's verdicts, so a second interruption loses none
+// of them. A nil *replay (neither checkpointing nor resuming) no-ops.
+type replay struct {
+	known map[string]bool // resumed verdicts by lattice.EncodeKey; nil when not resuming
+	check *resilience.Checkpointer
+	fp    resilience.Fingerprint
+
+	mu  sync.Mutex // guards log; family searches record concurrently
+	log []resilience.Verdict
+	// resumed counts the log's verdicts taken from the resumed snapshot.
+	// Until the run logs one of its own, a save would only rewrite that
+	// snapshot, so the replayed prefix of a resumed run saves nothing.
+	resumed int
+	// saveMu serializes saves, so every save carries at least the verdicts
+	// of the save before it.
+	saveMu sync.Mutex
 }
 
-// iterCkpt assembles and saves the mid-iteration snapshots of one subset-size
-// iteration. A nil *iterCkpt (checkpointing disabled) no-ops throughout.
-// Family saves arrive concurrently from the parallel workers; each save
-// includes every family completed so far.
-type iterCkpt struct {
-	check   *resilience.Checkpointer
-	fp      resilience.Fingerprint
-	iter    int // completed iterations before this one
-	history [][]resilience.NodeKey
-	// base is the Stats total through iteration iter, excluding the
-	// in-progress iteration's candidate count — the resume path re-adds it.
-	base Stats
-
-	mu       sync.Mutex
-	families []resilience.FamilyState
-	err      error
+// newReplay sets up the run's replay from Input.Check and Input.Resume. A
+// snapshot is refused when its fingerprint does not match this run, or when
+// it holds a verdict for a node outside this run's lattice.
+func newReplay(in *Input, label string) (*replay, error) {
+	if in.Check == nil && in.Resume == nil {
+		return nil, nil
+	}
+	rp := &replay{check: in.Check, fp: in.Fingerprint(label)}
+	snap := in.Resume
+	if snap == nil {
+		return rp, nil
+	}
+	if !snap.Fingerprint.Equal(rp.fp) {
+		return nil, fmt.Errorf("core: resume snapshot was written by a different run (snapshot: %s, k=%d, %d rows; this run: %s, k=%d, %d rows)",
+			snap.Fingerprint.Algorithm, snap.Fingerprint.K, snap.Fingerprint.Rows, rp.fp.Algorithm, rp.fp.K, rp.fp.Rows)
+	}
+	if err := snap.CheckLattice(rp.fp.Heights); err != nil {
+		return nil, err
+	}
+	rp.known = make(map[string]bool, len(snap.Verdicts))
+	for _, v := range snap.Verdicts {
+		rp.known[lattice.EncodeKey(v.Dims, v.Levels)] = v.Pass
+	}
+	if rp.check != nil {
+		rp.log = append(rp.log, snap.Verdicts...)
+		rp.resumed = len(rp.log)
+	}
+	return rp, nil
 }
 
-// preload seeds the completed-family list with families restored from the
-// snapshot being resumed, so subsequent saves keep carrying them.
-func (c *iterCkpt) preload(families []resilience.FamilyState) {
-	if c == nil {
+// verdict returns the resumed snapshot's verdict for n, if it has one.
+func (rp *replay) verdict(n *lattice.Node) (pass, ok bool) {
+	if rp == nil || rp.known == nil {
+		return false, false
+	}
+	pass, ok = rp.known[n.Key()]
+	return pass, ok
+}
+
+// record logs a verdict the run decided (checked or screened) for the
+// next save.
+func (rp *replay) record(n *lattice.Node, pass bool) {
+	if rp == nil || rp.check == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.families = append(c.families, families...)
+	rp.mu.Lock()
+	rp.log = append(rp.log, resilience.Verdict{Dims: n.Dims, Levels: n.Levels, Pass: pass})
+	rp.mu.Unlock()
 }
 
-// addFamily records one newly completed family and saves a family-boundary
-// snapshot carrying all families completed so far.
-func (c *iterCkpt) addFamily(fs resilience.FamilyState) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.families = append(c.families, fs)
-	snap := &resilience.Snapshot{
-		Fingerprint: c.fp,
-		Boundary:    "family",
-		Iter:        c.iter,
-		History:     c.history,
-		Stats:       statsToMap(c.base),
-		Families:    append([]resilience.FamilyState(nil), c.families...),
-	}
-	if err := c.check.Save(snap); err != nil && c.err == nil {
-		c.err = err
-	}
-}
-
-// saveLevel saves a level-boundary snapshot of the sequential search:
-// the processed-node outcomes so far, and — unlike family snapshots — the
-// full running Stats total including the in-progress iteration's work, which
-// the resume path therefore does not re-add.
-func (c *iterCkpt) saveLevel(processed []resilience.NodeOutcome, total Stats) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	snap := &resilience.Snapshot{
-		Fingerprint: c.fp,
-		Boundary:    "level",
-		Iter:        c.iter,
-		History:     c.history,
-		Stats:       statsToMap(total),
-		Frontier:    &resilience.Frontier{Processed: append([]resilience.NodeOutcome(nil), processed...)},
-	}
-	if err := c.check.Save(snap); err != nil && c.err == nil {
-		c.err = err
-	}
-}
-
-// takeErr returns the first save error, if any.
-func (c *iterCkpt) takeErr() error {
-	if c == nil {
+// save writes every verdict logged so far as a snapshot taken at the named
+// boundary. Logged verdicts are never rewritten, so the snapshot shares the
+// log's prefix instead of copying it.
+func (rp *replay) save(boundary string) error {
+	if rp == nil || rp.check == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-// statsToMap flattens Stats onto the trace counter names for serialization.
-func statsToMap(s Stats) map[string]int64 {
-	return map[string]int64{
-		CounterNodesChecked: int64(s.NodesChecked),
-		CounterNodesMarked:  int64(s.NodesMarked),
-		CounterCandidates:   int64(s.Candidates),
-		CounterTableScans:   int64(s.TableScans),
-		CounterRollups:      int64(s.Rollups),
-		CounterCubeFreqSets: int64(s.CubeFreqSets),
+	rp.saveMu.Lock()
+	defer rp.saveMu.Unlock()
+	rp.mu.Lock()
+	verdicts := rp.log[:len(rp.log):len(rp.log)]
+	rp.mu.Unlock()
+	if rp.known != nil && len(verdicts) == rp.resumed {
+		return nil
 	}
-}
-
-// statsFromMap is the inverse of statsToMap.
-func statsFromMap(m map[string]int64) Stats {
-	return Stats{
-		NodesChecked: int(m[CounterNodesChecked]),
-		NodesMarked:  int(m[CounterNodesMarked]),
-		Candidates:   int(m[CounterCandidates]),
-		TableScans:   int(m[CounterTableScans]),
-		Rollups:      int(m[CounterRollups]),
-		CubeFreqSets: int(m[CounterCubeFreqSets]),
-	}
-}
-
-// nodeKey is a lattice node's representation-independent checkpoint identity.
-func nodeKey(n *lattice.Node) resilience.NodeKey {
-	return resilience.NodeKey{
-		Dims:   append([]int(nil), n.Dims...),
-		Levels: append([]int(nil), n.Levels...),
-	}
-}
-
-// survivorKeys collects the NodeKeys of the surviving nodes of a searched
-// graph, in node-ID order — one entry of a snapshot's History.
-func survivorKeys(g *lattice.Graph, surv map[int]bool) []resilience.NodeKey {
-	keys := make([]resilience.NodeKey, 0, len(surv))
-	for _, n := range g.Nodes() {
-		if surv[n.ID] {
-			keys = append(keys, nodeKey(n))
-		}
-	}
-	return keys
-}
-
-// survivorsFromKeys resolves a History entry against the replayed graph.
-// Missing nodes mean the snapshot does not belong to this instance.
-func survivorsFromKeys(g *lattice.Graph, keys []resilience.NodeKey) (map[int]bool, error) {
-	surv := make(map[int]bool, len(keys))
-	for _, k := range keys {
-		n := g.Lookup(k.Dims, k.Levels)
-		if n == nil {
-			return nil, fmt.Errorf("core: resume snapshot names a node %v/%v absent from the replayed graph", k.Dims, k.Levels)
-		}
-		surv[n.ID] = true
-	}
-	return surv, nil
-}
-
-// restoreFrontier rebuilds a partial breadth-first search from a snapshot's
-// processed list, replaying outcomes in their original (heap) order so the
-// derived state — marks, rollup parents, pending-generalization counts — is
-// exactly what the original run held at the save point. Frequency sets of
-// failure-frontier nodes that can still be rolled up from are recomputed by
-// walking their rollup-parent chains down to roots; rootFreq must write its
-// counters to a discard sink, because this work was already counted before
-// the snapshot. Returns the nodes that belong in the queue (pushed but not
-// yet processed), in a deterministic order.
-func restoreFrontier(in *Input, g *lattice.Graph, fr *resilience.Frontier, roots []*lattice.Node,
-	surv, marked, processed, proven map[int]bool, parentOf map[int]int, pendingUps map[int]int,
-	freqs map[int]*relation.FreqSet, rootFreq func(*lattice.Node) *relation.FreqSet) ([]*lattice.Node, error) {
-
-	var failedOrder []*lattice.Node
-	for _, po := range fr.Processed {
-		node := g.Lookup(po.Key.Dims, po.Key.Levels)
-		if node == nil {
-			return nil, fmt.Errorf("core: resume snapshot names a node %v/%v absent from iteration graph", po.Key.Dims, po.Key.Levels)
-		}
-		processed[node.ID] = true
-		switch po.Outcome {
-		case resilience.OutcomePassed:
-			if proven != nil {
-				proven[node.ID] = true
-			}
-			for _, up := range g.Up(node.ID) {
-				marked[up] = true
-			}
-		case resilience.OutcomeMarked:
-			if proven != nil {
-				proven[node.ID] = true
-			}
-		case resilience.OutcomeFailed:
-			surv[node.ID] = false
-			for _, up := range g.Up(node.ID) {
-				if _, has := parentOf[up]; !has {
-					parentOf[up] = node.ID
-				}
-			}
-			failedOrder = append(failedOrder, node)
-		default:
-			return nil, fmt.Errorf("core: resume snapshot has unknown node outcome %q", po.Outcome)
-		}
-	}
-
-	// A failed node's frequency set is still needed while it has unprocessed
-	// direct generalizations (the originals were released as pendingUps hit
-	// zero, so only these are recomputed).
-	for _, fn := range failedOrder {
-		ups := g.Up(fn.ID)
-		if len(ups) == 0 {
-			continue
-		}
-		pending := 0
-		for _, up := range ups {
-			if !processed[up] {
-				pending++
-			}
-		}
-		if pending > 0 {
-			pendingUps[fn.ID] = pending
-		}
-	}
-	memo := make(map[int]*relation.FreqSet)
-	var compute func(n *lattice.Node) *relation.FreqSet
-	compute = func(n *lattice.Node) *relation.FreqSet {
-		if f, ok := memo[n.ID]; ok {
-			return f
-		}
-		var f *relation.FreqSet
-		if pid, ok := parentOf[n.ID]; ok {
-			parent := g.Node(pid)
-			f = in.RollupTo(compute(parent), n.Dims, parent.Levels, n.Levels)
-		} else {
-			f = rootFreq(n)
-		}
-		memo[n.ID] = f
-		return f
-	}
-	for _, fn := range failedOrder {
-		if _, need := pendingUps[fn.ID]; need {
-			f := compute(fn)
-			freqs[fn.ID] = f
-			in.grantFreq(f)
-		}
-	}
-
-	// The queue at the save point: roots plus the direct generalizations of
-	// failed nodes, minus everything already processed. The original run may
-	// have pushed a node more than once, but duplicate pops are skipped, so
-	// pushing each once is equivalent.
-	inQueue := make(map[int]bool)
-	var queue []*lattice.Node
-	push := func(n *lattice.Node) {
-		if !processed[n.ID] && !inQueue[n.ID] {
-			inQueue[n.ID] = true
-			queue = append(queue, n)
-		}
-	}
-	for _, r := range roots {
-		push(r)
-	}
-	for _, fn := range failedOrder {
-		for _, up := range g.Up(fn.ID) {
-			push(g.Node(up))
-		}
-	}
-	return queue, nil
+	return rp.check.Save(&resilience.Snapshot{Fingerprint: rp.fp, Boundary: boundary, Verdicts: verdicts})
 }
 
 // degradedErr wraps resilience.ErrDegraded with the budget numbers and

@@ -6,6 +6,8 @@ package lattice
 // derives E_{i+1} from C_{i+1} and E_i, eliminating implied edges. Each SQL
 // statement in the paper has a direct counterpart below.
 
+import "context"
+
 // IDGen hands out unique node IDs across iterations, mirroring the paper's
 // ID column in the Nodes relation.
 type IDGen struct{ next int }
@@ -43,18 +45,50 @@ func FirstIteration(heights []int, ids *IDGen) *Graph {
 
 // Generate performs one round of graph generation: given the graph of the
 // i-th iteration and the set of surviving (k-anonymous) node IDs S_i, it
-// returns the (i+1)-attribute candidate graph (C_{i+1}, E_{i+1}).
-func Generate(prev *Graph, survivors map[int]bool, ids *IDGen) *Graph {
+// returns the (i+1)-attribute candidate graph (C_{i+1}, E_{i+1}). The join,
+// prune and edge phases check ctx every ctxCheckEvery steps, so a deadline
+// interrupts a large generation; the error is then the context's.
+func Generate(ctx context.Context, prev *Graph, survivors map[int]bool, ids *IDGen) (*Graph, error) {
 	surviving := make([]*Node, 0, len(survivors))
 	for _, n := range prev.Nodes() {
 		if survivors[n.ID] {
 			surviving = append(surviving, n)
 		}
 	}
-	candidates := joinPhase(surviving, ids)
-	candidates = prunePhase(candidates, surviving)
-	edges := edgeGeneration(candidates, prev, survivors)
-	return NewGraph(candidates, edges)
+	poll := &ctxPoll{ctx: ctx}
+	candidates := joinPhase(surviving, ids, poll)
+	if poll.err == nil {
+		candidates = prunePhase(candidates, surviving, poll)
+	}
+	var edges []Edge
+	if poll.err == nil {
+		edges = edgeGeneration(candidates, prev, survivors, poll)
+	}
+	if poll.err != nil {
+		return nil, poll.err
+	}
+	return NewGraph(candidates, edges), nil
+}
+
+// ctxCheckEvery is how many steps of a generation phase run between two
+// context checks.
+const ctxCheckEvery = 4096
+
+// ctxPoll checks a context once every ctxCheckEvery steps and keeps the
+// first error it sees.
+type ctxPoll struct {
+	ctx   context.Context
+	steps int
+	err   error
+}
+
+// stop counts one step and reports whether the phase must stop.
+func (p *ctxPoll) stop() bool {
+	if p.err == nil && p.steps%ctxCheckEvery == 0 {
+		p.err = p.ctx.Err()
+	}
+	p.steps++
+	return p.err != nil
 }
 
 // joinPhase implements the INSERT INTO C_i join query: combine every pair
@@ -62,7 +96,7 @@ func Generate(prev *Graph, survivors map[int]bool, ids *IDGen) *Graph {
 // columns and have p.dim_i < q.dim_i, producing a node with i+1 attributes
 // and recording the pair as Parent1/Parent2. The dimension ordering exists
 // purely to avoid duplicates, as in Apriori.
-func joinPhase(surviving []*Node, ids *IDGen) []*Node {
+func joinPhase(surviving []*Node, ids *IDGen, poll *ctxPoll) []*Node {
 	// Group by the shared (dims[:i-1], levels[:i-1]) prefix.
 	groups := make(map[string][]*Node)
 	var orderKeys []string
@@ -79,6 +113,9 @@ func joinPhase(surviving []*Node, ids *IDGen) []*Node {
 		g := groups[k]
 		for ai, p := range g {
 			for _, q := range g[ai+1:] {
+				if poll.stop() {
+					return nil
+				}
 				a, b := p, q
 				if a.Dims[a.Size()-1] > b.Dims[b.Size()-1] {
 					a, b = b, a
@@ -104,7 +141,7 @@ func joinPhase(surviving []*Node, ids *IDGen) []*Node {
 // (i-1)-attribute subset that is not among the survivors. The paper uses a
 // hash tree from [2] for this membership structure; exact-match lookups in
 // a hash map have the same access pattern and asymptotics (see DESIGN.md).
-func prunePhase(candidates []*Node, surviving []*Node) []*Node {
+func prunePhase(candidates []*Node, surviving []*Node, poll *ctxPoll) []*Node {
 	present := make(map[string]bool, len(surviving))
 	for _, n := range surviving {
 		present[n.Key()] = true
@@ -113,6 +150,9 @@ func prunePhase(candidates []*Node, surviving []*Node) []*Node {
 	dims := make([]int, 0)
 	levels := make([]int, 0)
 	for _, c := range candidates {
+		if poll.stop() {
+			return nil
+		}
 		ok := true
 		for drop := 0; drop < c.Size() && ok; drop++ {
 			dims = dims[:0]
@@ -140,7 +180,7 @@ func prunePhase(candidates []*Node, surviving []*Node) []*Node {
 // removes implied edges, i.e. candidate edges that factor through another
 // candidate edge. Only edges between surviving parents matter, because
 // every candidate's parents survive by construction.
-func edgeGeneration(candidates []*Node, prev *Graph, survivors map[int]bool) []Edge {
+func edgeGeneration(candidates []*Node, prev *Graph, survivors map[int]bool, poll *ctxPoll) []Edge {
 	if len(candidates) == 0 {
 		return nil
 	}
@@ -169,6 +209,9 @@ func edgeGeneration(candidates []*Node, prev *Graph, survivors map[int]bool) []E
 		}
 	}
 	for _, p := range candidates {
+		if poll.stop() {
+			return nil
+		}
 		ups1 := upOf(p.Parent1)
 		ups2 := upOf(p.Parent2)
 		// (e.start = p.parent1 ∧ e.end = q.parent1 ∧ f.start = p.parent2 ∧ f.end = q.parent2)
@@ -193,6 +236,9 @@ func edgeGeneration(candidates []*Node, prev *Graph, survivors map[int]bool) []E
 	}
 	var edges []Edge
 	for e := range candidate {
+		if poll.stop() {
+			return nil
+		}
 		implied := false
 		for _, mid := range outBy[e.Start] {
 			if mid == e.End {

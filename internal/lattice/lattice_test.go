@@ -1,10 +1,22 @@
 package lattice
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"sort"
 	"testing"
 )
+
+// mustGenerate runs Generate under a live context.
+func mustGenerate(t *testing.T, prev *Graph, survivors map[int]bool, ids *IDGen) *Graph {
+	t.Helper()
+	g, err := Generate(context.Background(), prev, survivors, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
 
 // sexZipGraph builds C2/E2 for the Sex (height 1) and Zipcode (height 2)
 // attributes of the running example, i.e. the lattice of Fig. 3(a).
@@ -16,7 +28,7 @@ func sexZipGraph(t *testing.T) (*Graph, *Graph) {
 	for _, n := range c1.Nodes() {
 		all[n.ID] = true
 	}
-	c2 := Generate(c1, all, ids)
+	c2 := mustGenerate(t, c1, all, ids)
 	return c1, c2
 }
 
@@ -115,7 +127,7 @@ func TestExample32GraphGeneration(t *testing.T) {
 	for _, n := range c1.Nodes() {
 		all[n.ID] = true
 	}
-	c2 := Generate(c1, all, ids)
+	c2 := mustGenerate(t, c1, all, ids)
 
 	// Fig. 5 final states: the 2-attribute generalizations w.r.t. which
 	// Patients IS 2-anonymous.
@@ -140,7 +152,7 @@ func TestExample32GraphGeneration(t *testing.T) {
 		}
 		s2[n.ID] = true
 	}
-	c3 := Generate(c2, s2, ids)
+	c3 := mustGenerate(t, c2, s2, ids)
 
 	want := [][]int{
 		{1, 1, 0}, // <B1, S1, Z0>
@@ -236,7 +248,7 @@ func TestGenerateMatchesDirectConstruction(t *testing.T) {
 		}
 	}
 	for size := 2; size <= len(heights); size++ {
-		next := Generate(prev, surv, ids)
+		next := mustGenerate(t, prev, surv, ids)
 
 		// Direct candidate construction: every level vector over every
 		// attribute subset of this size whose immediate subsets all survived.
@@ -477,8 +489,74 @@ func TestMeetEmpty(t *testing.T) {
 func TestGenerateOnEmptySurvivors(t *testing.T) {
 	ids := NewIDGen()
 	c1 := FirstIteration([]int{1, 1}, ids)
-	g := Generate(c1, map[int]bool{}, ids)
+	g := mustGenerate(t, c1, map[int]bool{}, ids)
 	if g.Len() != 0 || len(g.Edges()) != 0 {
 		t.Fatal("Generate from no survivors must be empty")
+	}
+}
+
+// countdownCtx is a context whose Err turns to context.Canceled after it
+// has reported nil live times.
+type countdownCtx struct {
+	context.Context
+	live int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.live == 0 {
+		return context.Canceled
+	}
+	c.live--
+	return nil
+}
+
+// TestGenerateStopsOnCancelledContext: candidate generation checks its
+// context, both before any work and periodically inside the join, and
+// hands out fewer node IDs than a full generation would.
+func TestGenerateStopsOnCancelledContext(t *testing.T) {
+	heights := make([]int, 12)
+	for i := range heights {
+		heights[i] = 1
+	}
+	// The survivors are all of C3 over 12 height-1 attributes, so C4 has
+	// 495 × 16 = 7,920 candidates.
+	c3 := func() (*Graph, map[int]bool, *IDGen) {
+		ids := NewIDGen()
+		g := FirstIteration(heights, ids)
+		for i := 0; i < 2; i++ {
+			all := make(map[int]bool)
+			for _, n := range g.Nodes() {
+				all[n.ID] = true
+			}
+			g = mustGenerate(t, g, all, ids)
+		}
+		all := make(map[int]bool)
+		for _, n := range g.Nodes() {
+			all[n.ID] = true
+		}
+		return g, all, ids
+	}
+	g, surv, ids := c3()
+	before := ids.next
+	full := mustGenerate(t, g, surv, ids)
+	if full.Len() != 7920 || ids.next-before != 7920 {
+		t.Fatalf("setup: C4 has %d candidates from %d IDs, want 7920", full.Len(), ids.next-before)
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, ctx := range map[string]context.Context{
+		"already cancelled":         cancelled,
+		"cancelled during the join": &countdownCtx{Context: context.Background(), live: 1},
+	} {
+		g, surv, ids := c3()
+		before := ids.next
+		got, err := Generate(ctx, g, surv, ids)
+		if !errors.Is(err, context.Canceled) || got != nil {
+			t.Errorf("%s: Generate = %v, %v; want nil, context.Canceled", name, got, err)
+		}
+		if handed := ids.next - before; handed >= full.Len() {
+			t.Errorf("%s: Generate handed out %d IDs, want fewer than the %d of a full generation", name, handed, full.Len())
+		}
 	}
 }

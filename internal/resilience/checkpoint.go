@@ -1,10 +1,12 @@
 package resilience
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,48 +15,17 @@ import (
 )
 
 // SnapshotVersion is the checkpoint format version; Load rejects snapshots
-// written by an incompatible format.
-const SnapshotVersion = 1
+// written in any other version, naming both.
+const SnapshotVersion = 2
 
-// NodeKey identifies a lattice node representation-independently: the QI
-// attribute subset and the per-attribute levels. Node IDs are deliberately
-// absent — they are replayed deterministically on resume.
-type NodeKey struct {
+// Verdict is the k-anonymity check outcome of one lattice node: the QI
+// attribute subset, the per-attribute levels, and whether the node passed.
+// Node IDs are deliberately absent: a resumed run regenerates its candidate
+// graphs and looks verdicts up by (Dims, Levels).
+type Verdict struct {
 	Dims   []int `json:"d"`
 	Levels []int `json:"l"`
-}
-
-// FamilyState is the completed search of one family (attribute subset) of
-// the in-progress iteration: which of its candidates failed the k-anonymity
-// check, and the work counters the search spent. Survivors are everything
-// else, and frequency sets are recomputed by rollup on resume.
-type FamilyState struct {
-	Dims   []int            `json:"dims"`
-	Failed []NodeKey        `json:"failed"`
-	Stats  map[string]int64 `json:"stats"`
-}
-
-// Outcomes of one processed node of the breadth-first search.
-const (
-	OutcomePassed = "passed" // checked, k-anonymous
-	OutcomeFailed = "failed" // checked, not k-anonymous
-	OutcomeMarked = "marked" // skipped via the generalization property
-)
-
-// NodeOutcome is what the breadth-first search concluded about one
-// processed node.
-type NodeOutcome struct {
-	Key     NodeKey `json:"k"`
-	Outcome string  `json:"o"` // OutcomePassed, OutcomeFailed or OutcomeMarked
-}
-
-// Frontier is the breadth-first state of the in-progress iteration on the
-// sequential search path, snapshotted at a level boundary: the processed
-// nodes with their outcomes, in processing order. Everything else — queue
-// contents, marks, rollup parents, retained frequency sets — is derived
-// deterministically from them on resume.
-type Frontier struct {
-	Processed []NodeOutcome `json:"processed"`
+	Pass   bool  `json:"p"`
 }
 
 // Fingerprint pins a snapshot to the exact problem instance that produced
@@ -99,22 +70,48 @@ func (f Fingerprint) Key() string {
 	return b.String()
 }
 
-// Snapshot is one checkpoint of the Incognito outer loop. Iter is the
-// number of completed subset-size iterations; History[i] holds the
-// survivors of iteration i+1, so resume replays candidate generation —
-// which is deterministic, including node IDs — without touching the table.
-// At most one of Families and Frontier describes partial progress inside
-// iteration Iter+1: Families on the parallel per-family path, Frontier on
-// the sequential whole-graph path.
+// Snapshot is one checkpoint of an Incognito search: the verdict of every
+// node the run had checked when it saved, in no particular order. Nodes
+// marked by the generalization property are not recorded, because the
+// verdicts determine them. A resumed run starts again at the first
+// iteration and answers each recorded node from its verdict instead of
+// checking it, so it makes the same decisions, spends the same Stats and
+// finds the same Solutions as an uninterrupted run.
 type Snapshot struct {
-	Fingerprint Fingerprint      `json:"fingerprint"`
-	Boundary    string           `json:"boundary"` // "iteration", "family" or "level"
-	Seq         int64            `json:"seq"`      // save sequence number within the run
-	Iter        int              `json:"iter"`
-	History     [][]NodeKey      `json:"history"`
-	Stats       map[string]int64 `json:"stats"` // accumulated through iteration Iter
-	Families    []FamilyState    `json:"families,omitempty"`
-	Frontier    *Frontier        `json:"frontier,omitempty"`
+	Fingerprint Fingerprint `json:"fingerprint"`
+	Boundary    string      `json:"boundary"` // "iteration", "family" or "level"
+	Seq         int64       `json:"seq"`      // save sequence number within the run
+	Verdicts    []Verdict   `json:"verdicts"`
+}
+
+// CheckLattice refuses a snapshot holding a verdict for a node outside the
+// generalization lattice of the given hierarchy heights: no attributes, an
+// attribute position out of range, positions not strictly increasing, a
+// level outside [0, height], or unequal Dims and Levels lengths. The error
+// names the first such node.
+func (s *Snapshot) CheckLattice(heights []int) error {
+	for _, v := range s.Verdicts {
+		if !inLattice(v, heights) {
+			return fmt.Errorf("resilience: checkpoint holds a verdict for node dims=%v levels=%v, outside this run's lattice (heights %v)",
+				v.Dims, v.Levels, heights)
+		}
+	}
+	return nil
+}
+
+func inLattice(v Verdict, heights []int) bool {
+	if len(v.Dims) == 0 || len(v.Dims) != len(v.Levels) {
+		return false
+	}
+	for i, d := range v.Dims {
+		if d < 0 || d >= len(heights) || (i > 0 && d <= v.Dims[i-1]) {
+			return false
+		}
+		if l := v.Levels[i]; l < 0 || l > heights[d] {
+			return false
+		}
+	}
+	return true
 }
 
 // envelope is the on-disk framing: the format version, a checksum of the
@@ -211,13 +208,9 @@ func (c *Checkpointer) Save(s *Snapshot) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s.Seq = c.seq.Load() + 1
-	payload, err := json.Marshal(s)
+	env, err := encodeSnapshot(s)
 	if err != nil {
-		return fmt.Errorf("resilience: encoding checkpoint: %w", err)
-	}
-	env, err := json.Marshal(envelope{Version: SnapshotVersion, Checksum: checksum(payload), Payload: payload})
-	if err != nil {
-		return fmt.Errorf("resilience: encoding checkpoint: %w", err)
+		return err
 	}
 	if err := writeAtomic(c.path, ".ckpt-*", env); err != nil {
 		return fmt.Errorf("resilience: writing checkpoint: %w", err)
@@ -244,25 +237,61 @@ func (c *Checkpointer) Clear() error {
 	return nil
 }
 
+// encodeSnapshot frames a snapshot as the current format's envelope.
+func encodeSnapshot(s *Snapshot) ([]byte, error) {
+	payload, err := json.Marshal(s)
+	if err != nil {
+		return nil, fmt.Errorf("resilience: encoding checkpoint: %w", err)
+	}
+	env, err := json.Marshal(envelope{Version: SnapshotVersion, Checksum: checksum(payload), Payload: payload})
+	if err != nil {
+		return nil, fmt.Errorf("resilience: encoding checkpoint: %w", err)
+	}
+	return env, nil
+}
+
+// decodeSnapshot verifies (version and checksum) and decodes an envelope.
+// Envelope and payload are decoded strictly: a field the format does not
+// declare, or anything but white space after the value, is refused.
+func decodeSnapshot(raw []byte) (*Snapshot, error) {
+	var env envelope
+	if err := decodeStrict(raw, &env); err != nil {
+		return nil, fmt.Errorf("is corrupt: %w", err)
+	}
+	if env.Version != SnapshotVersion {
+		return nil, fmt.Errorf("has format version %d, this build reads %d", env.Version, SnapshotVersion)
+	}
+	if got := checksum(env.Payload); got != env.Checksum {
+		return nil, fmt.Errorf("failed checksum verification (have %s, recorded %s)", got, env.Checksum)
+	}
+	var s Snapshot
+	if err := decodeStrict(env.Payload, &s); err != nil {
+		return nil, fmt.Errorf("is corrupt: %w", err)
+	}
+	return &s, nil
+}
+
+func decodeStrict(raw []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("unexpected data after the JSON value")
+	}
+	return nil
+}
+
 // Load reads, verifies (version and checksum) and decodes a snapshot file.
 func Load(path string) (*Snapshot, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("resilience: reading checkpoint: %w", err)
 	}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return nil, fmt.Errorf("resilience: corrupt checkpoint %s: %w", path, err)
+	s, err := decodeSnapshot(raw)
+	if err != nil {
+		return nil, fmt.Errorf("resilience: checkpoint %s %w", path, err)
 	}
-	if env.Version != SnapshotVersion {
-		return nil, fmt.Errorf("resilience: checkpoint %s has format version %d, this build reads %d", path, env.Version, SnapshotVersion)
-	}
-	if got := checksum(env.Payload); got != env.Checksum {
-		return nil, fmt.Errorf("resilience: checkpoint %s failed checksum verification (have %s, recorded %s)", path, got, env.Checksum)
-	}
-	var s Snapshot
-	if err := json.Unmarshal(env.Payload, &s); err != nil {
-		return nil, fmt.Errorf("resilience: corrupt checkpoint %s: %w", path, err)
-	}
-	return &s, nil
+	return s, nil
 }

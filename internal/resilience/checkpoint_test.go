@@ -1,10 +1,13 @@
 package resilience
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -20,22 +23,11 @@ func sampleSnapshot() *Snapshot {
 			TableHash:   0xdeadbeef,
 		},
 		Boundary: "iteration",
-		Iter:     2,
-		History: [][]NodeKey{
-			{{Dims: []int{0}, Levels: []int{1}}, {Dims: []int{2}, Levels: []int{2}}},
-			{{Dims: []int{0, 2}, Levels: []int{1, 2}}},
+		Verdicts: []Verdict{
+			{Dims: []int{0}, Levels: []int{0}, Pass: false},
+			{Dims: []int{0}, Levels: []int{1}, Pass: true},
+			{Dims: []int{0, 2}, Levels: []int{1, 2}, Pass: true},
 		},
-		Stats: map[string]int64{"nodes_checked": 7, "rollups": 3},
-		Families: []FamilyState{{
-			Dims:   []int{0, 1},
-			Failed: []NodeKey{{Dims: []int{0, 1}, Levels: []int{0, 0}}},
-			Stats:  map[string]int64{"nodes_checked": 4},
-		}},
-		Frontier: &Frontier{Processed: []NodeOutcome{
-			{Key: NodeKey{Dims: []int{0, 1}, Levels: []int{0, 0}}, Outcome: OutcomeFailed},
-			{Key: NodeKey{Dims: []int{0, 1}, Levels: []int{1, 0}}, Outcome: OutcomePassed},
-			{Key: NodeKey{Dims: []int{0, 1}, Levels: []int{1, 1}}, Outcome: OutcomeMarked},
-		}},
 	}
 }
 
@@ -69,7 +61,7 @@ func TestCheckpointSaveReplaces(t *testing.T) {
 		t.Fatalf("Save: %v", err)
 	}
 	second := sampleSnapshot()
-	second.Iter = 3
+	second.Boundary = "level"
 	if err := c.Save(second); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
@@ -77,8 +69,8 @@ func TestCheckpointSaveReplaces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if got.Iter != 3 {
-		t.Errorf("loaded Iter = %d, want the second save's 3", got.Iter)
+	if got.Boundary != "level" {
+		t.Errorf("loaded Boundary = %q, want the second save's level", got.Boundary)
 	}
 	if got.Seq != 2 {
 		t.Errorf("loaded Seq = %d, want 2", got.Seq)
@@ -148,9 +140,9 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		if err := json.Unmarshal(raw, &env); err != nil {
 			t.Fatal(err)
 		}
-		// Flip a digit inside the payload so the JSON stays well formed but
+		// Flip a verdict inside the payload so the JSON stays well formed but
 		// the checksum no longer matches.
-		mutated := strings.Replace(string(env.Payload), `"iter":2`, `"iter":3`, 1)
+		mutated := strings.Replace(string(env.Payload), `"p":true`, `"p":false`, 1)
 		if mutated == string(env.Payload) {
 			t.Fatal("test setup: payload mutation did not apply")
 		}
@@ -169,7 +161,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	})
 
 	t.Run("wrong version", func(t *testing.T) {
-		mutated := strings.Replace(string(raw), `"version":1`, `"version":99`, 1)
+		mutated := strings.Replace(string(raw), `"version":2`, `"version":99`, 1)
 		if mutated == string(raw) {
 			t.Fatal("test setup: version mutation did not apply")
 		}
@@ -189,6 +181,31 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		}
 		if _, err := Load(bad); err == nil {
 			t.Error("Load of truncated file succeeded, want error")
+		}
+	})
+
+	t.Run("undeclared field", func(t *testing.T) {
+		// A well-formed, correctly checksummed payload carrying a field the
+		// format does not declare (here version 1's iteration count).
+		payload := `{"fingerprint":{"algorithm":"Basic Incognito","heights":[1],"k":2,"max_suppress":0,"rows":6,"table_hash":1},"boundary":"iteration","seq":1,"verdicts":[],"iter":1}`
+		sum := sha256.Sum256([]byte(payload))
+		bad := filepath.Join(dir, "field.ckpt")
+		env := `{"version":2,"checksum":"sha256:` + hex.EncodeToString(sum[:]) + `","payload":` + payload + `}`
+		if err := os.WriteFile(bad, []byte(env), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bad); err == nil || !strings.Contains(err.Error(), "iter") {
+			t.Errorf("Load of a payload with an undeclared field: err = %v, want it refused by name", err)
+		}
+	})
+
+	t.Run("trailing bytes", func(t *testing.T) {
+		bad := filepath.Join(dir, "trailing.ckpt")
+		if err := os.WriteFile(bad, append(append([]byte(nil), raw...), `{}`...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bad); err == nil {
+			t.Error("Load of a file with bytes after the envelope succeeded, want error")
 		}
 	})
 
@@ -262,4 +279,88 @@ func TestFingerprintKey(t *testing.T) {
 			t.Errorf("fingerprints differing in %s share a key", name)
 		}
 	}
+}
+
+// FuzzCheckpoint feeds arbitrary bytes to the snapshot decoder, both as a
+// whole file and as the payload of an envelope whose checksum matches, so
+// the fuzzer gets past the checksum to the payload decoder. Decoding never
+// panics and a refusal is an error; an accepted snapshot re-encodes and
+// decodes to an equal value; and the resume-time lattice check, under
+// heights drawn from the input, refuses exactly the snapshots holding a
+// verdict outside the lattice.
+func FuzzCheckpoint(f *testing.F) {
+	sample, err := encodeSnapshot(sampleSnapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A snapshot of a Basic run over the paper's Patients table (heights
+	// 1, 1, 2), saved at its last breadth-first level boundary.
+	patients, err := os.ReadFile(filepath.Join("testdata", "patients.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{sample, patients} {
+		var env envelope
+		if err := json.Unmarshal(seed, &env); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed, []byte{1, 1, 2})
+		f.Add([]byte(env.Payload), []byte{1, 1, 2})
+		f.Add([]byte(env.Payload), []byte{1, 0})
+	}
+	f.Fuzz(func(t *testing.T, data, hs []byte) {
+		heights := make([]int, min(len(hs), 8))
+		for i := range heights {
+			heights[i] = int(int8(hs[i]))
+		}
+		sum := sha256.Sum256(data)
+		wrapped := []byte(`{"version":2,"checksum":"sha256:` + hex.EncodeToString(sum[:]) + `","payload":` + string(data) + `}`)
+		for _, raw := range [][]byte{data, wrapped} {
+			s, err := decodeSnapshot(raw)
+			if err != nil {
+				if s != nil {
+					t.Fatalf("refused input returned a snapshot: %v", err)
+				}
+				continue
+			}
+			enc, err := encodeSnapshot(s)
+			if err != nil {
+				t.Fatalf("accepted snapshot does not re-encode: %v", err)
+			}
+			back, err := decodeSnapshot(enc)
+			if err != nil {
+				t.Fatalf("re-encoded snapshot is refused: %v", err)
+			}
+			if !reflect.DeepEqual(back, s) {
+				t.Fatalf("round trip changed the snapshot:\n got %+v\nwant %+v", back, s)
+			}
+			outside := false
+			for _, v := range s.Verdicts {
+				if !latticeNode(v, heights) {
+					outside = true
+				}
+			}
+			if err := s.CheckLattice(heights); (err != nil) != outside {
+				t.Fatalf("CheckLattice(%v) = %v, want a refusal: %v", heights, err, outside)
+			}
+		}
+	})
+}
+
+// latticeNode is FuzzCheckpoint's oracle: a verdict names a lattice node
+// when it has at least one attribute, as many levels as attributes, sorted
+// attributes with no repeats, all within range, and every level between 0
+// and its attribute's height.
+func latticeNode(v Verdict, heights []int) bool {
+	if len(v.Dims) == 0 || len(v.Dims) != len(v.Levels) || !sort.IntsAreSorted(v.Dims) {
+		return false
+	}
+	seen := make(map[int]bool)
+	for i, d := range v.Dims {
+		if seen[d] || d < 0 || d >= len(heights) || v.Levels[i] < 0 || v.Levels[i] > heights[d] {
+			return false
+		}
+		seen[d] = true
+	}
+	return true
 }

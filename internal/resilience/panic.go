@@ -4,7 +4,7 @@
 // the worker's span path instead of crashing the process), a soft memory
 // accountant driving the degradation ladder (dense→sparse kernels, shed
 // materialization, best-effort abort with ErrDegraded), and versioned,
-// checksummed search-frontier snapshots for checkpoint/resume.
+// checksummed snapshots of node verdicts for checkpoint/resume.
 //
 // The package depends only on the standard library so every layer of the
 // module — relation kernels, core search, baselines, telemetry — can use it

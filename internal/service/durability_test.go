@@ -19,6 +19,7 @@ import (
 
 	incognito "incognito"
 	"incognito/internal/resilience"
+	"incognito/internal/telemetry"
 )
 
 // seedJournal writes records into dir's journal through the production
@@ -372,6 +373,64 @@ func TestRecoveryResumesFromCheckpoint(t *testing.T) {
 	j.mu.Unlock()
 	if got != want {
 		t.Errorf("resumed result differs from the uninterrupted run:\nresumed:  %.120s\nexpected: %.120s", got, want)
+	}
+}
+
+// A daemon upgraded mid-job finds a checkpoint in the previous build's
+// format: a job journaled as running with a version-1 snapshot logs that
+// the checkpoint is unreadable, re-runs from scratch, and still finishes
+// with the uninterrupted run's result bytes.
+func TestRecoveryRerunsOnVersionOneCheckpoint(t *testing.T) {
+	ref := newTestService(t, Config{Workers: 1})
+	resp, serr := ref.Submit(validRequest())
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	if st := waitTerminal(t, ref, resp.ID); st.State != StateDone {
+		t.Fatalf("reference run finished %s (%s)", st.State, st.Error)
+	}
+	refJob, _ := ref.Job(resp.ID)
+	refJob.mu.Lock()
+	want := string(refJob.result)
+	refJob.mu.Unlock()
+
+	jdir, cdir := t.TempDir(), t.TempDir()
+	payload := `{"fingerprint":{"algorithm":"Basic Incognito","heights":[2,1,2],"k":2,"max_suppress":0,"rows":6,"table_hash":1},` +
+		`"boundary":"iteration","seq":1,"iter":1,"history":[[{"d":[0],"l":[1]}]],"stats":{"nodes_checked":5}}`
+	sum := sha256.Sum256([]byte(payload))
+	env := `{"version":1,"checksum":"sha256:` + hex.EncodeToString(sum[:]) + `","payload":` + payload + `}`
+	if err := os.WriteFile(filepath.Join(cdir, "job-000001.ckpt"), []byte(env), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seedJournal(t, jdir,
+		acceptedRecord("job-000001"),
+		journalRecord{Type: "state", Job: "job-000001", State: StateRunning},
+	)
+	logBuf := &syncBuffer{}
+	logger, err := telemetry.NewLogger(logBuf, "json", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestService(t, Config{Workers: 1, JournalDir: jdir, CheckpointDir: cdir, Logger: logger})
+	s.WaitRecovered()
+	if log := logBuf.String(); !strings.Contains(log, "checkpoint unreadable; re-running from scratch") || !strings.Contains(log, "format version 1") {
+		t.Errorf("recovery did not log the unreadable version-1 checkpoint:\n%s", log)
+	}
+	j, ok := s.Job("job-000001")
+	if !ok {
+		t.Fatal("interrupted job not re-enqueued")
+	}
+	if j.resume != nil {
+		t.Fatal("recovered job resumes from a version-1 snapshot")
+	}
+	if st := waitTerminal(t, s, "job-000001"); st.State != StateDone {
+		t.Fatalf("re-run job finished %s (%s)", st.State, st.Error)
+	}
+	j.mu.Lock()
+	got := string(j.result)
+	j.mu.Unlock()
+	if got != want {
+		t.Errorf("re-run result differs from the uninterrupted run:\nre-run:   %.120s\nexpected: %.120s", got, want)
 	}
 }
 

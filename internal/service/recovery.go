@@ -190,7 +190,9 @@ func (s *Service) requeueRecovered(id string, rj *replayedJob, claimed map[strin
 	// A job journaled as running may have left a checkpoint; resuming from
 	// it completes the run bit-identically to an uninterrupted one (the
 	// snapshot's fingerprint is re-verified against this table inside the
-	// engine). Its absence just means a cold re-run — same bytes, more work.
+	// engine). Its absence just means a cold re-run — same bytes, more work
+	// — and so does a snapshot this build cannot read, such as one an
+	// older build wrote in an earlier format before the daemon was upgraded.
 	if rj.state == StateRunning && s.cfg.CheckpointDir != "" {
 		path := filepath.Join(s.cfg.CheckpointDir, id+".ckpt")
 		if snap, err := incognito.LoadCheckpoint(path); err == nil {
