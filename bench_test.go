@@ -1,19 +1,17 @@
-// Benchmark suite regenerating the paper's evaluation (§4): one benchmark
-// per table and figure. Default sizes are scaled so `go test -bench=.`
-// finishes in minutes on a laptop; cmd/bench runs the same experiments at
-// the paper's full scale (45,222 Adults rows, millions of Lands End rows).
-// Override the row counts with INCOGNITO_BENCH_ADULTS_ROWS and
-// INCOGNITO_BENCH_LANDSEND_ROWS.
-//
-// Reported metrics per cell: ns/op (the figure's y-axis), plus nodes/op
-// (nodes explicitly checked, the §4.2.1 table), scans/op (base-table
-// scans), and for Fig. 12 build_ms/anon_ms (the stacked bars).
+// Benchmark suite for the ablations and primitives beside the paper's
+// evaluation: the §5 recoding models, the §7 materialization budget,
+// intra-run parallelism, Samarati's distance matrix (footnote 2), and the
+// scan and rollup substrate. The paper's own figures (Figs. 10–12 and the
+// §4.2.1 table) are cmd/bench's paper experiment. Default sizes are scaled
+// so `go test -bench=.` finishes in minutes on a laptop. Override the row
+// counts with INCOGNITO_BENCH_ADULTS_ROWS and INCOGNITO_BENCH_LANDSEND_ROWS.
 package incognito_test
 
 import (
 	"context"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"strconv"
 	"sync"
@@ -55,151 +53,6 @@ func landsEnd() *dataset.Dataset {
 		leData = dataset.LandsEnd(envInt("INCOGNITO_BENCH_LANDSEND_ROWS", 20000), 1)
 	})
 	return leData
-}
-
-// runCell executes one experiment cell b.N times and reports the counters.
-func runCell(b *testing.B, d *dataset.Dataset, qi int, k int64, algo bench.Algo) {
-	b.Helper()
-	var last bench.Measurement
-	for i := 0; i < b.N; i++ {
-		m, err := bench.Run(context.Background(), bench.Obs{}, d, qi, k, algo, bench.Sequential)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = m
-	}
-	b.ReportMetric(float64(last.Stats.NodesChecked), "nodes/op")
-	b.ReportMetric(float64(last.Stats.TableScans), "scans/op")
-	b.ReportMetric(float64(last.Solutions), "solutions")
-}
-
-// BenchmarkFig10Adults regenerates the top panels of Fig. 10: runtime vs.
-// quasi-identifier size on the Adults database for k = 2 and k = 10, all
-// six algorithms. The exhaustive bottom-up baselines sweep a shorter QI
-// range by default because their cost explodes exactly as the paper shows.
-func BenchmarkFig10Adults(b *testing.B) {
-	d := adults()
-	maxQI := map[bench.Algo]int{
-		bench.BottomUpNoRollup: 5,
-		bench.BottomUpRollup:   6,
-		bench.BinarySearch:     8,
-	}
-	for _, k := range []int64{2, 10} {
-		for _, algo := range bench.AllAlgos {
-			limit := 8
-			if m, ok := maxQI[algo]; ok {
-				limit = m
-			}
-			for qi := 3; qi <= limit; qi++ {
-				b.Run(fmt.Sprintf("k=%d/qid=%d/%s", k, qi, algo), func(b *testing.B) {
-					runCell(b, d, qi, k, algo)
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig10LandsEnd regenerates the bottom panels of Fig. 10 on the
-// synthetic Lands End database.
-func BenchmarkFig10LandsEnd(b *testing.B) {
-	d := landsEnd()
-	maxQI := map[bench.Algo]int{
-		bench.BottomUpNoRollup: 4,
-		bench.BottomUpRollup:   5,
-	}
-	for _, k := range []int64{2, 10} {
-		for _, algo := range bench.AllAlgos {
-			limit := 6
-			if m, ok := maxQI[algo]; ok {
-				limit = m
-			}
-			for qi := 3; qi <= limit; qi++ {
-				b.Run(fmt.Sprintf("k=%d/qid=%d/%s", k, qi, algo), func(b *testing.B) {
-					runCell(b, d, qi, k, algo)
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig11Adults regenerates the left panel of Fig. 11: runtime vs. k
-// at fixed quasi-identifier size on Adults for the four algorithms the
-// paper plots (binary search, bottom-up with rollup, Basic and Super-roots
-// Incognito).
-func BenchmarkFig11Adults(b *testing.B) {
-	d := adults()
-	const qi = 6
-	algos := []bench.Algo{bench.BinarySearch, bench.BottomUpRollup, bench.BasicIncognito, bench.SuperRootsIncognito}
-	for _, k := range []int64{2, 5, 10, 25, 50} {
-		for _, algo := range algos {
-			b.Run(fmt.Sprintf("k=%d/%s", k, algo), func(b *testing.B) {
-				runCell(b, d, qi, k, algo)
-			})
-		}
-	}
-}
-
-// BenchmarkFig11LandsEnd regenerates the right panel of Fig. 11, with the
-// paper's staggered quasi-identifier sizes: binary search at QID 6, the
-// Incognito variants at QID 8.
-func BenchmarkFig11LandsEnd(b *testing.B) {
-	d := landsEnd()
-	for _, k := range []int64{2, 5, 10, 25, 50} {
-		b.Run(fmt.Sprintf("k=%d/Binary Search (QID=6)", k), func(b *testing.B) {
-			runCell(b, d, 6, k, bench.BinarySearch)
-		})
-		b.Run(fmt.Sprintf("k=%d/Basic Incognito (QID=8)", k), func(b *testing.B) {
-			runCell(b, d, 8, k, bench.BasicIncognito)
-		})
-		b.Run(fmt.Sprintf("k=%d/Super-roots Incognito (QID=8)", k), func(b *testing.B) {
-			runCell(b, d, 8, k, bench.SuperRootsIncognito)
-		})
-	}
-}
-
-// BenchmarkNodesSearched regenerates the §4.2.1 table: the number of
-// generalization nodes each search checks explicitly on Adults at k=2, by
-// quasi-identifier size. Read the nodes/op metric: Incognito's a priori
-// pruning checks a shrinking fraction of what bottom-up checks.
-func BenchmarkNodesSearched(b *testing.B) {
-	d := adults()
-	for qi := 3; qi <= 6; qi++ {
-		b.Run(fmt.Sprintf("qid=%d/Bottom-Up", qi), func(b *testing.B) {
-			runCell(b, d, qi, 2, bench.BottomUpRollup)
-		})
-		b.Run(fmt.Sprintf("qid=%d/Incognito", qi), func(b *testing.B) {
-			runCell(b, d, qi, 2, bench.BasicIncognito)
-		})
-	}
-}
-
-// BenchmarkFig12 regenerates the Cube Incognito cost breakdown of Fig. 12:
-// the build_ms/anon_ms metrics are the stacked bars (cube construction vs.
-// anonymization) by quasi-identifier size, k=2, on both databases.
-func BenchmarkFig12(b *testing.B) {
-	for _, tc := range []struct {
-		name  string
-		d     *dataset.Dataset
-		maxQI int
-	}{
-		{"Adults", adults(), 8},
-		{"LandsEnd", landsEnd(), 6},
-	} {
-		for qi := 3; qi <= tc.maxQI; qi++ {
-			b.Run(fmt.Sprintf("%s/qid=%d", tc.name, qi), func(b *testing.B) {
-				var last bench.Measurement
-				for i := 0; i < b.N; i++ {
-					m, err := bench.Run(context.Background(), bench.Obs{}, tc.d, qi, 2, bench.CubeIncognito, bench.Sequential)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = m
-				}
-				b.ReportMetric(float64(last.BuildTime.Microseconds())/1000, "build_ms")
-				b.ReportMetric(float64(last.AnonTime.Microseconds())/1000, "anon_ms")
-			})
-		}
-	}
 }
 
 // BenchmarkModels is the §5 ablation: the alternative k-anonymization
@@ -352,31 +205,31 @@ func parallelLevels() []int {
 	return levels
 }
 
-// runParallelCell is runCell with an explicit intra-run worker bound. The
+// runParallelCell runs one cell b.N times at an intra-run worker bound. The
 // identical metric must be 1 at every level: parallel runs reproduce the
 // sequential reference's solutions and counters bit for bit.
 func runParallelCell(b *testing.B, d *dataset.Dataset, qi int, k int64, algo bench.Algo, parallelism int) {
 	b.Helper()
-	ref, err := bench.Run(context.Background(), bench.Obs{}, d, qi, k, algo, bench.Sequential)
+	ref, err := bench.Run(context.Background(), bench.Obs{}, d, qi, k, algo, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var last bench.Measurement
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := bench.Run(context.Background(), bench.Obs{}, d, qi, k, algo, bench.Mode{Parallelism: parallelism})
+		m, err := bench.Run(context.Background(), bench.Obs{}, d, qi, k, algo, parallelism)
 		if err != nil {
 			b.Fatal(err)
 		}
 		last = m
 	}
 	b.StopTimer()
-	identical := last.Solutions == ref.Solutions && last.MinHeight == ref.MinHeight && last.Stats == ref.Stats
+	identical := reflect.DeepEqual(last.Solutions, ref.Solutions) && last.MinHeight == ref.MinHeight && last.Stats == ref.Stats
 	if !identical {
 		b.Fatalf("parallelism=%d diverged from sequential reference: got %d solutions %+v, want %d solutions %+v",
-			parallelism, last.Solutions, last.Stats, ref.Solutions, ref.Stats)
+			parallelism, len(last.Solutions), last.Stats, len(ref.Solutions), ref.Stats)
 	}
-	b.ReportMetric(float64(last.Solutions), "solutions")
+	b.ReportMetric(float64(len(last.Solutions)), "solutions")
 	b.ReportMetric(1, "identical")
 }
 

@@ -57,6 +57,7 @@ func TestBenchUsageErrorsExitTwo(t *testing.T) {
 		{"-parallelism", "-1"},
 		{"-algos", "quantum"},
 		{"-definitely-not-a-flag"},
+		{"-csv"}, // reports print as a table or, with -json, as JSON
 	}
 	for _, args := range cases {
 		_, stderr, code := runCLI(t, args...)
@@ -69,13 +70,71 @@ func TestBenchUsageErrorsExitTwo(t *testing.T) {
 	}
 }
 
+// An unknown experiment is a runtime error, exit 1; the retired per-figure
+// experiments are unknown now that the paper experiment covers them.
 func TestBenchUnknownExperimentFails(t *testing.T) {
-	_, stderr, code := runCLI(t, "-experiment", "fig99")
-	if code == 0 {
-		t.Fatalf("unknown experiment exited 0:\n%s", stderr)
+	for _, name := range []string{"fig99", "fig10-adults", "fig11-landsend", "fig12", "nodes-table"} {
+		_, stderr, code := runCLI(t, "-experiment", name)
+		if code != 1 {
+			t.Errorf("%s: exit %d, want 1:\n%s", name, code, stderr)
+		}
+		if !strings.Contains(stderr, "unknown experiment") {
+			t.Errorf("%s: error output missing explanation:\n%s", name, stderr)
+		}
 	}
-	if !strings.Contains(stderr, "unknown experiment") {
-		t.Fatalf("error output missing explanation:\n%s", stderr)
+}
+
+// TestBenchPaperExperiment runs one dataset's paper grid end to end: Fig.
+// 10's QI sizes at k 2 and 10, then Fig. 11's k 5, 25 and 50 at the largest
+// QI size, one cell per subject, every one identical to Basic, and the Cube
+// cells split for Fig. 12.
+func TestBenchPaperExperiment(t *testing.T) {
+	stdout, stderr, code := runCLI(t,
+		"-experiment", "paper-adults", "-rows", "300", "-seed", "1",
+		"-maxqi", "4", "-algos", "binary,cube", "-quiet", "-json")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0:\n%s", code, stderr)
+	}
+	var report struct {
+		Experiment string `json:"experiment"`
+		Cells      []struct {
+			Dataset   string             `json:"dataset"`
+			QISize    int                `json:"qi_size"`
+			K         int64              `json:"k"`
+			Algo      string             `json:"algo"`
+			Counters  map[string]int64   `json:"counters"`
+			Info      map[string]float64 `json:"info"`
+			Identical bool               `json:"identical"`
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &report); err != nil {
+		t.Fatalf("report is not valid JSON: %v\n%s", err, stdout)
+	}
+	// QI 3–4 at k 2 and 10, then k 5, 25 and 50 at QI 4: 7 workloads × 2.
+	if report.Experiment != "paper" || len(report.Cells) != 14 {
+		t.Fatalf("report names experiment %q and has %d cells, want paper and 14", report.Experiment, len(report.Cells))
+	}
+	for _, c := range report.Cells {
+		if c.Dataset != "Adults" || !c.Identical || c.Counters["basic_nodes_checked"] == 0 {
+			t.Errorf("cell %+v: want an identical Adults cell with Basic's counters", c)
+		}
+		if _, split := c.Info["build_ms"]; split != (c.Algo == "Cube Incognito") {
+			t.Errorf("%s cell info %v: only Cube cells carry the build/anonymization split", c.Algo, c.Info)
+		}
+	}
+	if last := report.Cells[len(report.Cells)-1]; last.QISize != 4 || last.K != 50 {
+		t.Errorf("last cell at QI %d, k %d, want Fig. 11's QI 4, k 50", last.QISize, last.K)
+	}
+
+	// all is fig9 and paper; with -json its stdout is the paper report alone.
+	stdout, stderr, code = runCLI(t,
+		"-experiment", "all", "-rows", "200", "-landsend-rows", "300", "-seed", "1",
+		"-maxqi", "3", "-algos", "cube", "-quiet", "-json")
+	if code != 0 {
+		t.Fatalf("all: exit %d, want 0:\n%s", code, stderr)
+	}
+	if err := json.Unmarshal([]byte(stdout), &report); err != nil || report.Experiment != "paper" {
+		t.Fatalf("all -json: stdout is not the paper report (%v):\n%s", err, stdout)
 	}
 }
 

@@ -1,18 +1,26 @@
-// Command bench regenerates the tables and figures of the paper's
-// evaluation (§4): Figure 10 (runtime vs. quasi-identifier size), Figure 11
-// (runtime vs. k), Figure 12 (Cube Incognito cost breakdown), the §4.2.1
-// nodes-searched table, and the Figure 9 dataset descriptions.
+// Command bench regenerates the paper's evaluation (§4) and runs the
+// repository's other comparison experiments. fig9 prints the Figure 9
+// dataset descriptions. paper times Basic Incognito against each other
+// algorithm at parallelism 1, one cell per (dataset, QI size, k, algorithm):
+// Figure 10 (runtime vs. quasi-identifier size, every size from -minqi to
+// -maxqi at k 2 and 10), Figure 11 (runtime vs. k: 5, 25 and 50 added at QI
+// 8, or -maxqi when smaller; on Lands End Binary Search runs those at QI 6,
+// as the paper staggers it), Figure 12 (the Cube cells' build_ms and
+// anon_ms) and the §4.2.1 nodes-searched table (a bottom-up cell's
+// nodes_checked next to basic_nodes_checked). paper-adults and
+// paper-landsend run one dataset; every name reports experiment paper.
+// parallel, kernel and incremental compare parallelism 1 against N, the
+// sparse frequency-set kernel against the dense one, and a cold run against
+// a delta run.
 //
 // Examples:
 //
 //	bench -experiment fig9
-//	bench -experiment fig10-adults -rows 45222
-//	bench -experiment fig10-landsend -rows 200000 -maxqi 6
-//	bench -experiment fig11-adults
-//	bench -experiment fig11-landsend
-//	bench -experiment fig12
-//	bench -experiment nodes-table
-//	bench -experiment all -rows 5000
+//	bench -experiment paper -rows 800 -landsend-rows 2000 -maxqi 6 -json
+//	bench -experiment paper-adults -rows 45222
+//	bench -experiment paper-landsend -landsend-rows 200000 -maxqi 6
+//	bench -experiment parallel -parallelism 2 -json
+//	bench -experiment all -rows 5000 -landsend-rows 20000
 //
 // Observability: -trace FILE writes a JSON execution trace (one span per
 // cell with the run's phase spans nested under it), -trace-chrome FILE the
@@ -49,17 +57,16 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run: fig9, fig10-adults, fig10-landsend, fig11-adults, fig11-landsend, fig12, nodes-table, parallel, kernel, incremental, or all")
+		experiment = flag.String("experiment", "all", "which experiment to run: fig9, paper, paper-adults, paper-landsend, parallel, kernel, incremental, or all (fig9 and paper)")
 		adultsRows = flag.Int("rows", dataset.AdultsDefaultRows, "row count for the Adults dataset")
 		leRows     = flag.Int("landsend-rows", 200000, "row count for the Lands End dataset (the original had 4,591,581)")
 		seed       = flag.Int64("seed", 1, "generator seed")
 		minQI      = flag.Int("minqi", 3, "smallest quasi-identifier size to sweep")
 		maxQI      = flag.Int("maxqi", 0, "largest quasi-identifier size to sweep (0 = dataset maximum)")
-		algosFlag  = flag.String("algos", "", "comma-separated algorithm subset (bottomup, bottomup-rollup, binary, basic, cube, superroots); empty = all six")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		algosFlag  = flag.String("algos", "", "comma-separated algorithm subset (bottomup, bottomup-rollup, binary, basic, cube, superroots): the paper experiment's subjects (default: all but basic) or the parallel experiment's algorithms (default: basic, superroots, cube)")
 		quiet      = flag.Bool("quiet", false, "suppress per-cell progress lines")
 		parallel   = flag.Int("parallelism", 0, "worker bound for the parallel experiment: 0 = all cores, n = at most n workers")
-		jsonOut    = flag.Bool("json", false, "emit the parallel, kernel or incremental experiment's report as JSON (for benchcheck and the BENCH_*.json records)")
+		jsonOut    = flag.Bool("json", false, "emit the comparison experiment's report as JSON (for benchcheck and the BENCH_*.json records)")
 
 		traceOut    = flag.String("trace", "", "write a JSON execution trace (span tree + per-phase counters) to this file")
 		chromeOut   = flag.String("trace-chrome", "", "write the execution trace as Chrome trace-event JSON (open in Perfetto) to this file")
@@ -100,10 +107,8 @@ func main() {
 		usageError(fmt.Errorf("-mem-budget: %w", err))
 	}
 
-	algos := bench.AllAlgos
-	algosExplicit := *algosFlag != ""
-	if algosExplicit {
-		algos = nil
+	var algos []bench.Algo
+	if *algosFlag != "" {
 		for _, name := range strings.Split(*algosFlag, ",") {
 			a, err := bench.ParseAlgo(strings.TrimSpace(name))
 			if err != nil {
@@ -130,18 +135,16 @@ func main() {
 		ctx, cancelTimeout = context.WithTimeout(ctx, *timeout)
 	}
 	r := &runner{
-		ctx:           ctx,
-		adultsRows:    *adultsRows,
-		leRows:        *leRows,
-		seed:          *seed,
-		minQI:         *minQI,
-		maxQI:         *maxQI,
-		algos:         algos,
-		algosExplicit: algosExplicit,
-		csv:           *csv,
-		parallelism:   *parallel,
-		jsonOut:       *jsonOut,
-		progress:      progress,
+		ctx:         ctx,
+		adultsRows:  *adultsRows,
+		leRows:      *leRows,
+		seed:        *seed,
+		minQI:       *minQI,
+		maxQI:       *maxQI,
+		algos:       algos,
+		parallelism: *parallel,
+		jsonOut:     *jsonOut,
+		progress:    progress,
 	}
 	cfg := obsConfig{
 		traceOut:    *traceOut,
@@ -305,9 +308,7 @@ type runner struct {
 	adultsRows, leRows int
 	seed               int64
 	minQI, maxQI       int
-	algos              []bench.Algo
-	algosExplicit      bool
-	csv                bool
+	algos              []bench.Algo // -algos; nil when not given
 	parallelism        int
 	jsonOut            bool
 	progress           bench.Progress
@@ -319,35 +320,21 @@ func (r *runner) dispatch(experiment string) error {
 	switch experiment {
 	case "fig9":
 		return r.fig9()
-	case "fig10-adults":
-		return r.fig10(r.adults())
-	case "fig10-landsend":
-		return r.fig10(r.landsEnd())
-	case "fig11-adults":
-		return r.fig11Adults()
-	case "fig11-landsend":
-		return r.fig11LandsEnd()
-	case "fig12":
-		return r.fig12()
-	case "nodes-table":
-		return r.nodesTable()
+	case "paper":
+		return r.paper(r.adults(), r.landsEnd())
+	case "paper-adults":
+		return r.paper(r.adults())
+	case "paper-landsend":
+		return r.paper(r.landsEnd())
 	case "parallel", "kernel", "incremental":
 		return r.compare(experiment)
 	case "all":
-		for _, f := range []func() error{
-			r.fig9,
-			func() error { return r.fig10(r.adults()) },
-			func() error { return r.fig10(r.landsEnd()) },
-			r.fig11Adults,
-			r.fig11LandsEnd,
-			r.fig12,
-			r.nodesTable,
-		} {
-			if err := f(); err != nil {
+		if !r.jsonOut { // fig9 is text: with -json, stdout is the paper report alone
+			if err := r.fig9(); err != nil {
 				return err
 			}
 		}
-		return nil
+		return r.paper(r.adults(), r.landsEnd())
 	}
 	return fmt.Errorf("bench: unknown experiment %q (run 'bench -help' for the list)", experiment)
 }
@@ -374,31 +361,10 @@ func (r *runner) qiRange(d *dataset.Dataset) (int, int) {
 		max = len(d.QICols)
 	}
 	min := r.minQI
-	if min < 1 {
-		min = 1
-	}
 	if min > max {
 		min = max
 	}
 	return min, max
-}
-
-func (r *runner) emit(s *bench.Sweep, nodes bool) error {
-	var err error
-	switch {
-	case r.csv:
-		fmt.Println(s.Title)
-		err = s.WriteCSV(os.Stdout)
-	case nodes:
-		err = s.WriteNodes(os.Stdout)
-	default:
-		err = s.WriteElapsed(os.Stdout)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	return nil
 }
 
 func (r *runner) fig9() error {
@@ -414,64 +380,14 @@ func (r *runner) fig9() error {
 	return nil
 }
 
-func (r *runner) fig10(d *dataset.Dataset) error {
-	min, max := r.qiRange(d)
-	for _, k := range []int64{2, 10} {
-		s, err := bench.Fig10(r.ctx, r.obs, d, k, min, max, r.algos, r.progress)
-		if err != nil {
-			return err
-		}
-		if err := r.emit(s, false); err != nil {
-			return err
-		}
+// paper runs the paper experiment's grid on each dataset in turn.
+func (r *runner) paper(datasets ...*dataset.Dataset) error {
+	var workloads []bench.Workload
+	for _, d := range datasets {
+		lo, hi := r.qiRange(d)
+		workloads = append(workloads, bench.PaperWorkloads(d, lo, hi, r.algos)...)
 	}
-	return nil
-}
-
-func (r *runner) fig11Adults() error {
-	d := r.adults()
-	qi := 8
-	if qi > len(d.QICols) {
-		qi = len(d.QICols)
-	}
-	// Fig. 11's legend: binary search, bottom-up with rollup, Basic and
-	// Super-roots Incognito. An explicit -algos overrides the subset.
-	algos := []bench.Algo{bench.BinarySearch, bench.BottomUpRollup, bench.BasicIncognito, bench.SuperRootsIncognito}
-	if r.algosExplicit {
-		algos = r.algos
-	}
-	s, err := bench.Fig11(r.ctx, r.obs, d, qi, []int64{2, 5, 10, 25, 50}, algos, nil, r.progress)
-	if err != nil {
-		return err
-	}
-	return r.emit(s, false)
-}
-
-func (r *runner) fig11LandsEnd() error {
-	d := r.landsEnd()
-	// The paper staggers the Lands End panel: Binary Search at QID 6,
-	// the Incognito variants at QID 8.
-	algos := []bench.Algo{bench.BinarySearch, bench.BasicIncognito, bench.SuperRootsIncognito}
-	s, err := bench.Fig11(r.ctx, r.obs, d, 8, []int64{2, 5, 10, 25, 50}, algos,
-		map[bench.Algo]int{bench.BinarySearch: 6}, r.progress)
-	if err != nil {
-		return err
-	}
-	return r.emit(s, false)
-}
-
-func (r *runner) fig12() error {
-	for _, d := range []*dataset.Dataset{r.adults(), r.landsEnd()} {
-		min, max := r.qiRange(d)
-		s, err := bench.Fig12(r.ctx, r.obs, d, 2, min, max, r.progress)
-		if err != nil {
-			return err
-		}
-		if err := r.emit(s, false); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.report("paper", workloads)
 }
 
 // compare runs one comparison experiment on the headline workloads — the
@@ -479,18 +395,31 @@ func (r *runner) fig12() error {
 // and prints its report: a reference run against a subject run per cell
 // (parallelism 1 against -parallelism, the sparse kernel against the
 // adaptive one, or a cold run against a delta run after a ~1% edit). The
-// parallel and kernel experiments compare the Incognito variants unless
-// -algos names others. With -json the report is machine-readable
-// (BENCH_<experiment>.json).
+// parallel experiment compares the Incognito variants unless -algos names
+// others.
 func (r *runner) compare(experiment string) error {
-	algos := []bench.Algo{bench.BasicIncognito, bench.SuperRootsIncognito, bench.CubeIncognito}
-	if r.algosExplicit {
-		algos = r.algos
+	headline := []bench.Workload{{Data: r.adults(), QISize: len(r.adults().QICols), K: 2}, {Data: r.landsEnd(), QISize: 6, K: 2}}
+	if experiment != "parallel" {
+		return r.report(experiment, headline)
 	}
-	adults, landsEnd := r.adults(), r.landsEnd()
-	workloads := []bench.Workload{{Data: adults, QISize: len(adults.QICols), K: 2}, {Data: landsEnd, QISize: 6, K: 2}}
-	report, err := bench.Compare(r.ctx, r.obs, experiment, workloads,
-		bench.Options{Algos: algos, Parallelism: r.parallelism}, r.progress)
+	algos := r.algos
+	if algos == nil {
+		algos = []bench.Algo{bench.BasicIncognito, bench.SuperRootsIncognito, bench.CubeIncognito}
+	}
+	var workloads []bench.Workload
+	for _, w := range headline {
+		for _, a := range algos {
+			w.Algo = a
+			workloads = append(workloads, w)
+		}
+	}
+	return r.report(experiment, workloads)
+}
+
+// report runs a comparison experiment and prints its report, as JSON with
+// -json (BENCH_<experiment>.json) and as a table otherwise.
+func (r *runner) report(experiment string, workloads []bench.Workload) error {
+	report, err := bench.Compare(r.ctx, r.obs, experiment, workloads, bench.Options{Parallelism: r.parallelism}, r.progress)
 	if err != nil {
 		return err
 	}
@@ -498,14 +427,4 @@ func (r *runner) compare(experiment string) error {
 		return report.WriteJSON(os.Stdout)
 	}
 	return report.WriteTable(os.Stdout)
-}
-
-func (r *runner) nodesTable() error {
-	d := r.adults()
-	min, max := r.qiRange(d)
-	s, err := bench.NodesTable(r.ctx, r.obs, d, 2, min, max, r.progress)
-	if err != nil {
-		return err
-	}
-	return r.emit(s, true)
 }

@@ -1,11 +1,12 @@
 // Package bench is the experiment harness behind §4 of the paper: it runs
-// one (dataset, quasi-identifier size, k, algorithm) cell, measures elapsed
-// time and the work counters, and formats the sweeps that regenerate each
-// figure. Beyond the paper, its comparison experiments (parallel, kernel,
-// incremental) time a reference run against a subject run of each cell and
-// report in one schema (Report, Cell) that cmd/benchcheck gates. cmd/bench
-// drives it from the command line; the repository-root benchmark suite
-// drives it from testing.B.
+// one (dataset, quasi-identifier size, k, algorithm) cell and measures
+// elapsed time and the work counters. Every comparison experiment — the
+// paper's own evaluation (Figs. 10–12 and the §4.2.1 table: each algorithm
+// against Basic Incognito) and, beyond the paper, the parallel, kernel and
+// incremental experiments — times a reference run against a subject run of
+// each cell and reports in one schema (Report, Cell) that cmd/benchcheck
+// gates. cmd/bench drives it from the command line; the repository-root
+// benchmark suite drives it from testing.B.
 package bench
 
 import (
@@ -91,55 +92,39 @@ func ParseAlgo(s string) (Algo, error) {
 	return 0, fmt.Errorf("bench: unknown algorithm %q (want bottomup, bottomup-rollup, binary, basic, cube, or superroots)", s)
 }
 
-// Measurement is one experiment cell.
+// Measurement is one run of an algorithm.
 type Measurement struct {
-	Dataset     string
-	Algo        Algo
-	QISize      int
-	K           int64
-	Parallelism int // the Input.Parallelism knob the cell ran with
-	Workers     int // the worker bound the run used (core.Input.Workers)
-	Elapsed     time.Duration
-	BuildTime   time.Duration // cube pre-computation, separated as in Fig. 12
-	AnonTime    time.Duration // anonymization excluding cube build
-	Stats       core.Stats
-	Solutions   int
-	MinHeight   int
+	Workers   int // the worker bound the run used (core.Input.Workers)
+	Elapsed   time.Duration
+	BuildTime time.Duration // cube pre-computation, separated as in Fig. 12
+	AnonTime  time.Duration // anonymization excluding cube build
+	Stats     core.Stats
+	// Solutions are the level vectors found, sorted by height then
+	// lexicographically: every k-anonymous generalization, or for Binary
+	// Search the one it returns.
+	Solutions [][]int
+	MinHeight int
 }
-
-// Mode is how a run executes. Solutions and Stats are identical in every
-// mode; only the elapsed time changes.
-type Mode struct {
-	// Parallelism bounds the run's workers: 0 = GOMAXPROCS, 1 = sequential,
-	// n = at most n workers.
-	Parallelism int
-	// Sparse forces the reference sparse map kernel instead of the adaptive
-	// dense mixed-radix one.
-	Sparse bool
-}
-
-// Sequential is the reference mode every paper figure is regenerated with.
-var Sequential = Mode{Parallelism: 1}
 
 // Run executes one cell: the given algorithm on the first qiSize attributes
-// of the dataset at anonymity parameter k, in the given mode, under ctx and
-// the instruments in obs (the zero Obs disables them all). Cancelling ctx
-// mid-cell returns an error wrapping ctx.Err().
-func Run(ctx context.Context, obs Obs, d *dataset.Dataset, qiSize int, k int64, algo Algo, mode Mode) (Measurement, error) {
+// of the dataset at anonymity parameter k, with at most parallelism workers
+// (0 = GOMAXPROCS, 1 = sequential), under ctx and the instruments in obs
+// (the zero Obs disables them all). Solutions and Stats are the same at
+// every parallelism; only the elapsed time changes. Cancelling ctx mid-cell
+// returns an error wrapping ctx.Err().
+func Run(ctx context.Context, obs Obs, d *dataset.Dataset, qiSize int, k int64, algo Algo, parallelism int) (Measurement, error) {
 	cols, hs, err := d.QISubset(qiSize)
 	if err != nil {
 		return Measurement{}, err
 	}
 	in := core.NewInput(d.Table, cols, hs, k, 0)
-	in.Parallelism = mode.Parallelism
-	in.SparseKernel = mode.Sparse
+	in.Parallelism = parallelism
 	in.Ctx = ctx
 	in.Trace = obs.Tracer
 	in.Progress = obs.Progress
 	in.Metrics = obs.Metrics
 	in.Budget = obs.Budget
-	m := Measurement{Dataset: d.Name, Algo: algo, QISize: qiSize, K: k,
-		Parallelism: mode.Parallelism, Workers: in.Workers()}
+	m := Measurement{Workers: in.Workers()}
 
 	cell := obs.Tracer.Start("cell")
 	cell.SetAttr("dataset", d.Name)
@@ -156,7 +141,7 @@ func Run(ctx context.Context, obs Obs, d *dataset.Dataset, qiSize int, k int64, 
 		if err != nil {
 			return m, err
 		}
-		m.Stats, m.Solutions, m.MinHeight = res.Stats, len(res.Solutions), res.MinHeight()
+		m.Stats, m.Solutions, m.MinHeight = res.Stats, res.Solutions, res.MinHeight()
 	case BinarySearch:
 		res, err := baseline.BinarySearch(in)
 		if err != nil {
@@ -164,7 +149,7 @@ func Run(ctx context.Context, obs Obs, d *dataset.Dataset, qiSize int, k int64, 
 		}
 		m.Stats, m.MinHeight = res.Stats, res.Height
 		if res.Solution != nil {
-			m.Solutions = 1
+			m.Solutions = [][]int{res.Solution}
 		}
 	case BasicIncognito, SuperRootsIncognito:
 		v := core.Basic
@@ -175,7 +160,7 @@ func Run(ctx context.Context, obs Obs, d *dataset.Dataset, qiSize int, k int64, 
 		if err != nil {
 			return m, err
 		}
-		m.Stats, m.Solutions, m.MinHeight = res.Stats, len(res.Solutions), res.MinHeight()
+		m.Stats, m.Solutions, m.MinHeight = res.Stats, res.Solutions, res.MinHeight()
 	case CubeIncognito:
 		buildStart := time.Now()
 		cube, err := buildCube(&in)
@@ -192,7 +177,7 @@ func Run(ctx context.Context, obs Obs, d *dataset.Dataset, qiSize int, k int64, 
 			return m, err
 		}
 		m.AnonTime = time.Since(anonStart)
-		m.Stats, m.Solutions, m.MinHeight = res.Stats, len(res.Solutions), res.MinHeight()
+		m.Stats, m.Solutions, m.MinHeight = res.Stats, res.Solutions, res.MinHeight()
 		m.Stats.Add(cube.BuildStats)
 	default:
 		return m, fmt.Errorf("bench: unknown algorithm %d", algo)

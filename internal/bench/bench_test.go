@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -54,9 +55,10 @@ func checkRenders(t *testing.T, r *Report, wants ...string) {
 
 func TestRunAllAlgorithmsAgree(t *testing.T) {
 	d := small()
-	var wantSolutions, wantMin int
+	var want [][]int
+	var wantMin int
 	for i, a := range AllAlgos {
-		m, err := Run(context.Background(), Obs{}, d, 3, 2, a, Sequential)
+		m, err := Run(context.Background(), Obs{}, d, 3, 2, a, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
@@ -65,25 +67,25 @@ func TestRunAllAlgorithmsAgree(t *testing.T) {
 		}
 		if a == BinarySearch {
 			// Binary search returns one solution; its height must match.
-			if m.MinHeight != wantMin {
-				t.Fatalf("binary search min height %d, others %d", m.MinHeight, wantMin)
+			if !isMinimal(Measurement{Solutions: want, MinHeight: wantMin}, m) {
+				t.Fatalf("binary search found %v at height %d, others %d", m.Solutions, m.MinHeight, wantMin)
 			}
 			continue
 		}
 		if i == 0 {
-			wantSolutions, wantMin = m.Solutions, m.MinHeight
+			want, wantMin = m.Solutions, m.MinHeight
 			continue
 		}
-		if m.Solutions != wantSolutions || m.MinHeight != wantMin {
+		if !reflect.DeepEqual(m.Solutions, want) || m.MinHeight != wantMin {
 			t.Fatalf("%v disagrees: %d solutions (want %d), min height %d (want %d)",
-				a, m.Solutions, wantSolutions, m.MinHeight, wantMin)
+				a, len(m.Solutions), len(want), m.MinHeight, wantMin)
 		}
 	}
 }
 
 func TestRunCubeSeparatesPhases(t *testing.T) {
 	d := small()
-	m, err := Run(context.Background(), Obs{}, d, 4, 2, CubeIncognito, Sequential)
+	m, err := Run(context.Background(), Obs{}, d, 4, 2, CubeIncognito, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,16 +99,16 @@ func TestRunCubeSeparatesPhases(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	d := small()
-	if _, err := Run(context.Background(), Obs{}, d, 0, 2, BasicIncognito, Sequential); err == nil {
+	if _, err := Run(context.Background(), Obs{}, d, 0, 2, BasicIncognito, 1); err == nil {
 		t.Fatal("QI size 0 accepted")
 	}
-	if _, err := Run(context.Background(), Obs{}, d, 99, 2, BasicIncognito, Sequential); err == nil {
+	if _, err := Run(context.Background(), Obs{}, d, 99, 2, BasicIncognito, 1); err == nil {
 		t.Fatal("oversized QI accepted")
 	}
-	if _, err := Run(context.Background(), Obs{}, d, 3, 0, BasicIncognito, Sequential); err == nil {
+	if _, err := Run(context.Background(), Obs{}, d, 3, 0, BasicIncognito, 1); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := Run(context.Background(), Obs{}, d, 3, 2, Algo(42), Sequential); err == nil {
+	if _, err := Run(context.Background(), Obs{}, d, 3, 2, Algo(42), 1); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -122,86 +124,160 @@ func TestParseAlgo(t *testing.T) {
 	}
 }
 
+// paperCells runs the paper experiment on a small Adults sample, one cell
+// per (QI size, k, algorithm), and requires every cell to be identical.
+func paperCells(t *testing.T, qis []int, ks []int64, algos []Algo) []Cell {
+	t.Helper()
+	d := small()
+	var ws []Workload
+	for _, qi := range qis {
+		for _, k := range ks {
+			for _, a := range algos {
+				ws = append(ws, Workload{d, qi, k, a})
+			}
+		}
+	}
+	r, err := Compare(context.Background(), Obs{}, "paper", ws, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Cells) != len(ws) || r.Ref != "basic" || r.Subject != "algo" {
+		t.Fatalf("got %d cells of %s vs %s, want %d of basic vs algo", len(r.Cells), r.Ref, r.Subject, len(ws))
+	}
+	for _, c := range r.Cells {
+		if !c.Identical {
+			t.Errorf("%s: subject's solutions differ from Basic's", c.Key())
+		}
+	}
+	return r.Cells
+}
+
+// TestFig10Sweep: Fig. 10's grid is every QI size swept at k 2 and 10 for
+// every subject, and its cells carry both algorithms' counters, Basic's
+// under the basic_ prefix, and both wall times, in the order their
+// workloads were given.
 func TestFig10Sweep(t *testing.T) {
 	d := small()
+	grid := PaperWorkloads(d, 3, 4, nil)
+	if want := (2*2 + 3) * 5; len(grid) != want {
+		t.Fatalf("grid has %d workloads, want %d", len(grid), want)
+	}
+	for _, w := range grid[:20] {
+		if w.Algo == BasicIncognito || (w.K != 2 && w.K != 10) {
+			t.Fatalf("Fig. 10 workload %+v", w)
+		}
+	}
 	var logged []string
-	s, err := Fig10(context.Background(), Obs{}, d, 2, 3, 4, []Algo{BasicIncognito, BinarySearch}, func(f string, a ...interface{}) {
-		logged = append(logged, f)
+	ws := []Workload{{d, 3, 2, CubeIncognito}, {d, 4, 10, SuperRootsIncognito}}
+	r, err := Compare(context.Background(), Obs{}, "paper", ws, Options{}, func(f string, a ...interface{}) {
+		logged = append(logged, fmt.Sprintf(f, a...))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.RowNames) != 2 || len(s.ColNames) != 2 {
-		t.Fatalf("sweep shape %dx%d, want 2x2", len(s.RowNames), len(s.ColNames))
+	if len(logged) != len(ws) {
+		t.Fatalf("progress called %d times, want %d", len(logged), len(ws))
 	}
-	if len(logged) != 4 {
-		t.Fatalf("progress called %d times, want 4", len(logged))
+	for i, c := range r.Cells {
+		if c.QISize != ws[i].QISize || c.K != ws[i].K || c.Algo != ws[i].Algo.String() {
+			t.Errorf("cell %d is %s, want workload %+v", i, c.Key(), ws[i])
+		}
+		if c.RefMS <= 0 || c.SubjectMS <= 0 {
+			t.Errorf("%s: times not measured: %+v", c.Key(), c)
+		}
+		for _, name := range []string{"nodes_checked", "table_scans", "rollups"} {
+			if _, ok := c.Counters["basic_"+name]; !ok {
+				t.Errorf("%s: no basic_%s counter", c.Key(), name)
+			}
+		}
+		for _, name := range []string{"solutions", "min_height"} {
+			if c.Counters[name] != c.Counters["basic_"+name] {
+				t.Errorf("%s: %s = %d, Basic's %d", c.Key(), name, c.Counters[name], c.Counters["basic_"+name])
+			}
+		}
 	}
-	var buf bytes.Buffer
-	if err := s.WriteElapsed(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "QID size") || !strings.Contains(out, "Basic Incognito") {
-		t.Fatalf("table output malformed:\n%s", out)
-	}
-	buf.Reset()
-	if err := s.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 3 {
-		t.Fatalf("CSV has %d lines, want 3:\n%s", lines, buf.String())
-	}
+	checkRenders(t, r, "paper experiment: basic vs algo", "algo=Cube Incognito", "identical=true")
 }
 
+// TestFig11Staggered: Fig. 11's extra k values run at QI 8 (or the
+// largest QI size swept), except Binary Search on Lands End, which runs at
+// QI 6 as in the paper. Binary Search returns one solution, and its cell
+// is identical when that solution is one of Basic's minimal ones.
 func TestFig11Staggered(t *testing.T) {
-	d := small()
-	s, err := Fig11(context.Background(), Obs{}, d, 4, []int64{2, 5}, []Algo{BinarySearch, BasicIncognito},
-		map[Algo]int{BinarySearch: 3}, nil)
-	if err != nil {
-		t.Fatal(err)
+	fig11 := func(ws []Workload) map[Algo]int {
+		qi := map[Algo]int{}
+		for _, w := range ws {
+			if w.K == 5 {
+				qi[w.Algo] = w.QISize
+			}
+		}
+		return qi
 	}
-	if !strings.Contains(s.ColNames[0], "QID=3") || !strings.Contains(s.ColNames[1], "QID=4") {
-		t.Fatalf("stagger not reflected in columns: %v", s.ColNames)
+	algos := []Algo{BinarySearch, CubeIncognito}
+	if got := fig11(PaperWorkloads(dataset.LandsEnd(50, 1), 3, 8, algos)); got[BinarySearch] != 6 || got[CubeIncognito] != 8 {
+		t.Errorf("Lands End Fig. 11 QI sizes %v, want Binary Search at 6 and Cube at 8", got)
 	}
-}
-
-func TestNodesTableShape(t *testing.T) {
-	d := small()
-	s, err := NodesTable(context.Background(), Obs{}, d, 2, 3, 4, nil)
-	if err != nil {
-		t.Fatal(err)
+	if got := fig11(PaperWorkloads(small(), 3, 9, algos)); got[BinarySearch] != 8 || got[CubeIncognito] != 8 {
+		t.Errorf("Adults Fig. 11 QI sizes %v, want 8 for both", got)
 	}
-	var buf bytes.Buffer
-	if err := s.WriteNodes(&buf); err != nil {
-		t.Fatal(err)
+	if got := fig11(PaperWorkloads(small(), 3, 5, algos)); got[BinarySearch] != 5 {
+		t.Errorf("Adults Fig. 11 QI sizes %v at -maxqi 5, want 5", got)
 	}
-	if !strings.Contains(buf.String(), "Incognito") {
-		t.Fatalf("nodes table malformed:\n%s", buf.String())
-	}
-	// The Incognito column never exceeds the bottom-up column by more than
-	// the sub-lattice overhead; at these sizes it should simply be ≤.
-	for r := range s.Cells {
-		bu, inc := s.Cells[r][0], s.Cells[r][1]
-		if inc.Stats.NodesChecked > bu.Stats.NodesChecked {
-			t.Fatalf("QID %s: incognito checked %d nodes, bottom-up %d",
-				s.RowNames[r], inc.Stats.NodesChecked, bu.Stats.NodesChecked)
+	for _, c := range paperCells(t, []int{4}, []int64{2, 5, 25}, []Algo{BinarySearch}) {
+		if c.Counters["solutions"] != 1 || c.Counters["min_height"] != c.Counters["basic_min_height"] {
+			t.Errorf("%s: binary search found %d solutions at height %d, Basic's minimal height %d",
+				c.Key(), c.Counters["solutions"], c.Counters["min_height"], c.Counters["basic_min_height"])
 		}
 	}
 }
 
+// TestNodesTableShape: one bottom-up cell holds both columns of the §4.2.1
+// table, and Incognito's a priori pruning checks no more nodes than
+// bottom-up's exhaustive search.
+func TestNodesTableShape(t *testing.T) {
+	for _, c := range paperCells(t, []int{3, 4}, []int64{2}, []Algo{BottomUpRollup, BottomUpNoRollup}) {
+		bu, inc := c.Counters["nodes_checked"], c.Counters["basic_nodes_checked"]
+		if inc <= 0 || inc > bu {
+			t.Errorf("%s: incognito checked %d nodes, bottom-up %d", c.Key(), inc, bu)
+		}
+	}
+}
+
+// TestFig12Breakdown: a Cube cell splits its wall time into the cube build
+// and the anonymization, as Fig. 12 does; other cells carry no split.
 func TestFig12Breakdown(t *testing.T) {
-	d := small()
-	s, err := Fig12(context.Background(), Obs{}, d, 2, 3, 4, nil)
-	if err != nil {
-		t.Fatal(err)
+	cells := paperCells(t, []int{4}, []int64{2}, []Algo{CubeIncognito, BottomUpRollup})
+	cube := cells[0]
+	if cube.Info["build_ms"] <= 0 || cube.Info["anon_ms"] <= 0 || cube.Info["build_ms"]+cube.Info["anon_ms"] > 1.5*cube.SubjectMS {
+		t.Errorf("cube split %v does not fit its %.3fms", cube.Info, cube.SubjectMS)
 	}
-	var buf bytes.Buffer
-	if err := s.WriteElapsed(&buf); err != nil {
-		t.Fatal(err)
+	if _, ok := cells[1].Info["build_ms"]; ok {
+		t.Errorf("%s: a bottom-up cell reports a cube build", cells[1].Key())
 	}
-	if !strings.Contains(buf.String(), "Cube Build") {
-		t.Fatalf("fig12 table malformed:\n%s", buf.String())
+}
+
+// TestBinarySearchIdentity: a Binary Search cell is identical only when
+// its one solution is one of Basic's minimal ones, or when neither found
+// any.
+func TestBinarySearchIdentity(t *testing.T) {
+	basic := Measurement{Solutions: [][]int{{0, 1}, {1, 0}, {1, 1}, {2, 0}}, MinHeight: 1}
+	for _, tc := range []struct {
+		basic Measurement
+		got   [][]int
+		h     int
+		want  bool
+	}{
+		{basic, [][]int{{1, 0}}, 1, true},
+		{basic, [][]int{{1, 1}}, 2, false}, // a solution, not a minimal one
+		{basic, [][]int{{0, 2}}, 2, false}, // not a solution
+		{basic, [][]int{{0, 0}}, 0, false}, // below Basic's minimal height
+		{basic, nil, -1, false},
+		{Measurement{MinHeight: -1}, nil, -1, true},
+		{Measurement{MinHeight: -1}, [][]int{{1, 1}}, 2, false},
+	} {
+		if got := isMinimal(tc.basic, Measurement{Solutions: tc.got, MinHeight: tc.h}); got != tc.want {
+			t.Errorf("basic %v, binary search %v: identical = %v, want %v", tc.basic.Solutions, tc.got, got, tc.want)
+		}
 	}
 }
 

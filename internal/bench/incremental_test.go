@@ -12,7 +12,7 @@ import (
 // bit for bit while re-scanning at most 10% of the cold run's rows and
 // revalidating at most 10% of its nodes.
 func TestIncrementalCellsIdenticalAndBounded(t *testing.T) {
-	r, err := Compare(context.Background(), Obs{}, "incremental", []Workload{{small(), 4, 2}}, Options{}, nil)
+	r, err := Compare(context.Background(), Obs{}, "incremental", []Workload{{Data: small(), QISize: 4, K: 2}}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestIncrementalCellsIdenticalAndBounded(t *testing.T) {
 
 // TestIncrementalReportRenders smoke-tests both output formats.
 func TestIncrementalReportRenders(t *testing.T) {
-	r, err := Compare(context.Background(), Obs{}, "incremental", []Workload{{small(), 3, 2}}, Options{}, nil)
+	r, err := Compare(context.Background(), Obs{}, "incremental", []Workload{{Data: small(), QISize: 3, K: 2}}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

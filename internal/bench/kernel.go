@@ -1,11 +1,12 @@
 package bench
 
 // This file is the kernel experiment: the dense mixed-radix frequency-set
-// kernel measured against the sparse map reference, end-to-end (whole
-// algorithm runs with the kernel forced each way) and in isolation (scan
-// and rollup microbenchmarks on dense-eligible generalized layouts).
-// Counters, group counts, and the dense allocs/op pin are deterministic
-// and gated in CI; timings and speedups are informational.
+// kernel measured against the sparse map reference in isolation, by scan
+// and rollup microbenchmarks on dense-eligible generalized layouts. Whole
+// runs need no cells here: the tests hold both kernels' Solutions and
+// Stats identical for every variant. Counters, group counts, and the dense
+// allocs/op pin are deterministic and gated in CI; timings and speedups
+// are informational.
 
 import (
 	"fmt"
@@ -15,26 +16,6 @@ import (
 	"incognito/internal/hierarchy"
 	"incognito/internal/relation"
 )
-
-// kernel runs the end-to-end kernel comparison for each algorithm on one
-// workload, every cell sequentially with the sparse kernel forced and then
-// with the adaptive dense kernel, followed by the scan and rollup
-// microbenchmarks at the workload's canonical dense-eligible layouts.
-func (c *comparison) kernel(w Workload) error {
-	for _, a := range c.opts.Algos {
-		run := func(sparse bool) func() (side, error) {
-			return func() (side, error) {
-				m, err := Run(c.ctx, c.obs, w.Data, w.QISize, w.K, a, Mode{Parallelism: 1, Sparse: sparse})
-				return runSide(m), err
-			}
-		}
-		cell := Cell{Dataset: w.Data.Name, Rows: w.Data.Table.NumRows(), QISize: w.QISize, K: w.K, Algo: a.String()}
-		if err := c.measure(cell, run(true), run(false)); err != nil {
-			return err
-		}
-	}
-	return c.kernelMicros(w)
-}
 
 // kernelLayout describes one generalized layout of the quasi-identifier:
 // table columns, recode tables, per-column cardinalities, and levels.
@@ -151,12 +132,12 @@ func allocsPerRun(runs int, fn func()) int64 {
 	return int64((after.Mallocs - before.Mallocs) / uint64(runs))
 }
 
-// kernelMicros runs the scan and rollup microbenchmarks on the workload's
+// kernel runs the scan and rollup microbenchmarks on the workload's
 // quasi-identifier at its canonical dense-eligible generalized layout: the
 // same GroupCountWithCard and RecodeWithCard executed by both kernels, with
 // identical outputs required and the dense per-tuple hot path pinned at 0
 // allocs/op.
-func (c *comparison) kernelMicros(w Workload) error {
+func (c *comparison) kernel(w Workload) error {
 	d := w.Data
 	cols, hs, err := d.QISubset(w.QISize)
 	if err != nil {

@@ -6,35 +6,13 @@ import (
 )
 
 // kernelCells runs the kernel experiment on a small Adults sample.
-func kernelCells(t *testing.T, qi int, algos []Algo) []Cell {
+func kernelCells(t *testing.T, qi int) []Cell {
 	t.Helper()
-	r, err := Compare(context.Background(), Obs{}, "kernel", []Workload{{small(), qi, 2}}, Options{Algos: algos}, nil)
+	r, err := Compare(context.Background(), Obs{}, "kernel", []Workload{{Data: small(), QISize: qi, K: 2}}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r.Cells
-}
-
-// TestKernelCellsIdentical runs the end-to-end kernel comparison on a
-// small Adults sample and requires the dense kernel to reproduce the
-// sparse kernel's results exactly in every cell.
-func TestKernelCellsIdentical(t *testing.T) {
-	algos := []Algo{BasicIncognito, SuperRootsIncognito, CubeIncognito}
-	cells := kernelCells(t, 4, algos)
-	if len(cells) != len(algos)+2 {
-		t.Fatalf("got %d cells, want %d (one per algorithm, then scan and rollup)", len(cells), len(algos)+2)
-	}
-	for i, c := range cells[:len(algos)] {
-		if c.Algo != algos[i].String() {
-			t.Errorf("cell %d: algo %q, want %q", i, c.Algo, algos[i])
-		}
-		if !c.Identical {
-			t.Errorf("%s: dense kernel diverged from sparse", c.Algo)
-		}
-		if c.Counters["solutions"] <= 0 {
-			t.Errorf("%s: no solutions recorded", c.Algo)
-		}
-	}
 }
 
 // TestKernelMicrosAreDenseEligibleAndIdentical checks the microbenchmark
@@ -42,7 +20,7 @@ func TestKernelCellsIdentical(t *testing.T) {
 // kernels agree on the scan and the rollup, with the dense per-tuple hot
 // path allocation-free.
 func TestKernelMicrosAreDenseEligibleAndIdentical(t *testing.T) {
-	micros := kernelCells(t, 4, nil)
+	micros := kernelCells(t, 4)
 	if len(micros) != 2 || micros[0].Op != "scan" || micros[1].Op != "rollup" {
 		t.Fatalf("got %+v, want two micro rows (scan, rollup)", micros)
 	}
@@ -67,8 +45,7 @@ func TestKernelMicrosAreDenseEligibleAndIdentical(t *testing.T) {
 
 // TestKernelReportRenders smoke-tests both output formats.
 func TestKernelReportRenders(t *testing.T) {
-	r, err := Compare(context.Background(), Obs{}, "kernel", []Workload{{small(), 3, 2}},
-		Options{Algos: []Algo{BasicIncognito}}, nil)
+	r, err := Compare(context.Background(), Obs{}, "kernel", []Workload{{Data: small(), QISize: 3, K: 2}}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

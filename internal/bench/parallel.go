@@ -29,8 +29,8 @@ func (c schedCounters) sub(o schedCounters) schedCounters {
 		c.busy - o.busy, c.span - o.span, c.wall - o.wall}
 }
 
-// parallel runs the serial-vs-parallel comparison for each algorithm on
-// one workload, serial and parallel back to back. The subject side's info
+// parallel runs the serial-vs-parallel comparison of the workload's
+// algorithm, serial and parallel back to back. The subject side's info
 // records the environment and the scheduler's accounting of the parallel
 // run: the process GOMAXPROCS, the worker bound the run used (the knob as
 // given, or GOMAXPROCS for 0 — it is not clamped to GOMAXPROCS), and the
@@ -45,35 +45,29 @@ func (c *comparison) parallel(w Workload) error {
 		obs.Metrics = telemetry.NewRegistry().NewRunMetrics()
 	}
 	sm := obs.Metrics.Sched()
-	for _, a := range c.opts.Algos {
-		cell := Cell{Dataset: w.Data.Name, Rows: w.Data.Table.NumRows(), QISize: w.QISize, K: w.K, Algo: a.String()}
-		err := c.measure(cell, func() (side, error) {
-			m, err := Run(c.ctx, obs, w.Data, w.QISize, w.K, a, Sequential)
-			return runSide(m), err
-		}, func() (side, error) {
-			before := schedSnapshot(sm)
-			m, err := Run(c.ctx, obs, w.Data, w.QISize, w.K, a, Mode{Parallelism: c.opts.Parallelism})
-			sched := schedSnapshot(sm).sub(before)
-			s := runSide(m)
-			s.info = map[string]float64{
-				"gomaxprocs":        float64(runtime.GOMAXPROCS(0)),
-				"workers":           float64(m.Workers),
-				"parallel_phase_ms": ms(sched.wall),
-				"serial_phase_ms":   ms(max(m.Elapsed-sched.wall, 0)),
-				"steals":            float64(sched.steals),
-				"sched_tasks":       float64(sched.tasks),
-				"utilization":       0,
-			}
-			if sched.span > 0 {
-				// Capped at 1 against clock skew between per-task and
-				// per-phase readings.
-				s.info["utilization"] = min(float64(sched.busy)/float64(sched.span), 1)
-			}
-			return s, err
-		})
-		if err != nil {
-			return err
+	cell := Cell{Dataset: w.Data.Name, Rows: w.Data.Table.NumRows(), QISize: w.QISize, K: w.K, Algo: w.Algo.String()}
+	return c.measure(cell, func() (side, error) {
+		m, err := Run(c.ctx, obs, w.Data, w.QISize, w.K, w.Algo, 1)
+		return runSide(m), err
+	}, func() (side, error) {
+		before := schedSnapshot(sm)
+		m, err := Run(c.ctx, obs, w.Data, w.QISize, w.K, w.Algo, c.opts.Parallelism)
+		sched := schedSnapshot(sm).sub(before)
+		s := runSide(m)
+		s.info = map[string]float64{
+			"gomaxprocs":        float64(runtime.GOMAXPROCS(0)),
+			"workers":           float64(m.Workers),
+			"parallel_phase_ms": ms(sched.wall),
+			"serial_phase_ms":   ms(max(m.Elapsed-sched.wall, 0)),
+			"steals":            float64(sched.steals),
+			"sched_tasks":       float64(sched.tasks),
+			"utilization":       0,
 		}
-	}
-	return nil
+		if sched.span > 0 {
+			// Capped at 1 against clock skew between per-task and
+			// per-phase readings.
+			s.info["utilization"] = min(float64(sched.busy)/float64(sched.span), 1)
+		}
+		return s, err
+	})
 }

@@ -14,7 +14,7 @@ import (
 func TestParallelExperimentCells(t *testing.T) {
 	d := dataset.Adults(300, 7)
 	algos := []Algo{BasicIncognito, CubeIncognito}
-	r, err := Compare(context.Background(), Obs{}, "parallel", []Workload{{d, 4, 2}}, Options{Algos: algos, Parallelism: 2}, nil)
+	r, err := Compare(context.Background(), Obs{}, "parallel", []Workload{{d, 4, 2, algos[0]}, {d, 4, 2, algos[1]}}, Options{Parallelism: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +38,8 @@ func TestParallelExperimentCells(t *testing.T) {
 }
 
 func TestParallelReportRenders(t *testing.T) {
-	r, err := Compare(context.Background(), Obs{}, "parallel", []Workload{{dataset.Adults(200, 7), 3, 2}},
-		Options{Algos: []Algo{BasicIncognito}, Parallelism: 2}, nil)
+	r, err := Compare(context.Background(), Obs{}, "parallel", []Workload{{dataset.Adults(200, 7), 3, 2, BasicIncognito}},
+		Options{Parallelism: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,10 +24,10 @@ import (
 )
 
 // Cell is one comparison: a reference run against a subject run of the same
-// workload (parallelism 1 against N, the sparse kernel against the adaptive
-// one, a cold run against a delta run, a sparse operation against a dense
-// one). The coordinates say what ran; an experiment leaves the ones that do
-// not apply to it empty.
+// workload (Basic Incognito against another algorithm, parallelism 1
+// against N, a cold run against a delta run, a sparse operation against a
+// dense one). The coordinates say what ran; an experiment leaves the ones
+// that do not apply to it empty.
 type Cell struct {
 	Dataset      string `json:"dataset"`
 	Rows         int    `json:"rows"`
@@ -53,8 +53,9 @@ type Cell struct {
 	// accounting, ratios derived from the counters.
 	Info map[string]float64 `json:"info,omitempty"`
 	// Identical reports whether the subject run reproduced the reference
-	// run's results exactly: solutions and every Stats counter for engine
-	// runs, groups, counts and order for frequency-set operations.
+	// run's results exactly: solutions for the paper experiment, solutions
+	// and every Stats counter for the other engine runs, groups, counts and
+	// order for frequency-set operations.
 	Identical bool `json:"identical"`
 }
 
@@ -120,12 +121,26 @@ type Workload struct {
 	Data   *dataset.Dataset
 	QISize int
 	K      int64
+	// Algo is the algorithm the paper and parallel experiments run: the
+	// subject timed against Basic Incognito, or the algorithm timed at
+	// parallelism 1 and N. The kernel and incremental experiments ignore it.
+	Algo Algo
 }
 
 // Options are the comparison experiments' settings.
 type Options struct {
-	Algos       []Algo // parallel and kernel: the algorithms compared
-	Parallelism int    // parallel: the subject runs' worker bound (0 = GOMAXPROCS)
+	Parallelism int // parallel: the subject runs' worker bound (0 = GOMAXPROCS)
+}
+
+// Progress receives a line per completed cell; a nil Progress disables
+// reporting (Log on a nil Progress is a no-op).
+type Progress func(format string, args ...interface{})
+
+// Log reports one progress line; it is safe to call on a nil Progress.
+func (p Progress) Log(format string, args ...interface{}) {
+	if p != nil {
+		p(format, args...)
+	}
 }
 
 // experiment describes one comparison experiment: what its two runs are,
@@ -137,6 +152,8 @@ type experiment struct {
 }
 
 var experiments = map[string]experiment{
+	"paper": {ref: "basic", subject: "algo", cells: (*comparison).paper,
+		info: func(Options) map[string]float64 { return nil }},
 	"parallel": {ref: "serial", subject: "parallel", cells: (*comparison).parallel,
 		info: func(o Options) map[string]float64 { return map[string]float64{"parallelism": float64(o.Parallelism)} }},
 	"kernel": {ref: "sparse", subject: "dense", cells: (*comparison).kernel,
@@ -154,8 +171,8 @@ type comparison struct {
 	report   *Report
 }
 
-// Compare runs the named comparison experiment ("parallel", "kernel" or
-// "incremental") on each workload in turn and returns its report. ctx
+// Compare runs the named comparison experiment ("paper", "parallel",
+// "kernel" or "incremental") on each workload in turn and returns its report. ctx
 // cancels the sweep between and inside cells; obs (optional) instruments
 // every engine run.
 func Compare(ctx context.Context, obs Obs, name string, workloads []Workload, opts Options, progress Progress) (*Report, error) {
@@ -239,10 +256,10 @@ func engineSide(elapsed time.Duration, solutions, minHeight int, st core.Stats, 
 	}}
 }
 
-// runSide is the side of one Run: its solution count, minimal height and
-// Stats must match the other side's.
+// runSide is the side of one Run: its solutions, minimal height and Stats
+// must match the other side's.
 func runSide(m Measurement) side {
-	return engineSide(m.Elapsed, m.Solutions, m.MinHeight, m.Stats, []any{m.Solutions, m.MinHeight, m.Stats})
+	return engineSide(m.Elapsed, len(m.Solutions), m.MinHeight, m.Stats, []any{m.Solutions, m.MinHeight, m.Stats})
 }
 
 // ms renders a duration as fractional milliseconds for the JSON reports,

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"incognito/internal/trace"
 )
@@ -146,6 +149,66 @@ func TestTraceCoversEveryIteration(t *testing.T) {
 		if got := it.Attrs["subset_size"]; fmt.Sprint(got) != fmt.Sprint(i+1) {
 			t.Errorf("iteration %d has subset_size=%v, want %d", i, got, i+1)
 		}
+	}
+}
+
+// TestFamilySpansNameTheirAttributes: on the parallel path each family
+// span's dims attribute names the family's attribute subset — its QI
+// columns in QI order, comma-joined — and an iteration's family spans name
+// exactly that iteration's subsets: on this input, every subset of its
+// size.
+func TestFamilySpansNameTheirAttributes(t *testing.T) {
+	in := determinismInputs(t)[1]
+	in.Parallelism = 2
+	in.Trace = trace.New()
+	if _, err := Run(in, Basic); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, q := range in.QI {
+		names = append(names, in.Table.Columns()[q.Col])
+	}
+	// subsets lists every size-i subset of names, comma-joined in QI order.
+	var subsets func(from, i int) []string
+	subsets = func(from, i int) []string {
+		if i == 0 {
+			return []string{""}
+		}
+		var out []string
+		for j := from; j+i <= len(names); j++ {
+			for _, rest := range subsets(j+1, i-1) {
+				out = append(out, strings.TrimSuffix(names[j]+","+rest, ","))
+			}
+		}
+		return out
+	}
+	families := 0
+	for _, it := range in.Trace.Export().Find("iteration") {
+		size, _ := it.Attrs["subset_size"].(int)
+		var got []string
+		for _, c := range it.Children {
+			if c.Name != "family" {
+				continue
+			}
+			dims, _ := c.Attrs["dims"].(string)
+			if !utf8.ValidString(dims) {
+				t.Errorf("iteration %d: family dims %q are not UTF-8", size, dims)
+			}
+			got = append(got, dims)
+		}
+		families += len(got)
+		if len(got) == 0 {
+			continue // one family: the run took the component path
+		}
+		sort.Strings(got)
+		want := subsets(0, size)
+		sort.Strings(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("iteration %d: family spans name %q, want %q", size, got, want)
+		}
+	}
+	if families == 0 {
+		t.Fatal("no family spans recorded at parallelism 2")
 	}
 }
 

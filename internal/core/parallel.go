@@ -17,6 +17,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 
 	"incognito/internal/faultinject"
 	"incognito/internal/lattice"
@@ -198,7 +199,9 @@ func searchGraphFamilies(in *Input, g *lattice.Graph, maker rootSourceMaker, sta
 		faultinject.Point("core.family")
 		nodes := fams[i]
 		sp := parent.Start("family")
-		sp.SetAttr("dims", nodes[0].DimsKey())
+		if sp != nil { // the names are built only for a span that records them
+			sp.SetAttr("dims", in.attrNames(nodes[0].Dims))
+		}
 		sp.SetAttr("nodes", len(nodes))
 		st := &famStats[i]
 		results[i], completes[i], errs[i] = searchComponent(in, g, nodes, familyRoots(g, nodes), maker, st, rp, false, nil)
@@ -231,6 +234,16 @@ func searchGraphFamilies(in *Input, g *lattice.Graph, maker rootSourceMaker, sta
 		}
 	}
 	return surv, complete, nil
+}
+
+// attrNames names the quasi-identifier attributes at dims — their table
+// columns — in QI order, comma-joined.
+func (in *Input) attrNames(dims []int) string {
+	names := make([]string, len(dims))
+	for i, d := range dims {
+		names[i] = in.Table.Columns()[in.QI[d].Col]
+	}
+	return strings.Join(names, ",")
 }
 
 // familyRoots returns the roots (no incoming edge) among one family's

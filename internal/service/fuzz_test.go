@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"incognito"
 )
 
 // FuzzSubmitRequest checks the POST /v1/jobs body on arbitrary bytes, fed
@@ -67,6 +69,82 @@ func FuzzSubmitRequest(f *testing.F) {
 		pol.criterion, pol2.criterion = nil, nil
 		if !reflect.DeepEqual(pol, pol2) {
 			t.Fatalf("%q resolved to %+v, its re-encoding %s to %+v", body, pol, again, pol2)
+		}
+	})
+}
+
+// FuzzDeltaRequest checks the POST /v1/jobs/{id}/delta body on arbitrary
+// bytes, fed through the handler's decoder and then through the delta-CSV
+// parser against a fixed table:
+//   - neither panics;
+//   - a body that is not one JSON value followed by nothing but white
+//     space, or that names a field DeltaRequest does not declare, is
+//     refused;
+//   - an accepted request, marshalled and decoded again, decodes equal;
+//   - every row parsed from add_csv or del_csv has the table's column
+//     count.
+func FuzzDeltaRequest(f *testing.F) {
+	for _, req := range []DeltaRequest{
+		{AddCSV: addOneCSV},
+		{DelCSV: addOneCSV},
+		{AddCSV: addOneCSV, DelCSV: addOneCSV},
+		{AddCSV: "Birthdate,Sex,Zipcode,Disease\n3/3/76,Male,53715,Flu\n"},
+		{AddCSV: "Zip,Sex\n1,2\n"},
+		{DelCSV: "Birthdate\n\"unterminated\n"},
+		{DelCSV: "Birthdate,Sex,Zipcode,Disease\n1/1/11,Male,99999,None\n"},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"add_csv":"Birthdate,Sex,Zipcode,Disease\n"} trailing garbage`))
+	f.Add([]byte(`{"add_csv":"a","kernel":"sparse"}`))
+	f.Add([]byte(`{"RequestID":"x"}`))
+	f.Add([]byte(`{"add_csv":"Birthdate,Sex,Zipcode,Disease\n1,2,3\n"}`))
+	table, err := incognito.ReadCSV(strings.NewReader(patientsCSV))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req DeltaRequest
+		err := decodeBody(bytes.NewReader(body), &req)
+		if err == nil && !json.Valid(body) {
+			t.Fatalf("accepted a body that is not one JSON value: %q", body)
+		}
+		var top map[string]json.RawMessage
+		if err == nil && json.Unmarshal(body, &top) == nil {
+			for key := range top {
+				if !declares(DeltaRequest{}, key) {
+					t.Fatalf("accepted a body naming %q: %q", key, body)
+				}
+			}
+		}
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var req2 DeltaRequest
+		if err := decodeBody(bytes.NewReader(again), &req2); err != nil {
+			t.Fatalf("re-encoded request %s refused: %v", again, err)
+		}
+		if req2 != req {
+			t.Fatalf("%q decoded to %+v, its re-encoding %s to %+v", body, req, again, req2)
+		}
+		for _, field := range []struct{ name, csv string }{{"add_csv", req.AddCSV}, {"del_csv", req.DelCSV}} {
+			rows, serr := parseDeltaCSV(field.name, field.csv, table)
+			if serr != nil {
+				continue
+			}
+			for _, row := range rows {
+				if len(row) != len(table.Columns()) {
+					t.Fatalf("%s %q parsed to row %q, want %d columns", field.name, field.csv, row, len(table.Columns()))
+				}
+			}
 		}
 	})
 }
