@@ -1,7 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -205,6 +207,26 @@ func TestCLIDeltaFlagValidation(t *testing.T) {
 	}
 	if out, code := runCLI(t, "-input", base, "-qi", qi, "-state-in", state, "-delta-add", badDelta); code != 1 {
 		t.Errorf("mismatched delta header: exit %d, want 1\n%s", code, out)
+	}
+}
+
+// TestCLIDeltaRefusesVersionOneState: a state file written in format
+// version 1, which still carried the base-level frequency set, is a
+// runtime failure naming both versions.
+func TestCLIDeltaRefusesVersionOneState(t *testing.T) {
+	dir := t.TempDir()
+	base, addFile, _, _ := writeDeltaFixture(t, dir)
+	payload := `{"fingerprint":{"algorithm":"incognito","heights":[2,1],"k":2,"max_suppress":0,"rows":1,"table_hash":1},` +
+		`"cols":["Zip","Sex"],"k":2,"max_suppress":0,"rows":1,"base":[{"v":["53711","Male"],"n":1}],"records":[]}`
+	sum := sha256.Sum256([]byte(payload))
+	state := filepath.Join(dir, "v1.state")
+	env := fmt.Sprintf(`{"version":1,"checksum":"sha256:%x","payload":%s}`, sum, payload)
+	if err := os.WriteFile(state, []byte(env), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code := runCLI(t, "-input", base, "-qi", "Zip=round:2;Sex=suppress", "-state-in", state, "-delta-add", addFile)
+	if code != 1 || !strings.Contains(out, "format version 1") || !strings.Contains(out, "reads 2") {
+		t.Fatalf("version-1 state: exit %d, want 1 with an error naming versions 1 and 2\n%s", code, out)
 	}
 }
 

@@ -10,21 +10,23 @@ import (
 )
 
 // RunState is the persistent residue of a completed run that makes
-// incremental re-anonymization possible: the base-domain frequency groups
-// (F0), plus one compact record per lattice node the search validated
-// explicitly — a tally of the tuples below k, a band of the group counts
-// near k, and a floor under everything outside the band. All values are
-// stored as strings, not dictionary codes, so a state survives the
-// dictionary-code permutation a rebuilt table induces. Produce one with
-// Config.RetainState (or from AnonymizeDelta, which always returns the
-// follow-on state), persist it with SaveRunState, and feed it to
-// AnonymizeDelta.
+// incremental re-anonymization possible: one compact record per lattice
+// node the search validated explicitly — a tally of the tuples below k, a
+// band of the group counts near k, and a floor under everything outside
+// the band — plus digests of the table's generalization chains, which
+// prove that the records describe a given table under given hierarchies.
+// Band values are stored as strings, not dictionary codes, so a state
+// survives the dictionary-code permutation a rebuilt table induces. The
+// table itself is not stored: AnonymizeDelta is handed it. Produce a state
+// with Config.RetainState (or from AnonymizeDelta, which always returns
+// the follow-on state), persist it with SaveRunState, and feed it to
+// AnonymizeDelta with the table it was captured from.
 type RunState = resilience.RunState
 
 // DeltaCounters reports how much work a delta run actually did, next to
-// the bit-identical Stats it shares with a cold run: rows re-scanned
-// (the delta rows themselves plus any forced whole-table-equivalent root
-// materializations) and the split of checked nodes into screened (verdict
+// the bit-identical Stats it shares with a cold run: rows re-scanned (the
+// delta rows themselves plus the whole edited table for every root the
+// run had to scan) and the split of checked nodes into screened (verdict
 // proven from the saved record, no frequency set built) versus revalidated
 // (full recount).
 type DeltaCounters = core.DeltaCounters
@@ -34,6 +36,9 @@ type DeltaCounters = core.DeltaCounters
 func SaveRunState(path string, s *RunState) error { return resilience.SaveRunState(path, s) }
 
 // LoadRunState reads, verifies and decodes a state written by SaveRunState.
+// It refuses a file of another format version, such as one written before
+// the format dropped the base-level frequency set (version 1): capture such
+// a state again with a cold run.
 func LoadRunState(path string) (*RunState, error) { return resilience.LoadRunState(path) }
 
 // DeltaResult is the outcome of AnonymizeDelta: a full Result over the
@@ -124,6 +129,11 @@ next:
 // cannot decide are recounted. Solutions and Stats are bit-identical to a
 // cold Anonymize of the edited table; Counters reports the savings.
 //
+// The state's digests must equal those of the edited table less add plus
+// del under qi's hierarchies. Otherwise the state describes another table,
+// or the same table under a hierarchy that generalizes some value
+// differently, and the run is refused with an error naming the attribute.
+//
 // Only BasicIncognito supports delta runs (the Config default). The run
 // honors Parallelism, Tracer/Progress/Metrics and Checkpoint/Resume;
 // memory budgets are rejected.
@@ -190,7 +200,7 @@ func AnonymizeDelta(ctx context.Context, t *Table, qi []QI, cfg Config, state *R
 		K:           in.K,
 		MaxSuppress: in.MaxSuppress,
 		Rows:        edited.rel.NumRows(),
-		Base:        run.BaseGroups(),
+		Digests:     run.Digests(),
 		Records:     append(in.Capture.Records(), run.UntouchedRecords(&in)...),
 	}
 	sp.End()

@@ -286,9 +286,9 @@ func TestAnonymizeDeltaWithCheckpoint(t *testing.T) {
 	}
 }
 
-// goldenNotes are free-text values chosen to stress the persisted group
-// order: the empty string, bytes ≥ 0x80, and lengths on both sides of 256,
-// where a little-endian length prefix stops ordering like the length.
+// goldenNotes are free-text values chosen to stress the persisted band
+// order and the string codec: the empty string, bytes ≥ 0x80, and lengths
+// on both sides of 256.
 var goldenNotes = []string{
 	"", "a", "b", "\x80", "é", "\xff\xfe",
 	strings.Repeat("x", 255), strings.Repeat("x", 256), strings.Repeat("a", 257),
@@ -296,14 +296,16 @@ var goldenNotes = []string{
 }
 
 // TestRunStateBytesGolden pins the exact bytes SaveRunState writes for a
-// seeded capture and for the state one delta run chains from it. The
-// hashes were recorded when states were still keyed by packed value
-// strings, so any change to the stored group, record, or band order — or
-// to what the delta run re-captures — shows up here.
+// seeded capture and for the state one delta run chains from it, so any
+// change to the stored record or band order, to the chain digests, or to
+// what the delta run re-captures shows up here. The hashes were recorded
+// at format version 2; each file equals the version-1 file the same test
+// wrote, with the base-level set removed, the version changed and the
+// digests added.
 func TestRunStateBytesGolden(t *testing.T) {
 	const (
-		wantCapture = "1e6c850b7f13ed4eda5b495f16ab2aece6ad923d90453c6365cd3419d4060d6a"
-		wantDelta   = "670d173cdb97556854791fc314180452beaf94e9541e048ef1ea8ffd81482a24"
+		wantCapture = "90f7074cd5fa8983b5cde924149934ebdd5a46a2037d901dfce8ad5b20da9c10"
+		wantDelta   = "157c27241d4c96bf3335ce3842995aa566b6f8bb7cc0bd435f551f7a5d171027"
 	)
 	rng := rand.New(rand.NewSource(61))
 	row := func() []string {
@@ -400,5 +402,62 @@ func TestDeltaExplainsNonUTF8StateValues(t *testing.T) {
 					notes, del[0][3], err)
 			}
 		}
+	}
+}
+
+// TestAnonymizeDeltaRefusesChangedHierarchy: a state captured under one
+// hierarchy is refused by a delta under another of the same height that
+// maps a value the table holds differently, with an error naming the
+// attribute. Without the check, both deltas below answer wrongly: the
+// first returns <A1>, which the edited table does not satisfy, and the
+// second returns nothing, where <A1> is a solution.
+func TestAnonymizeDeltaRefusesChangedHierarchy(t *testing.T) {
+	h1 := map[string]string{"a": "X", "b": "X", "c": "Y", "d": "Y"}
+	h2 := map[string]string{"a": "X", "c": "X", "b": "Y", "d": "Y"}
+	tab, err := incognito.NewTable([]string{"A"}, [][]string{{"a"}, {"b"}, {"c"}, {"c"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qi := func(parents map[string]string) []incognito.QI {
+		return []incognito.QI{{Column: "A", Hierarchy: incognito.Taxonomy(parents)}}
+	}
+	cfg := incognito.Config{K: 2}
+	for _, tc := range []struct {
+		name              string
+		captured, run     map[string]string
+		add               string
+		coldSolutionCount int
+	}{
+		{"captured under H1, delta under H2 adding c", h1, h2, "c", 0},
+		{"captured under H2, delta under H1 adding a", h2, h1, "a", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			retain := cfg
+			retain.RetainState = true
+			captured, err := incognito.Anonymize(tab, qi(tc.captured), retain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			add := [][]string{{tc.add}}
+			edited, err := incognito.ApplyRowDelta(tab, add, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := incognito.Anonymize(edited, qi(tc.run), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.Len() != tc.coldSolutionCount {
+				t.Fatalf("cold run of the edited table has %d solutions, want %d", cold.Len(), tc.coldSolutionCount)
+			}
+			got, err := incognito.AnonymizeDelta(context.Background(), tab, qi(tc.run), cfg, captured.State(), add, nil)
+			if err == nil {
+				t.Fatalf("delta under another hierarchy accepted, solutions %v (a cold run finds %v)",
+					solutionLevels(got.Result), solutionLevels(cold))
+			}
+			if !strings.Contains(err.Error(), `"A"`) {
+				t.Fatalf("error %q does not name attribute \"A\"", err)
+			}
+		})
 	}
 }

@@ -2,9 +2,10 @@ package bench
 
 // This file is the incremental experiment: re-anonymization after a ~1%
 // row delta, measured against a cold recomputation over the edited table.
-// A first run over the original table captures a RunState (base-level
-// frequency groups plus per-node records); the delta run replays the
-// Basic search over the edited table screening nodes from that state. The
+// A first run over the original table captures a RunState (per-node
+// records plus digests of the table's generalization chains); the delta
+// run replays the Basic search over the edited table, checking the
+// state's digests against it and screening nodes from the records. The
 // acceptance contract is counter-based so it holds on any box: Solutions
 // and Stats bit-identical to the cold run in every cell, while rows
 // re-scanned and nodes revalidated stay small fractions of the cold run's
@@ -50,8 +51,8 @@ func (c *comparison) incremental(w Workload) error {
 		return err
 	}
 	// The edited table assigns fresh dictionary codes, so the hierarchies
-	// must be rebound; the retained state survives because it stores value
-	// strings, not codes.
+	// must be rebound; the retained state survives because its bands and
+	// digests are built from value strings, not codes.
 	editedHs, err := rebind(edited, cols, specs)
 	if err != nil {
 		return err

@@ -1,13 +1,12 @@
 package core
 
 // This file implements incremental re-anonymization. A completed run can
-// capture a RunState: the base-level frequency set as value-string groups
-// plus one NodeRecord per checked lattice node (exact counts for the
-// groups near k, a floor for the rest, and bounds on the suppression
-// tally). A later delta run — the same table edited by a small set of
-// added/removed rows — replays the Basic search over the new table but
-// answers most k-anonymity checks from the records instead of computing
-// frequency sets:
+// capture a RunState: one NodeRecord per checked lattice node (exact
+// counts for the groups near k, a floor for the rest, and bounds on the
+// suppression tally), plus digests of the table's generalization chains. A
+// later delta run — the same table edited by a small set of added/removed
+// rows — replays the Basic search over the new table but answers most
+// k-anonymity checks from the records instead of computing frequency sets:
 //
 //   - every delta row's contribution to a node's groups is known exactly
 //     from the record's band, or bounded by its floor;
@@ -15,7 +14,8 @@ package core
 //     threshold, the node's verdict on the edited table is known exactly
 //     and the frequency set is never materialized;
 //   - otherwise the node is revalidated for real, rolling up from its
-//     recorded parent or from the patched base-level set.
+//     recorded parent or scanning the edited table for a root, as a cold
+//     run does.
 //
 // Every verdict the screen emits is exact, so the delta run's control flow
 // — marks, queue order, rollup parents — is identical to a cold run over
@@ -24,16 +24,13 @@ package core
 // cold recomputation by construction; only the work (rows scanned, nodes
 // materialized) shrinks, which DeltaCounters reports separately.
 //
-// Value strings exist only at the RunState boundary. prepare translates the
-// state's base groups into the edited table's dictionary codes, one lookup
-// per value per column, and interns each delta row's generalized values
-// once per (attribute, level); codeGroups.render turns codes back into
-// strings, in the persisted order, when the follow-on state is assembled.
-// In between, the patched base set, the per-node delta groups and the root
-// frequency sets are keyed by codes, the way relation.FreqSet is.
+// The state keeps nothing the edited table can give back. prepare reads
+// off that table whether each added row's tuple existed before, and checks
+// the state's chain digests against the table's less the delta's, which
+// proves the records describe this table under these hierarchies. Value
+// strings appear only in the records' bands and the interned delta rows.
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -44,7 +41,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"incognito/internal/hierarchy"
 	"incognito/internal/lattice"
@@ -220,107 +216,9 @@ func sortBand(band []resilience.BandEntry) {
 	}
 }
 
-// cmpPacked orders two value strings as their length-prefixed encodings
-// (4-byte little-endian length, then the bytes) compare bytewise. Unequal
-// lengths decide at their lowest-order differing length byte — so 256
-// sorts before 1 — and equal lengths by content. The encoding once keyed
-// the base groups, and its order, lifted element by element to value
-// tuples, remains the persisted order of RunState.Base; this reproduces it
-// without building a key.
-func cmpPacked(a, b string) int {
-	for la, lb := uint32(len(a)), uint32(len(b)); la != lb; la, lb = la>>8, lb>>8 {
-		if x, y := byte(la), byte(lb); x != y {
-			return cmp.Compare(x, y)
-		}
-	}
-	return strings.Compare(a, b)
-}
-
-// packedRanks ranks a dictionary's values in cmpPacked order (ranks[c] is
-// code c's position), so code tuples sort like their value tuples with
-// integer comparisons only.
-func packedRanks(d *relation.Dict) []int32 {
-	vals := d.Values()
-	order := make([]int32, len(vals))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return cmpPacked(vals[a], vals[b]) })
-	ranks := make([]int32, len(vals))
-	for r, c := range order {
-		ranks[c] = int32(r)
-	}
-	return ranks
-}
-
-// codeGroups is a full-quasi-identifier base-level frequency set held as
-// flat dictionary-code tuples: group i is codes[i*width:(i+1)*width] with
-// count counts[i]. Groups are in no particular order.
-type codeGroups struct {
-	width  int
-	codes  []int32
-	counts []int64
-}
-
-func (g *codeGroups) tuple(i int) []int32 { return g.codes[i*g.width : (i+1)*g.width] }
-
-func (g *codeGroups) add(codes []int32, n int64) {
-	g.codes = append(g.codes, codes...)
-	g.counts = append(g.counts, n)
-}
-
-// render decodes the groups through the base dictionaries of qi into
-// value-string groups in RunState.Base order. Value strings exist only
-// here, at the output boundary.
-func (g *codeGroups) render(qi []QIAttr) []resilience.BaseGroup {
-	w := g.width
-	ranks := make([][]int32, w)
-	for i, q := range qi {
-		ranks[i] = packedRanks(q.H.Dict(0))
-	}
-	order := make([]int32, len(g.counts))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(x, y int32) int {
-		a, b := g.tuple(int(x)), g.tuple(int(y))
-		for i, r := range ranks {
-			if ra, rb := r[a[i]], r[b[i]]; ra != rb {
-				return int(ra - rb)
-			}
-		}
-		return 0
-	})
-	vals := make([]string, len(g.codes))
-	out := make([]resilience.BaseGroup, len(order))
-	for j, gi := range order {
-		v := vals[j*w : (j+1)*w : (j+1)*w]
-		for i, c := range g.tuple(int(gi)) {
-			v[i] = qi[i].H.Value(0, c)
-		}
-		out[j] = resilience.BaseGroup{V: v, N: g.counts[gi]}
-	}
-	return out
-}
-
-// CaptureBase renders the table's base-level frequency set over the full
-// quasi-identifier as value-string groups — the persistent mergeable state
-// a delta run patches instead of rescanning. It scans the table once,
-// outside the run's Stats accounting.
-func CaptureBase(in *Input) []resilience.BaseGroup {
-	dims := make([]int, len(in.QI))
-	for i := range dims {
-		dims[i] = i
-	}
-	f := relation.GroupCount(in.Table, in.cols(dims), nil)
-	g := codeGroups{width: len(dims), codes: make([]int32, 0, f.Len()*len(dims)), counts: make([]int64, 0, f.Len())}
-	f.Each(g.add)
-	return g.render(in.QI)
-}
-
 // RunStateOf assembles the persistent state of a completed cold run of in
-// under the named algorithm: F0 rendered as value strings (CaptureBase),
-// plus every record capture observed.
+// under the named algorithm: every record capture observed, plus the chain
+// digests of the table the run read.
 func RunStateOf(in *Input, capture *StateCapture, algorithm string) *resilience.RunState {
 	cols := make([]string, len(in.QI))
 	for i, q := range in.QI {
@@ -332,8 +230,140 @@ func RunStateOf(in *Input, capture *StateCapture, algorithm string) *resilience.
 		K:           in.K,
 		MaxSuppress: in.MaxSuppress,
 		Rows:        in.Table.NumRows(),
-		Base:        CaptureBase(in),
+		Digests:     tableDigests(in),
 		Records:     capture.Records(),
+	}
+}
+
+// The chain digests of RunState.Digests. A row's chain in QI attribute i
+// is its value at every level of the attribute's hierarchy, base first:
+// the strings Hierarchy.Value gives, which DeltaRow.Gen[i] holds too. The
+// hashes are built from FNV-1a over a value's bytes and mix, the
+// splitmix64 finalizer:
+//
+//	chain hash of attribute i:  h = mix(i + seed), then h = mix(h ^ fnv1a(v)) for each level value v
+//	row hash:                   r = seed, then r = mix(r ^ h_i) for each attribute i
+//
+// with seed = 0x9e3779b97f4a7c15. Digests[i] sums h_i over the table's
+// rows and Digests[w] sums r, modulo 2^64. The row hash is no sum of the
+// chain hashes, so it pins how the attributes' values occur together.
+// These definitions are part of the state file format.
+const digestSeed = 0x9e3779b97f4a7c15
+
+func mix(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+func valueHash(v string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(v); i++ {
+		h ^= uint64(v[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+func chainStart(attr int) uint64       { return mix(uint64(attr) + digestSeed) }
+func chainStep(h, value uint64) uint64 { return mix(h ^ value) }
+func rowStep(r, chain uint64) uint64   { return mix(r ^ chain) }
+
+// chainHashes returns, for each QI attribute, the chain hash of every base
+// code: each level's dictionary values are hashed once and combined per
+// base code through MapTo.
+func chainHashes(qi []QIAttr) [][]uint64 {
+	out := make([][]uint64, len(qi))
+	for i, q := range qi {
+		chains := make([]uint64, q.H.LevelSize(0))
+		for b := range chains {
+			chains[b] = chainStart(i)
+		}
+		for l := 0; l < q.H.NumLevels(); l++ {
+			vals := q.H.Dict(l).Values()
+			hashes := make([]uint64, len(vals))
+			for c, v := range vals {
+				hashes[c] = valueHash(v)
+			}
+			m := q.H.MapTo(l)
+			for b := range chains {
+				c := int32(b)
+				if m != nil {
+					c = m[b]
+				}
+				chains[b] = chainStep(chains[b], hashes[c])
+			}
+		}
+		out[i] = chains
+	}
+	return out
+}
+
+// tableDigests returns the chain digests of in.Table.
+func tableDigests(in *Input) []uint64 { return digestTable(in, chainHashes(in.QI), nil) }
+
+// digestTable sums the chain digests of in.Table in one pass over its QI
+// codes, allocating nothing per row, and has probes (when non-nil) count
+// the rows holding each of its tuples.
+func digestTable(in *Input, chains [][]uint64, probes *tupleProbes) []uint64 {
+	w := len(in.QI)
+	sums := make([]uint64, w+1)
+	cols := make([][]int32, w)
+	for i, q := range in.QI {
+		cols[i] = in.Table.Codes(q.Col)
+	}
+	for r := range in.Table.NumRows() {
+		row := uint64(digestSeed)
+		for i, codes := range cols {
+			h := chains[i][codes[r]]
+			sums[i] += h
+			row = rowStep(row, h)
+		}
+		sums[w] += row
+		if probes != nil {
+			probes.observe(row, cols, r)
+		}
+	}
+	return sums
+}
+
+// tupleProbes counts the rows of a table that hold each of a few full-QI
+// base tuples. A row finds its candidates by its row hash; its codes
+// settle a collision.
+type tupleProbes struct {
+	w      int
+	codes  []int32 // tuple j is codes[j*w:(j+1)*w]
+	rows   []int64 // rows[j] counts the rows holding tuple j
+	next   []int32 // the next tuple with tuple j's row hash, or -1
+	byHash map[uint64]int32
+}
+
+func (p *tupleProbes) add(codes []int32, hash uint64) {
+	j := int32(len(p.rows))
+	p.codes = append(p.codes, codes...)
+	p.rows = append(p.rows, 0)
+	next, ok := p.byHash[hash]
+	if !ok {
+		next = -1
+	}
+	p.next = append(p.next, next)
+	p.byHash[hash] = j
+}
+
+func (p *tupleProbes) observe(hash uint64, cols [][]int32, r int) {
+	j, ok := p.byHash[hash]
+	if !ok {
+		return
+	}
+next:
+	for ; j >= 0; j = p.next[j] {
+		for i, codes := range cols {
+			if codes[r] != p.codes[int(j)*p.w+i] {
+				continue next
+			}
+		}
+		p.rows[j]++
+		return
 	}
 }
 
@@ -392,8 +422,10 @@ type DeltaRow struct {
 // therefore say nothing about savings).
 type DeltaCounters struct {
 	// RowsRescanned counts table rows the delta run genuinely scanned: the
-	// delta rows themselves, plus a whole-table equivalent for every root
-	// frequency set it had to materialize from the patched base state.
+	// delta rows themselves, plus the whole edited table for every root
+	// frequency set it had to build. The pass prepare makes over the
+	// table's codes to check the state's digests is not counted: it builds
+	// no frequency set.
 	RowsRescanned int64 `json:"rows_rescanned"`
 	// NodesScreened counts checked nodes whose verdict came from a
 	// NodeRecord without materializing a frequency set.
@@ -428,11 +460,9 @@ func (d *DeltaRun) Counters() DeltaCounters {
 	}
 }
 
-// BaseGroups returns the patched base-level frequency set as canonical
-// value-string groups — the Base of the state describing the edited table.
-func (d *DeltaRun) BaseGroups() []resilience.BaseGroup {
-	return d.st.f0.render(d.st.qi)
-}
+// Digests returns the chain digests of the edited table — the Digests of
+// the state describing it. Call after the run is prepared.
+func (d *DeltaRun) Digests() []uint64 { return d.st.digests }
 
 // UntouchedRecords returns the prior state's records for nodes this run
 // never screened or revalidated (marked away, or answered from a resumed
@@ -457,14 +487,11 @@ func (d *DeltaRun) UntouchedRecords(in *Input) []resilience.NodeRecord {
 	return out
 }
 
-// deltaState is the runtime of one delta run. Between the RunState it was
-// prepared from and the RunState it renders, it holds no value strings
-// beyond the interned delta rows: the patched base set is keyed by the
-// edited table's dictionary codes.
+// deltaState is the runtime of one delta run: the prior state's records,
+// the interned delta rows, and what prepare read off the edited table.
 type deltaState struct {
 	records map[string]*resilience.NodeRecord
-	qi      []QIAttr
-	f0      codeGroups // the patched base-level set
+	digests []uint64 // the edited table's chain digests
 
 	// The delta rows, interned: rows [0, nAdded) are the added rows, the
 	// rest the removed ones. ids[d][l][r] identifies row r's value in QI
@@ -477,7 +504,8 @@ type deltaState struct {
 	// existed in the prior table. When it did, every node-level group the
 	// row lands in existed too (projection and generalization only merge
 	// groups), which turns pure additions to off-band groups into exact
-	// no-ops: the old count was ≥ Thr ≥ k, so the new count still is.
+	// no-ops: the old count was ≥ Thr ≥ k, so the new count still is. The
+	// prior count is the edited table's count less the delta's net change.
 	addedOld []bool
 
 	mu      sync.Mutex
@@ -489,67 +517,10 @@ type deltaState struct {
 	screenNS      atomic.Int64 // wall time spent in screen, for the search span
 }
 
-// baseCoder translates base-level value strings to the edited table's
-// dictionary codes. A value the table no longer holds (a deleted row's
-// value, say) gets a placeholder code past the end of its dictionary, so
-// deletions can still cancel it out; any group left holding a placeholder
-// is an error.
-type baseCoder struct {
-	dicts  []*relation.Dict
-	absent []map[string]int32
-	extra  [][]string // extra[i][c-dicts[i].Len()] is placeholder c's value
-}
-
-func newBaseCoder(qi []QIAttr) *baseCoder {
-	b := &baseCoder{
-		dicts:  make([]*relation.Dict, len(qi)),
-		absent: make([]map[string]int32, len(qi)),
-		extra:  make([][]string, len(qi)),
-	}
-	for i, q := range qi {
-		b.dicts[i] = q.H.Dict(0)
-	}
-	return b
-}
-
-func (b *baseCoder) code(i int, v string) int32 {
-	if c, ok := b.dicts[i].Code(v); ok {
-		return c
-	}
-	if c, ok := b.absent[i][v]; ok {
-		return c
-	}
-	if b.absent[i] == nil {
-		b.absent[i] = make(map[string]int32)
-	}
-	c := int32(b.dicts[i].Len() + len(b.extra[i]))
-	b.absent[i][v] = c
-	b.extra[i] = append(b.extra[i], v)
-	return c
-}
-
-// placeholder reports whether c stands for a value absent from column i.
-func (b *baseCoder) placeholder(i int, c int32) bool { return int(c) >= b.dicts[i].Len() }
-
-func (b *baseCoder) value(i int, c int32) string {
-	if b.placeholder(i, c) {
-		return b.extra[i][int(c)-b.dicts[i].Len()]
-	}
-	return b.dicts[i].Value(c)
-}
-
-// packCodes writes codes into buf as a map key (4 bytes per code).
-func packCodes(buf []byte, codes []int32) []byte {
-	buf = buf[:0]
-	for _, c := range codes {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
-	}
-	return buf
-}
-
 // prepare validates the state against the input and builds the runtime:
-// the record index, the interned delta rows, and the patched base-level
-// set encoded against the edited table's dictionaries.
+// the record index and the interned delta rows. It proves the state
+// describes the edited table and its hierarchies by their chain digests
+// (see verify).
 func (d *DeltaRun) prepare(in *Input) error {
 	st := d.State
 	if st == nil {
@@ -557,9 +528,15 @@ func (d *DeltaRun) prepare(in *Input) error {
 	}
 	sp := in.StartSpan("delta.prepare")
 	defer sp.End()
-	sp.SetAttr("base_groups", len(st.Base))
+	sp.SetAttr("state_rows", st.Rows)
 	sp.SetAttr("added", len(d.Added))
 	sp.SetAttr("removed", len(d.Removed))
+	if st.Lossy() {
+		// A band entry may have lost the bytes that named its group, and
+		// no digest covers band entries.
+		return fmt.Errorf("core: saved state cannot be used: state files store values as JSON strings, so bytes that were not valid UTF-8 were saved as U+FFFD" +
+			" (in-memory states, in the daemon or chained through DeltaResult.State(), are unaffected)")
+	}
 	if st.K != in.K || st.MaxSuppress != in.MaxSuppress {
 		return fmt.Errorf("core: saved state has k=%d, suppress=%d; this run has k=%d, suppress=%d",
 			st.K, st.MaxSuppress, in.K, in.MaxSuppress)
@@ -583,6 +560,9 @@ func (d *DeltaRun) prepare(in *Input) error {
 				q.H.Attr(), h, q.H.Height())
 		}
 	}
+	if len(st.Digests) != w+1 {
+		return fmt.Errorf("core: saved state carries %d chain digests for %d QI attributes, want %d", len(st.Digests), w, w+1)
+	}
 	if want := st.Rows + len(d.Added) - len(d.Removed); want != in.Table.NumRows() {
 		return fmt.Errorf("core: saved state covers %d rows and the delta nets %+d, but the table has %d rows",
 			st.Rows, len(d.Added)-len(d.Removed), in.Table.NumRows())
@@ -600,14 +580,8 @@ func (d *DeltaRun) prepare(in *Input) error {
 			}
 		}
 	}
-	for _, g := range st.Base {
-		if len(g.V) != w {
-			return fmt.Errorf("core: saved state base group %v has %d values, the QI has %d", g.V, len(g.V), w)
-		}
-	}
 	rt := &deltaState{
 		records: make(map[string]*resilience.NodeRecord, len(st.Records)),
-		qi:      in.QI,
 		nAdded:  len(d.Added),
 		nRows:   len(rows),
 		touched: make(map[string]bool),
@@ -620,10 +594,7 @@ func (d *DeltaRun) prepare(in *Input) error {
 		rt.records[nodeRecKey(rec.Dims, rec.Levels)] = rec
 	}
 	rt.internRows(in, rows)
-	if err := rt.patchBase(in, st.Base); err != nil {
-		return err
-	}
-	if err := checkMarginals(in, &rt.f0); err != nil {
+	if err := rt.verify(in, st.Digests); err != nil {
 		return err
 	}
 	rt.rowsRescanned.Store(int64(len(rows)))
@@ -631,148 +602,104 @@ func (d *DeltaRun) prepare(in *Input) error {
 	return nil
 }
 
-// patchBase builds the patched base-level set: the state's groups plus
-// ±1 per delta row, pruned at zero, in the edited table's codes. It folds
-// the delta rows into net per-group changes first, then streams the
-// state's groups past them, so a state group costs one dictionary lookup
-// per column and one probe of the small change index — never a key of its
-// own. It also fills addedOld.
-func (st *deltaState) patchBase(in *Input, base []resilience.BaseGroup) error {
+// verify proves that the state's digests describe the edited table less
+// the added rows plus the removed ones, and fills digests and addedOld.
+// The delta rows' chains are hashed from their interned values; one pass
+// over the table's QI codes sums its chain digests and counts the rows
+// holding each added row's full-QI tuple. A refusal names the first
+// attribute whose digest differs: its values, or how its hierarchy
+// generalizes them, are not those the state was captured under.
+func (st *deltaState) verify(in *Input, want []uint64) error {
 	w := len(in.QI)
-	coder := newBaseCoder(in.QI)
-	// Each delta row's base-level codes, one lookup per distinct value.
-	rowCodes := make([]int32, st.nRows*w)
-	for i := 0; i < w; i++ {
-		valCodes := make([]int32, len(st.vals[i][0]))
-		for id, v := range st.vals[i][0] {
-			valCodes[id] = coder.code(i, v)
-		}
-		for r, id := range st.ids[i][0] {
-			rowCodes[r*w+i] = valCodes[id]
-		}
-	}
-	type change struct {
-		codes []int32
-		net   int64
-		at    int // index of the matching state group, or -1
-	}
-	var changes []change
-	index := make(map[string]int, st.nRows)
-	rowChange := make([]int, st.nRows)
-	buf := make([]byte, 0, 4*w)
-	for r := range rowChange {
-		codes := rowCodes[r*w : (r+1)*w]
-		key := packCodes(buf, codes)
-		j, ok := index[string(key)]
-		if !ok {
-			j = len(changes)
-			index[string(key)] = j
-			changes = append(changes, change{codes: codes, at: -1})
-		}
-		if r < st.nAdded {
-			changes[j].net++
-		} else {
-			changes[j].net--
-		}
-		rowChange[r] = j
-	}
-	f0 := codeGroups{width: w, codes: make([]int32, len(base)*w, (len(base)+len(changes))*w), counts: make([]int64, len(base), len(base)+len(changes))}
-	for gi, g := range base {
-		codes := f0.tuple(gi)
-		for i, v := range g.V {
-			codes[i] = coder.code(i, v)
-		}
-		f0.counts[gi] = g.N
-		if len(changes) > 0 {
-			if j, ok := index[string(packCodes(buf, codes))]; ok && changes[j].at < 0 {
-				changes[j].at = gi
+	// prior accumulates −Σ added + Σ removed; the table's sums come last.
+	prior := make([]uint64, w+1)
+	rowHash := make([]uint64, st.nRows)
+	hashes := make([][][]uint64, w) // hashes[i][l][id] hashes interned value id
+	for i := range hashes {
+		hashes[i] = make([][]uint64, len(st.vals[i]))
+		for l, vals := range st.vals[i] {
+			hashes[i][l] = make([]uint64, len(vals))
+			for id, v := range vals {
+				hashes[i][l][id] = valueHash(v)
 			}
 		}
+	}
+	for r := range st.nRows {
+		sign := uint64(1)
+		if r < st.nAdded {
+			sign = ^uint64(0) // −1 modulo 2^64
+		}
+		row := uint64(digestSeed)
+		for i := range hashes {
+			h := chainStart(i)
+			for l, ids := range st.ids[i] {
+				h = chainStep(h, hashes[i][l][ids[r]])
+			}
+			prior[i] += sign * h
+			row = rowStep(row, h)
+		}
+		prior[w] += sign * row
+		rowHash[r] = row
+	}
+
+	// The added rows' distinct tuples, each with its net count in the
+	// delta and its codes in the edited table, where the pass counts it.
+	all, base := make([]int, w), make([]int, w)
+	for i := range all {
+		all[i] = i
+	}
+	keys := st.rowKeys(all, base)
+	index := make(map[string]int32, st.nAdded)
+	group := make([]int32, st.nAdded)
+	var net []int64
+	var probes *tupleProbes
+	if st.nAdded > 0 {
+		probes = &tupleProbes{w: w, byHash: make(map[uint64]int32, st.nAdded)}
+	}
+	codes := make([]int32, w)
+	for r := range st.nRows {
+		key := keys[4*w*r : 4*w*(r+1)]
+		j, ok := index[key]
+		switch {
+		case r < st.nAdded && !ok:
+			j = int32(len(net))
+			index[key] = j
+			net = append(net, 0)
+			for i, q := range in.QI {
+				c, found := q.H.Dict(0).Code(st.vals[i][0][st.ids[i][0][r]])
+				if !found {
+					c = -1 // absent from the table: no row matches, and the digests refuse the state
+				}
+				codes[i] = c
+			}
+			probes.add(codes, rowHash[r])
+			fallthrough
+		case r < st.nAdded:
+			net[j]++
+			group[r] = j
+		case ok:
+			net[j]--
+		}
+	}
+	st.digests = digestTable(in, chainHashes(in.QI), probes)
+
+	for i, d := range st.digests {
+		prior[i] += d
+	}
+	for i, q := range in.QI {
+		if prior[i] != want[i] {
+			return fmt.Errorf("core: saved state does not describe this table: attribute %q holds other values, or its hierarchy generalizes them differently, than when the state was captured",
+				q.H.Attr())
+		}
+	}
+	if prior[w] != want[w] {
+		return fmt.Errorf("core: saved state does not describe this table: each attribute's values match, but the attributes' joint distribution differs")
 	}
 	st.addedOld = make([]bool, st.nAdded)
-	for r := range st.addedOld {
-		st.addedOld[r] = changes[rowChange[r]].at >= 0
-	}
-	for _, c := range changes {
-		if c.at >= 0 {
-			f0.counts[c.at] += c.net
-		} else {
-			f0.add(c.codes, c.net)
-		}
-	}
-
-	for gi, n := range f0.counts {
-		if n < 0 {
-			vals := make([]string, w)
-			for i, c := range f0.tuple(gi) {
-				vals[i] = coder.value(i, c)
-			}
-			return fmt.Errorf("core: delta removes more %v rows than the saved state holds%s", vals, utf8Note(vals...))
-		}
-	}
-	kept := 0
-	var total int64
-	for gi, n := range f0.counts {
-		if n == 0 {
-			continue
-		}
-		codes := f0.tuple(gi)
-		for i, c := range codes {
-			if coder.placeholder(i, c) {
-				v := coder.value(i, c)
-				return fmt.Errorf("core: saved state group value %q is absent from the edited table%s", v, utf8Note(v))
-			}
-		}
-		copy(f0.codes[kept*w:], codes)
-		f0.counts[kept] = n
-		kept++
-		total += n
-	}
-	f0.codes, f0.counts = f0.codes[:kept*w], f0.counts[:kept]
-	if total != int64(in.Table.NumRows()) {
-		return fmt.Errorf("core: patched base state covers %d rows, the edited table has %d — the state does not describe this table",
-			total, in.Table.NumRows())
-	}
-	st.f0 = f0
-	return nil
-}
-
-// checkMarginals compares, column by column, how many rows of the patched
-// base set hold each value with how many rows of the edited table do. A
-// state captured from a different table of the same size fails here,
-// naming a value whose count differs. One pass over each column's codes.
-func checkMarginals(in *Input, f0 *codeGroups) error {
-	for i, q := range in.QI {
-		table := make([]int64, q.H.LevelSize(0))
-		for _, c := range in.Table.Codes(q.Col) {
-			table[c]++
-		}
-		state := make([]int64, len(table))
-		for gi, n := range f0.counts {
-			state[f0.codes[gi*f0.width+i]] += n
-		}
-		for c := range table {
-			if table[c] != state[c] {
-				v := q.H.Value(0, int32(c))
-				return fmt.Errorf("core: saved state holds %d rows with %s = %q, the edited table has %d — the state does not describe this table%s",
-					state[c], q.H.Attr(), v, table[c], utf8Note(v))
-			}
-		}
+	for r, j := range group {
+		st.addedOld[r] = probes.rows[j]-net[j] > 0
 	}
 	return nil
-}
-
-// utf8Note explains a mismatch over a value that holds U+FFFD or bytes
-// that are not valid UTF-8: a state file cannot carry such bytes, so the
-// state may be right and the file lossy.
-func utf8Note(vals ...string) string {
-	for _, v := range vals {
-		if strings.ContainsRune(v, utf8.RuneError) {
-			return "; state files store values as JSON strings, so bytes that were not valid UTF-8 were saved as U+FFFD" +
-				" (in-memory states, in the daemon or chained through DeltaResult.State(), are unaffected)"
-		}
-	}
-	return ""
 }
 
 // internRows interns every delta row's generalized value once per
@@ -821,20 +748,7 @@ type gdelta struct {
 // keys live in one string, so a new group costs no key allocation.
 func (st *deltaState) groupDeltas(node *lattice.Node) []gdelta {
 	n := len(node.Dims)
-	cols := make([][]int32, n)
-	for i, d := range node.Dims {
-		cols[i] = st.ids[d][node.Levels[i]]
-	}
-	var b strings.Builder
-	b.Grow(4 * n * st.nRows)
-	var id [4]byte
-	for r := 0; r < st.nRows; r++ {
-		for _, ids := range cols {
-			binary.LittleEndian.PutUint32(id[:], uint32(ids[r]))
-			b.Write(id[:])
-		}
-	}
-	keys := b.String()
+	keys := st.rowKeys(node.Dims, node.Levels)
 	index := make(map[string]int)
 	var out []gdelta
 	for r := 0; r < st.nRows; r++ {
@@ -859,11 +773,29 @@ func (st *deltaState) groupDeltas(node *lattice.Node) []gdelta {
 	for j := range out {
 		v := vals[j*n : (j+1)*n : (j+1)*n]
 		for i, d := range node.Dims {
-			v[i] = st.vals[d][node.Levels[i]][cols[i][out[j].row]]
+			l := node.Levels[i]
+			v[i] = st.vals[d][l][st.ids[d][l][out[j].row]]
 		}
 		out[j].vals = v
 	}
 	return out
+}
+
+// rowKeys packs every delta row's interned value IDs at the given levels
+// of dims into one string, 4 bytes per attribute, row after row; row r's
+// key is the r-th slice of 4·len(dims) bytes. One string holds them all,
+// so a new group costs no key allocation.
+func (st *deltaState) rowKeys(dims, levels []int) string {
+	var b strings.Builder
+	b.Grow(4 * len(dims) * st.nRows)
+	var id [4]byte
+	for r := 0; r < st.nRows; r++ {
+		for i, d := range dims {
+			binary.LittleEndian.PutUint32(id[:], uint32(st.ids[d][levels[i]][r]))
+			b.Write(id[:])
+		}
+	}
+	return b.String()
 }
 
 // Verdicts of updateRecord.
@@ -1039,35 +971,4 @@ func (st *deltaState) noteRevalidated(node *lattice.Node) {
 	st.touched[nodeRecKey(node.Dims, node.Levels)] = true
 	st.mu.Unlock()
 	st.revalidated.Add(1)
-}
-
-// rootFromF0 builds a root node's frequency set by rolling the patched
-// base-level set up to the node's generalization — the delta substitute
-// for a base-table scan, identical by the rollup property. The kernel
-// choice mirrors what a real scan of the table would pick, so downstream
-// behavior cannot depend on how the set was produced.
-func (st *deltaState) rootFromF0(in *Input, n *lattice.Node) *relation.FreqSet {
-	cols := in.cols(n.Dims)
-	card := in.cardAt(n.Dims, n.Levels)
-	var f *relation.FreqSet
-	if card != nil && relation.DenseEligible(card, in.Table.NumRows()) {
-		f = relation.NewFreqSetWithCard(cols, card)
-	} else {
-		f = relation.NewFreqSet(cols)
-	}
-	maps := in.recodeTables(n.Dims, n.Levels)
-	codes := make([]int32, len(n.Dims))
-	for gi, count := range st.f0.counts {
-		e := st.f0.tuple(gi)
-		for i, d := range n.Dims {
-			c := e[d]
-			if m := maps[i]; m != nil {
-				c = m[c]
-			}
-			codes[i] = c
-		}
-		f.Add(codes, count)
-	}
-	st.rowsRescanned.Add(int64(in.Table.NumRows()))
-	return f
 }

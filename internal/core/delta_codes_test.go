@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -14,116 +12,6 @@ import (
 	"incognito/internal/relation"
 	"incognito/internal/resilience"
 )
-
-// packStrings packs value strings into one length-prefixed key: a 4-byte
-// little-endian length, then the bytes, per value. Persisted base groups
-// are ordered as these keys compare; the engine reproduces that order with
-// cmpPacked without ever building a key.
-func packStrings(vals []string) string {
-	var b strings.Builder
-	var n [4]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint32(n[:], uint32(len(v)))
-		b.Write(n[:])
-		b.WriteString(v)
-	}
-	return b.String()
-}
-
-// randomValuePool draws values that stress the packed order: the empty
-// string, bytes at and above 0x80, and lengths on both sides of 256 and
-// 512, where the little-endian length prefix stops ordering like the
-// length. A small pool makes equal elements common, so later tuple
-// positions get compared too.
-func randomValuePool(rng *rand.Rand, n int) []string {
-	lengths := []int{0, 1, 1, 2, 3, 255, 256, 257, 511, 512, 513, 767, 768}
-	alphabet := []byte{0x00, 'a', 'b', 0x7f, 0x80, 0xc3, 0xff}
-	pool := make([]string, n)
-	for i := range pool {
-		l := lengths[rng.Intn(len(lengths))]
-		if rng.Intn(4) == 0 {
-			l = rng.Intn(600)
-		}
-		b := make([]byte, l)
-		for j := range b {
-			b[j] = alphabet[rng.Intn(len(alphabet))]
-		}
-		pool[i] = string(b)
-	}
-	return pool
-}
-
-// cmpPackedVals lifts the engine's cmpPacked to equal-length value tuples,
-// element by element, as the capture's rank sort does.
-func cmpPackedVals(a, b []string) int {
-	for i := range a {
-		if c := cmpPacked(a[i], b[i]); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-func sign(x int) int {
-	switch {
-	case x < 0:
-		return -1
-	case x > 0:
-		return 1
-	}
-	return 0
-}
-
-// TestCmpPackedValsMatchesPackedKeys: the key-free comparator, lifted to
-// tuples, orders value tuples exactly as their packed keys compare.
-func TestCmpPackedValsMatchesPackedKeys(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pool := randomValuePool(rng, 48)
-	tuple := func(n int) []string {
-		out := make([]string, n)
-		for i := range out {
-			out[i] = pool[rng.Intn(len(pool))]
-		}
-		return out
-	}
-	for trial := 0; trial < 50000; trial++ {
-		n := 1 + rng.Intn(4)
-		a, b := tuple(n), tuple(n)
-		if rng.Intn(3) == 0 {
-			copy(b, a[:rng.Intn(n)]) // share a prefix
-		}
-		want := strings.Compare(packStrings(a), packStrings(b))
-		if got := sign(cmpPackedVals(a, b)); got != want {
-			t.Fatalf("cmpPackedVals(%q, %q) = %d, packed keys compare %d", a, b, got, want)
-		}
-	}
-}
-
-// TestCaptureBaseOrderIsPackedKeyOrder: the rank-sorted capture renders
-// groups in strictly increasing packed-key order, for values of every
-// length class.
-func TestCaptureBaseOrderIsPackedKeyOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pool := randomValuePool(rng, 40)
-	tab := relation.MustNewTable("A", "B", "C")
-	for r := 0; r < 2000; r++ {
-		if err := tab.AppendRow([]string{pool[rng.Intn(12)], pool[rng.Intn(len(pool))], pool[rng.Intn(5)]}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	in := NewInput(tab, []int{0, 1, 2}, suppressionHierarchies(t, tab, 3), 2, 0)
-	base := CaptureBase(&in)
-	var total int64
-	for i, g := range base {
-		total += g.N
-		if i > 0 && packStrings(base[i-1].V) >= packStrings(g.V) {
-			t.Fatalf("groups %d and %d out of packed-key order: %q then %q", i-1, i, base[i-1].V, g.V)
-		}
-	}
-	if total != int64(tab.NumRows()) {
-		t.Fatalf("captured groups cover %d rows, table has %d", total, tab.NumRows())
-	}
-}
 
 // suppressionHierarchies binds a height-1 "everything → *" hierarchy to
 // each of the table's first n columns.
@@ -140,10 +28,11 @@ func suppressionHierarchies(t testing.TB, tab *relation.Table, n int) []*hierarc
 	return hs
 }
 
-// TestDeltaBaseGroupsMatchCapture: the patched base set a delta run emits
-// is, element by element, the base set a capture of the edited table
-// renders.
-func TestDeltaBaseGroupsMatchCapture(t *testing.T) {
+// TestDeltaDigestsMatchCapture: over random tables and random chains of
+// edits, the digests a delta run hands its follow-on state equal a cold
+// capture's digests of the edited table, whatever order that table holds
+// its rows in (and so whatever its dictionary codes).
+func TestDeltaDigestsMatchCapture(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 12; trial++ {
 		fx := newDeltaFixture(rng, 2+rng.Intn(2), 2, 0)
@@ -154,25 +43,40 @@ func TestDeltaBaseGroupsMatchCapture(t *testing.T) {
 			t.Fatal(err)
 		}
 		state := runState(&coldIn, coldIn.Capture)
-		removeFrac := 0.1
-		if trial%3 == 2 {
-			removeFrac = 0.6 // empties groups and drops values from the table
-		}
-		edited, removed, added := fx.splitDelta(rng, rows, removeFrac, rng.Intn(6))
-		din := fx.bind(t, fx.table(t, edited))
-		din.Delta = &DeltaRun{State: state, Added: fx.deltaRows(t, added), Removed: fx.deltaRows(t, removed)}
-		if _, err := Run(din, Basic); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		want := CaptureBase(&din)
-		if got := din.Delta.BaseGroups(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: delta base groups differ from a capture of the edited table\ngot  %v\nwant %v", trial, got, want)
+		for hop := 0; hop < 3; hop++ {
+			removeFrac := 0.1
+			if (trial+hop)%3 == 2 {
+				removeFrac = 0.6 // empties groups and drops values from the table
+			}
+			edited, removed, added := fx.splitDelta(rng, rows, removeFrac, rng.Intn(6))
+			din := fx.bind(t, fx.table(t, edited))
+			din.Delta = &DeltaRun{State: state, Added: fx.deltaRows(t, added), Removed: fx.deltaRows(t, removed)}
+			din.Capture = &StateCapture{}
+			if _, err := Run(din, Basic); err != nil {
+				t.Fatalf("trial %d hop %d: %v", trial, hop, err)
+			}
+			shuffled := append([][]int32(nil), edited...)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			capIn := fx.bind(t, fx.table(t, shuffled))
+			if got, want := din.Delta.Digests(), tableDigests(&capIn); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d hop %d: delta digests differ from a capture of the edited table\ngot  %x\nwant %x", trial, hop, got, want)
+			}
+			state = &resilience.RunState{
+				Fingerprint: state.Fingerprint,
+				Cols:        state.Cols,
+				K:           state.K,
+				MaxSuppress: state.MaxSuppress,
+				Rows:        len(edited),
+				Digests:     din.Delta.Digests(),
+				Records:     append(din.Capture.Records(), din.Delta.UntouchedRecords(&din)...),
+			}
+			rows = edited
 		}
 	}
 }
 
 // TestDeltaPrepareErrors: a state that cannot describe the edited table
-// is refused with a message naming the offending value.
+// is refused with a message naming an attribute whose digest differs.
 func TestDeltaPrepareErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	fx := newDeltaFixture(rng, 2, 2, 0)
@@ -204,10 +108,23 @@ func TestDeltaPrepareErrors(t *testing.T) {
 	}
 
 	t.Run("base value absent from edited table", func(t *testing.T) {
-		bad := *state
-		bad.Base = append([]resilience.BaseGroup(nil), state.Base...)
-		bad.Base[0].V = append([]string{"no-such-value"}, state.Base[0].V[1:]...)
-		mustName("absent value", run(rows, &bad, nil), strconv.Quote("no-such-value"))
+		// Every row holding one value of attribute B takes another value
+		// instead, so the value the state counted is gone from the table.
+		gone, other := rows[0][1], rows[0][1]
+		for _, r := range rows {
+			if r[1] != gone {
+				other = r[1]
+				break
+			}
+		}
+		moved := make([][]int32, len(rows))
+		for i, r := range rows {
+			moved[i] = append([]int32(nil), r...)
+			if r[1] == gone {
+				moved[i][1] = other
+			}
+		}
+		mustName("absent value", run(moved, state, nil), strconv.Quote("B"))
 	})
 
 	t.Run("over-deletion", func(t *testing.T) {
@@ -224,11 +141,7 @@ func TestDeltaPrepareErrors(t *testing.T) {
 		}
 		removed = append(removed, g)
 		kept = kept[1:]
-		vals := make([]string, len(g))
-		for i, c := range g {
-			vals[i] = value(int(c))
-		}
-		mustName("over-deletion", run(kept, state, removed), fmt.Sprint(vals))
+		mustName("over-deletion", run(kept, state, removed), strconv.Quote("A"), strconv.Quote("B"))
 	})
 
 	t.Run("different table with the same row count", func(t *testing.T) {
@@ -247,8 +160,27 @@ func TestDeltaPrepareErrors(t *testing.T) {
 			}
 		}
 		other[0][0] = to
-		mustName("different table", run(other, state, nil),
-			strconv.Quote(value(int(from))), strconv.Quote(value(int(to))))
+		mustName("different table", run(other, state, nil), strconv.Quote("A"))
+	})
+
+	t.Run("same marginals, different joint distribution", func(t *testing.T) {
+		// Swap attribute B between two rows that differ in both
+		// attributes: every column holds the same values as often as
+		// before, but they occur together differently.
+		other := make([][]int32, len(rows))
+		for i, r := range rows {
+			other[i] = append([]int32(nil), r...)
+		}
+		for i := 1; i < len(other); i++ {
+			if other[i][0] != other[0][0] && other[i][1] != other[0][1] {
+				other[0][1], other[i][1] = other[i][1], other[0][1]
+				break
+			}
+		}
+		err := run(other, state, nil)
+		if err == nil || !strings.Contains(err.Error(), "joint distribution") {
+			t.Fatalf("swapped values: got %v, want a refusal naming the joint distribution", err)
+		}
 	})
 }
 
@@ -284,46 +216,92 @@ func deltaRowsOf(t testing.TB, hs []*hierarchy.Hierarchy, rows [][]string) []Del
 	return out
 }
 
-// TestDeltaPrepareAllocsPerBaseGroup guards prepare's cost: translating and
-// patching a state costs at most a few allocations per base group, so a
-// 100k-group state never turns into millions of small objects.
-func TestDeltaPrepareAllocsPerBaseGroup(t *testing.T) {
-	const side = 200 // 40,000 base groups
-	orig := distinctTable(t, side)
-	origIn := NewInput(orig, []int{0, 1}, suppressionHierarchies(t, orig, 2), 1, 0)
-	state := &resilience.RunState{Fingerprint: resilience.Fingerprint{Heights: origIn.Heights()}, Cols: []string{"A", "B"}, K: 1, Rows: orig.NumRows(), Base: CaptureBase(&origIn)}
+// TestDeltaPrepareAllocsPerRow guards prepare's cost: checking a state
+// against its table hashes each dictionary value once and allocates
+// nothing per row, so sixteen times the rows cost no more allocations.
+func TestDeltaPrepareAllocsPerRow(t *testing.T) {
+	measure := func(side int) float64 {
+		orig := distinctTable(t, side)
+		origIn := NewInput(orig, []int{0, 1}, suppressionHierarchies(t, orig, 2), 1, 0)
+		state := &resilience.RunState{Fingerprint: resilience.Fingerprint{Heights: origIn.Heights()}, Cols: []string{"A", "B"}, K: 1, Rows: orig.NumRows(), Digests: tableDigests(&origIn)}
 
-	// The edit: drop the first 10 rows, duplicate 10 others.
-	var add, del [][]string
-	edited := relation.MustNewTable("A", "B")
-	for r := 0; r < orig.NumRows(); r++ {
-		if r < 10 {
-			del = append(del, orig.Row(r))
-			continue
+		// The edit: drop the first 10 rows, duplicate 10 others.
+		var add, del [][]string
+		edited := relation.MustNewTable("A", "B")
+		for r := 0; r < orig.NumRows(); r++ {
+			if r < 10 {
+				del = append(del, orig.Row(r))
+				continue
+			}
+			if err := edited.AppendRow(orig.Row(r)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := edited.AppendRow(orig.Row(r)); err != nil {
-			t.Fatal(err)
+		for r := 20; r < 30; r++ {
+			add = append(add, orig.Row(r))
+			if err := edited.AppendRow(orig.Row(r)); err != nil {
+				t.Fatal(err)
+			}
 		}
+		hs := suppressionHierarchies(t, edited, 2)
+		in := NewInput(edited, []int{0, 1}, hs, 1, 0)
+		added, removed := deltaRowsOf(t, hs, add), deltaRowsOf(t, hs, del)
+		return testing.AllocsPerRun(2, func() {
+			d := &DeltaRun{State: state, Added: added, Removed: removed}
+			if err := d.prepare(&in); err != nil {
+				t.Fatal(err)
+			}
+			for r, old := range d.st.addedOld {
+				if !old {
+					t.Fatalf("added row %d duplicates a row of the prior table, but prepare found no prior copy", r)
+				}
+			}
+		})
 	}
-	for r := 100; r < 110; r++ {
-		add = append(add, orig.Row(r))
-		if err := edited.AppendRow(orig.Row(r)); err != nil {
-			t.Fatal(err)
-		}
+	few, many := measure(50), measure(200) // 2,500 and 40,000 rows
+	t.Logf("prepare: %.0f allocations at 2,500 rows, %.0f at 40,000", few, many)
+	if many > few+4 {
+		t.Fatalf("prepare made %.0f allocations at 40,000 rows and %.0f at 2,500, want no more per row", many, few)
 	}
+}
+
+// TestDeltaPrepareFindsPriorTuples: prepare reads off the edited table
+// whether each added row's full-QI tuple existed in the prior table: the
+// edited table's count less the delta's net change is positive.
+func TestDeltaPrepareFindsPriorTuples(t *testing.T) {
+	rows := func(pairs ...string) [][]string {
+		out := make([][]string, len(pairs))
+		for i, p := range pairs {
+			out[i] = []string{p[:2], p[2:]}
+		}
+		return out
+	}
+	table := func(rs [][]string) *relation.Table {
+		tab := relation.MustNewTable("A", "B")
+		for _, r := range rs {
+			if err := tab.AppendRow(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tab
+	}
+	orig := table(rows("a0b0", "a0b1", "a1b0", "a1b0"))
+	origIn := NewInput(orig, []int{0, 1}, suppressionHierarchies(t, orig, 2), 1, 0)
+	state := &resilience.RunState{Fingerprint: resilience.Fingerprint{Heights: origIn.Heights()}, Cols: []string{"A", "B"}, K: 1, Rows: orig.NumRows(), Digests: tableDigests(&origIn)}
+
+	// Added: a tuple the table held, a new combination of held values, a
+	// tuple whose only row is deleted and added back, and a new value twice.
+	add := rows("a0b0", "a1b1", "a0b1", "a2b2", "a2b2")
+	del := rows("a0b1")
+	edited := table(append(rows("a0b0", "a1b0", "a1b0"), add...))
 	hs := suppressionHierarchies(t, edited, 2)
 	in := NewInput(edited, []int{0, 1}, hs, 1, 0)
-	added, removed := deltaRowsOf(t, hs, add), deltaRowsOf(t, hs, del)
-	allocs := testing.AllocsPerRun(2, func() {
-		d := &DeltaRun{State: state, Added: added, Removed: removed}
-		if err := d.prepare(&in); err != nil {
-			t.Fatal(err)
-		}
-	})
-	perGroup := allocs / float64(len(state.Base))
-	t.Logf("prepare: %.0f allocations, %.4f per base group", allocs, perGroup)
-	if perGroup > 8 {
-		t.Fatalf("prepare made %.1f allocations per base group, want at most 8", perGroup)
+	d := &DeltaRun{State: state, Added: deltaRowsOf(t, hs, add), Removed: deltaRowsOf(t, hs, del)}
+	if err := d.prepare(&in); err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{true, false, true, false, false}; !reflect.DeepEqual(d.st.addedOld, want) {
+		t.Fatalf("prior tuples of the added rows %v: got %v, want %v", add, d.st.addedOld, want)
 	}
 }
 
@@ -347,7 +325,7 @@ func TestGroupDeltasAllocsConstant(t *testing.T) {
 			}
 		}
 		origIn := NewInput(orig, []int{0, 1}, suppressionHierarchies(t, orig, 2), 1, 0)
-		state := &resilience.RunState{Fingerprint: resilience.Fingerprint{Heights: origIn.Heights()}, Cols: []string{"A", "B"}, K: 1, Rows: orig.NumRows(), Base: CaptureBase(&origIn)}
+		state := &resilience.RunState{Fingerprint: resilience.Fingerprint{Heights: origIn.Heights()}, Cols: []string{"A", "B"}, K: 1, Rows: orig.NumRows(), Digests: tableDigests(&origIn)}
 		hs := suppressionHierarchies(t, edited, 2)
 		in := NewInput(edited, []int{0, 1}, hs, 1, 0)
 		d := &DeltaRun{State: state, Added: deltaRowsOf(t, hs, add)}

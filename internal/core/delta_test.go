@@ -153,7 +153,7 @@ func runState(in *Input, cap *StateCapture) *resilience.RunState {
 		K:           in.K,
 		MaxSuppress: in.MaxSuppress,
 		Rows:        in.Table.NumRows(),
-		Base:        CaptureBase(in),
+		Digests:     tableDigests(in),
 		Records:     cap.Records(),
 	}
 }
@@ -254,9 +254,9 @@ func TestDeltaBitIdenticalToCold(t *testing.T) {
 	}
 }
 
-// TestDeltaChainedStates: the state a delta run emits (patched base groups
-// + screen-updated + revalidated + reconciled records) supports a further
-// delta, still bit-identical to cold.
+// TestDeltaChainedStates: the state a delta run emits (the edited table's
+// digests + screen-updated + revalidated + reconciled records) supports a
+// further delta, still bit-identical to cold.
 func TestDeltaChainedStates(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 8; trial++ {
@@ -296,7 +296,7 @@ func TestDeltaChainedStates(t *testing.T) {
 				K:           state.K,
 				MaxSuppress: state.MaxSuppress,
 				Rows:        editedTab.NumRows(),
-				Base:        din.Delta.BaseGroups(),
+				Digests:     din.Delta.Digests(),
 				Records:     append(din.Capture.Records(), din.Delta.UntouchedRecords(&din)...),
 			}
 			rows = edited

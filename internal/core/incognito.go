@@ -114,8 +114,9 @@ func Run(in Input, v Variant) (res *Result, err error) {
 		}
 	}()
 	// Basic and Super-roots scan the table for their roots. A delta run
-	// builds them from its patched base state, and Cube only rolls up
-	// after its one base-level scan, so neither packs.
+	// scans only the roots it cannot screen, too few to repay the packing,
+	// and Cube only rolls up after its one base-level scan, so neither
+	// packs.
 	if in.Delta == nil && v != Cube {
 		in.PackScans()
 	}
@@ -564,14 +565,7 @@ func variantRootSource(in *Input, v Variant, cube *CubeIndex) rootSourceMaker {
 		return func(_ []*lattice.Node, stats *Stats) rootSource {
 			return rootSource{
 				count: func(*lattice.Node) { stats.TableScans++ },
-				build: func(n *lattice.Node) *relation.FreqSet {
-					if in.Delta != nil {
-						// A delta run builds the set from the patched base
-						// state instead of scanning (rollup property).
-						return in.Delta.st.rootFromF0(in, n)
-					}
-					return in.ScanFreq(n.Dims, n.Levels)
-				},
+				build: func(n *lattice.Node) *relation.FreqSet { return in.ScanFreq(n.Dims, n.Levels) },
 			}
 		}
 	case Cube:

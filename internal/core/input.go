@@ -279,6 +279,9 @@ func (in *Input) ScanFreq(dims, levels []int) *relation.FreqSet {
 	f := relation.GroupCountParallelSched(in.Table, in.cols(dims), in.recodeTables(dims, levels), in.cardAt(dims, levels), in.Workers(), in.schedMetrics(), in.packing)
 	in.Progress.AddTableScans(1)
 	in.Progress.AddTuplesScanned(int64(in.Table.NumRows()))
+	if in.Delta != nil {
+		in.Delta.st.rowsRescanned.Add(int64(in.Table.NumRows()))
+	}
 	in.Metrics.ObserveFreqSetSize(f.Len())
 	return f
 }

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -8,26 +9,20 @@ import (
 	"math"
 	"os"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 )
 
 // RunStateVersion is the persisted run-state format version; LoadRunState
-// rejects files written by an incompatible format.
-const RunStateVersion = 1
-
-// BaseGroup is one group of the retained base-level frequency set, keyed by
-// value strings (one per quasi-identifier column, at the base level of each
-// hierarchy) rather than dictionary codes. Value strings survive any table
-// rebuild: deleting or appending rows permutes dictionary codes, but the
-// values they decode to are stable, so a state file written against table T
-// is directly applicable to any edit of T.
-type BaseGroup struct {
-	V []string `json:"v"`
-	N int64    `json:"n"`
-}
+// rejects files written by an incompatible format. Version 1 also stored
+// the table's base-level frequency set and no digests.
+const RunStateVersion = 2
 
 // BandEntry is one exactly-known group of a node's capture band, keyed by
-// the node's generalized value strings.
+// the node's generalized value strings. Value strings survive any table
+// rebuild: deleting or appending rows permutes dictionary codes, but the
+// values they decode to are stable, so a record written against table T
+// applies to any edit of T.
 type BandEntry struct {
 	V []string `json:"v"`
 	N int64    `json:"n"`
@@ -59,13 +54,19 @@ type NodeRecord struct {
 	Band    []BandEntry `json:"band,omitempty"`
 }
 
-// RunState is the persistent mergeable state a completed (or checkpointed)
-// run retains for incremental re-anonymization: the identity of the
-// instance it describes, the base-level frequency set as value-string
-// groups, and one NodeRecord per lattice node the search examined. It is a
-// sibling of Snapshot — Snapshot captures where a search is, RunState
-// captures what a search measured — and both share the same envelope
-// framing (version, checksum, atomic replace).
+// RunState is the persistent state a completed run retains for
+// incremental re-anonymization: the identity of the instance it describes,
+// one NodeRecord per lattice node the search examined, and digests that
+// prove which table and hierarchies the records describe. It holds nothing
+// a delta run can read off the table it is handed. It is a sibling of
+// Snapshot — Snapshot captures where a search is, RunState captures what
+// a search measured — and both share the same envelope framing (version,
+// checksum, atomic replace).
+//
+// Digests[i] sums, modulo 2^64 over the table's rows, a hash of the row's
+// value at every level of QI attribute i's hierarchy; the last entry sums
+// a per-row hash over all attributes. internal/core/delta.go defines the
+// hashes. The sums do not depend on row order and are additive over rows.
 //
 // The json tags name the keys of the file format; the codec below writes
 // and reads them by hand, in field order.
@@ -75,9 +76,21 @@ type RunState struct {
 	K           int64        `json:"k"`
 	MaxSuppress int64        `json:"max_suppress"`
 	Rows        int          `json:"rows"`
-	Base        []BaseGroup  `json:"base"`
+	Digests     []uint64     `json:"digests"`
 	Records     []NodeRecord `json:"records"`
+
+	// lossy marks a state decoded from a file in which some value had
+	// bytes that were not valid UTF-8 (see Lossy).
+	lossy bool
 }
+
+// Lossy reports whether the state was decoded from a file in which some
+// value string lost bytes: a JSON string cannot carry bytes that are not
+// valid UTF-8, so the writer saved each as U+FFFD, and a band entry may no
+// longer name the group it counted. The writer escapes only such a byte as
+// \ufffd and writes a real U+FFFD as is, so the reader tells the two apart.
+// States built in memory are never lossy.
+func (s *RunState) Lossy() bool { return s.lossy }
 
 // SaveRunState atomically writes state to path with the shared envelope
 // framing: a crash mid-save leaves any previous state file intact.
@@ -99,7 +112,7 @@ func LoadRunState(path string) (*RunState, error) {
 }
 
 // MarshalRunState encodes state in its canonical form: the envelope
-// {"version":1,"checksum":"sha256:<hex>","payload":<payload>}, where the
+// {"version":2,"checksum":"sha256:<hex>","payload":<payload>}, where the
 // payload is byte for byte what encoding/json.Marshal writes for a
 // RunState — keys in field order, no whitespace, HTML-safe string escapes,
 // nil slices as null, band omitted when empty. The payload is appended in
@@ -136,10 +149,7 @@ func sizeHint(s *RunState) int {
 		}
 		return n
 	}
-	n := 512 + len(s.Fingerprint.Algorithm) + 21*len(s.Fingerprint.Heights) + group(s.Cols)
-	for _, g := range s.Base {
-		n += group(g.V)
-	}
+	n := 512 + len(s.Fingerprint.Algorithm) + 21*(len(s.Fingerprint.Heights)+len(s.Digests)) + group(s.Cols)
 	for _, rec := range s.Records {
 		n += 256 + 21*(len(rec.Dims)+len(rec.Levels))
 		for _, e := range rec.Band {
@@ -174,8 +184,8 @@ func appendRunState(b []byte, s *RunState) []byte {
 	b = strconv.AppendInt(b, s.MaxSuppress, 10)
 	b = append(b, `,"rows":`...)
 	b = strconv.AppendInt(b, int64(s.Rows), 10)
-	b = append(b, `,"base":`...)
-	b = appendList(b, s.Base, func(b []byte, g BaseGroup) []byte { return appendGroup(b, g.V, g.N) })
+	b = append(b, `,"digests":`...)
+	b = appendList(b, s.Digests, appendUint)
 	b = append(b, `,"records":`...)
 	b = appendList(b, s.Records, appendRecord)
 	return append(b, '}')
@@ -196,17 +206,16 @@ func appendRecord(b []byte, rec NodeRecord) []byte {
 	b = strconv.AppendInt(b, rec.Floor, 10)
 	if len(rec.Band) > 0 {
 		b = append(b, `,"band":`...)
-		b = appendList(b, rec.Band, func(b []byte, e BandEntry) []byte { return appendGroup(b, e.V, e.N) })
+		b = appendList(b, rec.Band, appendBandEntry)
 	}
 	return append(b, '}')
 }
 
-// appendGroup writes a BaseGroup or BandEntry, which share one shape.
-func appendGroup(b []byte, v []string, n int64) []byte {
+func appendBandEntry(b []byte, e BandEntry) []byte {
 	b = append(b, `{"v":`...)
-	b = appendList(b, v, appendString)
+	b = appendList(b, e.V, appendString)
 	b = append(b, `,"n":`...)
-	b = strconv.AppendInt(b, n, 10)
+	b = strconv.AppendInt(b, e.N, 10)
 	return append(b, '}')
 }
 
@@ -226,6 +235,8 @@ func appendList[T any](b []byte, xs []T, elem func([]byte, T) []byte) []byte {
 }
 
 func appendInt(b []byte, x int) []byte { return strconv.AppendInt(b, int64(x), 10) }
+
+func appendUint(b []byte, x uint64) []byte { return strconv.AppendUint(b, x, 10) }
 
 // jsonSafe[c] reports whether encoding/json writes the ASCII byte c as is.
 var jsonSafe = func() (t [utf8.RuneSelf]bool) {
@@ -303,7 +314,7 @@ func decodeRunState(raw []byte, name string) (*RunState, error) {
 	r := &stateReader{buf: raw, end: len(raw)}
 	r.lit(`{"version":`)
 	if v := r.integer(strconv.IntSize); r.err == nil && v != RunStateVersion {
-		return nil, fmt.Errorf("resilience: run state%s has format version %d, this build reads %d", name, v, RunStateVersion)
+		return nil, fmt.Errorf("resilience: run state%s has format version %d, this build reads %d; capture it again with a cold run", name, v, RunStateVersion)
 	}
 	r.lit(`,"checksum":"`)
 	sumAt := r.pos
@@ -353,6 +364,9 @@ type stateReader struct {
 	vals  []string
 	ints  []int
 	band  []BandEntry
+	// lossy records that a string decoded to more U+FFFD than the file
+	// wrote as is: the rest stand for bytes that were not valid UTF-8.
+	lossy bool
 }
 
 func (r *stateReader) fail(format string, args ...any) {
@@ -449,7 +463,10 @@ func (r *stateReader) digits(limit uint64) uint64 {
 // str reads a JSON string. A token without escapes whose bytes are valid
 // UTF-8 is its own value; any other goes to encoding/json to unquote, so
 // its value is the standard decoder's (an invalid byte becomes U+FFFD, an
-// old \u0008 a backspace). Each distinct token is decoded once.
+// old \u0008 a backspace). Each distinct token is decoded once. A value
+// holding a U+FFFD that the token does not hold as is marks the state
+// lossy: the writer escapes U+FFFD only in place of a byte that was not
+// valid UTF-8.
 func (r *stateReader) str() string {
 	if r.peek() != '"' {
 		r.fail("want a string")
@@ -498,6 +515,9 @@ func (r *stateReader) str() string {
 		r.fail("string: %v", err)
 		return ""
 	}
+	if strings.Count(s, "\uFFFD") > bytes.Count(tok, []byte("\uFFFD")) {
+		r.lossy = true
+	}
 	r.strs[string(tok)] = s
 	return s
 }
@@ -535,14 +555,14 @@ func (r *stateReader) intList() []int {
 	return append([]int{}, r.ints...)
 }
 
-// group reads a BaseGroup or BandEntry, which share one shape.
-func (r *stateReader) group() ([]string, int64) {
+func (r *stateReader) bandEntry() BandEntry {
+	var e BandEntry
 	r.lit(`{"v":`)
-	v := r.strings()
+	e.V = r.strings()
 	r.lit(`,"n":`)
-	n := r.integer(64)
+	e.N = r.integer(64)
 	r.lit("}")
-	return v, n
+	return e
 }
 
 func (r *stateReader) record() NodeRecord {
@@ -561,10 +581,7 @@ func (r *stateReader) record() NodeRecord {
 	rec.Floor = r.integer(64)
 	if r.optional(`,"band":`) {
 		r.band = r.band[:0]
-		if r.list(func() {
-			v, n := r.group()
-			r.band = append(r.band, BandEntry{V: v, N: n})
-		}) {
+		if r.list(func() { r.band = append(r.band, r.bandEntry()) }) {
 			rec.Band = append([]BandEntry{}, r.band...)
 		}
 	}
@@ -598,17 +615,15 @@ func (r *stateReader) runState() *RunState {
 	s.MaxSuppress = r.integer(64)
 	r.lit(`,"rows":`)
 	s.Rows = int(r.integer(strconv.IntSize))
-	r.lit(`,"base":`)
-	if r.list(func() {
-		v, n := r.group()
-		s.Base = append(s.Base, BaseGroup{V: v, N: n})
-	}) && s.Base == nil {
-		s.Base = []BaseGroup{}
+	r.lit(`,"digests":`)
+	if r.list(func() { s.Digests = append(s.Digests, r.digits(math.MaxUint64)) }) && s.Digests == nil {
+		s.Digests = []uint64{}
 	}
 	r.lit(`,"records":`)
 	if r.list(func() { s.Records = append(s.Records, r.record()) }) && s.Records == nil {
 		s.Records = []NodeRecord{}
 	}
 	r.lit("}")
+	s.lossy = r.lossy
 	return s
 }

@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func sampleRunState() *RunState {
@@ -18,11 +20,10 @@ func sampleRunState() *RunState {
 		Cols:        []string{"Sex", "Zipcode"},
 		K:           2,
 		Rows:        6,
-		Base: []BaseGroup{
-			{V: []string{"M", "53715"}, N: 2},
-			{V: []string{"F", "53706"}, N: 1},
-		},
+		Digests:     []uint64{0x9e3779b97f4a7c15, 42, math.MaxUint64},
 		Records: []NodeRecord{
+			{Dims: []int{0, 1}, Levels: []int{0, 0}, TallyLo: 3, TallyHi: 3, Thr: 66, Floor: math.MaxInt64,
+				Band: []BandEntry{{V: []string{"M", "53715"}, N: 2}, {V: []string{"F", "53706"}, N: 1}}},
 			{Dims: []int{0, 1}, Levels: []int{0, 1}, TallyLo: 1, TallyHi: 1, Thr: 66, Floor: math.MaxInt64,
 				Band: []BandEntry{{V: []string{"M", "537*"}, N: 2}, {V: []string{"F", "537*"}, N: 1}}},
 			{Dims: []int{0, 1}, Levels: []int{1, 1}, TallyLo: 0, TallyHi: 0, Thr: 66, Floor: 3},
@@ -172,15 +173,41 @@ var goldenNotes = []string{
 	strings.Repeat("z", 511), strings.Repeat("m", 512),
 }
 
-// notesRunState is sampleRunState with goldenNotes as group and band values.
+// notesRunState is sampleRunState with goldenNotes as band values.
 func notesRunState() *RunState {
 	s := sampleRunState()
-	s.Base = nil
+	s.Records[0].Band = nil
 	for i, note := range goldenNotes {
-		s.Base = append(s.Base, BaseGroup{V: []string{"M", note}, N: int64(i + 1)})
+		s.Records[0].Band = append(s.Records[0].Band, BandEntry{V: []string{"M", note}, N: int64(i + 1)})
 	}
-	s.Records[1].Band = []BandEntry{{V: []string{"*", goldenNotes[3]}, N: 1}, {V: []string{"*", goldenNotes[5]}, N: 2}}
+	s.Records[2].Band = []BandEntry{{V: []string{"*", goldenNotes[3]}, N: 1}, {V: []string{"*", goldenNotes[5]}, N: 2}}
 	return s
+}
+
+// stateStrings lists every string s holds.
+func stateStrings(s *RunState) []string {
+	if s == nil {
+		return nil
+	}
+	strs := append([]string{s.Fingerprint.Algorithm}, s.Cols...)
+	for _, rec := range s.Records {
+		for _, e := range rec.Band {
+			strs = append(strs, e.V...)
+		}
+	}
+	return strs
+}
+
+// hasInvalidUTF8 reports whether any string s holds is not valid UTF-8:
+// exactly the states whose encoding loses bytes, and so whose decoding
+// must be marked lossy.
+func hasInvalidUTF8(s *RunState) bool {
+	return slices.ContainsFunc(stateStrings(s), func(v string) bool { return !utf8.ValidString(v) })
+}
+
+// holdsReplacement reports whether any string s holds contains U+FFFD.
+func holdsReplacement(s *RunState) bool {
+	return slices.ContainsFunc(stateStrings(s), func(v string) bool { return strings.ContainsRune(v, utf8.RuneError) })
 }
 
 // fuzzRecipe turns fuzz bytes into RunState fields, reaching every shape
@@ -235,6 +262,8 @@ func (z *fuzzRecipe) int64() int64 {
 
 func (z *fuzzRecipe) int() int { return int(z.int64()) }
 
+func (z *fuzzRecipe) uint64() uint64 { return uint64(z.int64()) }
+
 // recipeList picks a list's shape, nil or a length up to 3 (0 is empty),
 // and fills it with elem.
 func recipeList[T any](z *fuzzRecipe, elem func() T) []T {
@@ -256,7 +285,7 @@ func (z *fuzzRecipe) runState() *RunState {
 		K:           z.int64(),
 		MaxSuppress: z.int64(),
 		Rows:        z.int(),
-		Base:        recipeList(z, func() BaseGroup { return BaseGroup{V: recipeList(z, z.str), N: z.int64()} }),
+		Digests:     recipeList(z, z.uint64),
 		Records: recipeList(z, func() NodeRecord {
 			return NodeRecord{Dims: recipeList(z, z.int), Levels: recipeList(z, z.int),
 				TallyLo: z.int64(), TallyHi: z.int64(), Thr: z.int64(), Floor: z.int64(),
@@ -272,7 +301,9 @@ func (z *fuzzRecipe) runState() *RunState {
 }
 
 // checkAgainstOracle requires s to encode to the oracle's bytes and to
-// decode to a value DeepEqual to the oracle's decoding.
+// decode to a value DeepEqual to the oracle's decoding, marked lossy
+// exactly when s holds a string that is not valid UTF-8 (encoding/json
+// knows no such mark, so the oracle's copy takes the checked one).
 func checkAgainstOracle(t *testing.T, s *RunState) {
 	t.Helper()
 	raw, want := MarshalRunState(s), oracleMarshal(t, s)
@@ -287,6 +318,10 @@ func checkAgainstOracle(t *testing.T, s *RunState) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := hasInvalidUTF8(s); got.Lossy() != want {
+		t.Fatalf("decoded state has Lossy() = %v, want %v\n%q", got.Lossy(), want, raw)
+	}
+	ref.lossy = got.lossy
 	if !reflect.DeepEqual(got, ref) {
 		t.Fatalf("decoding differs from encoding/json's\ngot  %#v\nwant %#v", got, ref)
 	}
@@ -300,11 +335,59 @@ func TestRunStateCodecMatchesEncodingJSON(t *testing.T) {
 	frag.Fingerprint.Algorithm = strings.Join(fuzzFragments, "")
 	frag.Fingerprint.TableHash = math.MaxUint64
 	frag.Cols = fuzzFragments
-	frag.Base = []BaseGroup{{V: fuzzFragments, N: math.MinInt64}, {V: []string{}, N: math.MaxInt64}, {N: -1}}
+	frag.Digests = []uint64{0, math.MaxUint64, 1 << 63}
 	frag.Records = append(frag.Records, NodeRecord{Dims: []int{}, Band: []BandEntry{}},
-		NodeRecord{Levels: []int{math.MinInt64, math.MaxInt64}, Band: []BandEntry{{V: goldenNotes}, {V: []string{}}, {}}})
-	for _, s := range []*RunState{sampleRunState(), notesRunState(), frag, {Cols: []string{}, Base: []BaseGroup{}, Records: []NodeRecord{}}, {}, nil} {
+		NodeRecord{Levels: []int{math.MinInt64, math.MaxInt64}, Band: []BandEntry{{V: goldenNotes}, {V: []string{}}, {},
+			{V: fuzzFragments, N: math.MinInt64}, {V: []string{"\ufffd"}, N: math.MaxInt64}}})
+	for _, s := range []*RunState{sampleRunState(), notesRunState(), frag, {Cols: []string{}, Digests: []uint64{}, Records: []NodeRecord{}}, {}, nil} {
 		checkAgainstOracle(t, s)
+	}
+}
+
+// TestRunStateMarksLossyValues: a value that held bytes that are not valid
+// UTF-8 comes back holding U+FFFD and marks the state lossy; a value that
+// held a real U+FFFD comes back unchanged and does not.
+func TestRunStateMarksLossyValues(t *testing.T) {
+	for _, tc := range []struct {
+		value string
+		lossy bool
+	}{
+		{"ok", false},
+		{"\ufffd", false},
+		{"a\ufffdb\u2028", false},
+		{"\x80", true},
+		{"\ufffd\xff", true},
+		{"\xed\xa0\x80", true},
+	} {
+		s := sampleRunState()
+		s.Records[0].Band[1].V[1] = tc.value
+		got, err := UnmarshalRunState(MarshalRunState(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Lossy() != tc.lossy {
+			t.Errorf("value %q: Lossy() = %v, want %v", tc.value, got.Lossy(), tc.lossy)
+		}
+		if s.Lossy() {
+			t.Errorf("value %q: the in-memory state is marked lossy", tc.value)
+		}
+	}
+}
+
+// TestRunStateRefusesVersionOne: a state file written before the base-level
+// set was dropped from the format is refused by version, naming both, so
+// the caller knows to capture the state again.
+func TestRunStateRefusesVersionOne(t *testing.T) {
+	payload := []byte(`{"fingerprint":{"algorithm":"incognito","heights":[1],"k":2,"max_suppress":0,"rows":2,"table_hash":1},` +
+		`"cols":["A"],"k":2,"max_suppress":0,"rows":2,"base":[{"v":["a"],"n":2}],"records":[]}`)
+	env := []byte(fmt.Sprintf(`{"version":1,"checksum":%q,"payload":%s}`, checksum(payload), payload))
+	path := filepath.Join(t.TempDir(), "v1.state")
+	if err := os.WriteFile(path, env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadRunState(path)
+	if err == nil || !strings.Contains(err.Error(), "format version 1") || !strings.Contains(err.Error(), fmt.Sprintf("reads %d", RunStateVersion)) {
+		t.Fatalf("version-1 state: got %v, want an error naming versions 1 and %d", err, RunStateVersion)
 	}
 }
 
@@ -325,8 +408,8 @@ func FuzzRunStateCodec(f *testing.F) {
 	// A payload from a toolchain that escaped \b as \u0008, and recipes
 	// that reach the escaped fragments and the nil/empty list shapes.
 	f.Add([]byte(`{"fingerprint":{"algorithm":"a\u0008b","heights":[],"k":-0,"max_suppress":0,"rows":0,"table_hash":0},` +
-		`"cols":null,"k":0,"max_suppress":0,"rows":0,"base":[{"v":[],"n":1}],"records":[{"dims":null,"levels":[],` +
-		`"tally_lo":0,"tally_hi":0,"thr":0,"floor":0,"band":[]}]}`))
+		`"cols":["\ufffd\ufffd"],"k":0,"max_suppress":0,"rows":0,"digests":[0,18446744073709551615],"records":[{"dims":null,"levels":[],` +
+		`"tally_lo":0,"tally_hi":0,"thr":0,"floor":0,"band":[{"v":[],"n":1}]}]}`))
 	f.Add([]byte("\x03\x0c\x0d\x0e\x0f\x10\x11\x12\x13\x14\x15\x02\x01\x03\x04\x02\x03\x05\x13\x01\x00\x02\x07"))
 	f.Add([]byte("null"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -341,6 +424,10 @@ func FuzzRunStateCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted a payload encoding/json rejects (%v): %q", err, data)
 		}
+		if got.Lossy() && !holdsReplacement(ref) {
+			t.Fatalf("payload %q is marked lossy but holds no U+FFFD", data)
+		}
+		ref.lossy = got.lossy
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("payload %q decodes differently\ngot  %#v\nwant %#v", data, got, ref)
 		}
@@ -396,8 +483,8 @@ func TestUnmarshalRunStateGroupsDoNotAlias(t *testing.T) {
 	}
 	want := sampleRunState()
 	for _, s := range []*RunState{got, want} {
-		s.Base[0].V = append(s.Base[0].V, "appended")
 		s.Records[0].Band[0].V = append(s.Records[0].Band[0].V, "appended")
+		s.Records[1].Band[0].V = append(s.Records[1].Band[0].V, "appended")
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("an append to one group changed another\ngot  %+v\nwant %+v", got, want)
@@ -406,14 +493,16 @@ func TestUnmarshalRunStateGroupsDoNotAlias(t *testing.T) {
 
 // TestUnmarshalRunStateAllocsFollowValues: the reader interns values and
 // carves every V slice out of a shared backing array, so ten times the
-// groups over the same value domain cost less than twice the allocations.
+// band entries over the same value domain cost less than twice the
+// allocations.
 func TestUnmarshalRunStateAllocsFollowValues(t *testing.T) {
 	measure := func(groups int) float64 {
 		s := sampleRunState()
-		s.Base = make([]BaseGroup, groups)
-		for i := range s.Base {
-			s.Base[i] = BaseGroup{V: []string{fmt.Sprint("zip-", i%40), fmt.Sprint("age-", i/40%40), fmt.Sprint("sex-", i%3)}, N: int64(i%7 + 1)}
+		band := make([]BandEntry, groups)
+		for i := range band {
+			band[i] = BandEntry{V: []string{fmt.Sprint("zip-", i%40), fmt.Sprint("age-", i/40%40), fmt.Sprint("sex-", i%3)}, N: int64(i%7 + 1)}
 		}
+		s.Records[0].Band = band
 		raw := MarshalRunState(s)
 		return testing.AllocsPerRun(5, func() {
 			if _, err := UnmarshalRunState(raw); err != nil {

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -324,5 +326,74 @@ func TestDeltaHTTPEndToEnd(t *testing.T) {
 	resp.Body.Close()
 	if !bytes.Contains(index, []byte("/v1/jobs/{id}/delta")) {
 		t.Errorf("index does not list the delta endpoint:\n%s", index)
+	}
+}
+
+// TestDeltaJobRefusesEditedHierarchyFile: a delta job binds its parent's
+// QI spec again, so a csv: hierarchy file rewritten since the parent ran
+// is read anew. When the new file maps a value the table holds to another
+// group, the parent's retained state no longer describes the run, and the
+// delta job fails with an error naming the attribute.
+func TestDeltaJobRefusesEditedHierarchyFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "zipcode.csv")
+	write := func(zip53706 string) {
+		t.Helper()
+		dim := "Zipcode,Zip1,Zip2\n53715,5371*,537**\n53703,5370*,537**\n53706," + zip53706 + ",537**\n"
+		if err := os.WriteFile(path, []byte(dim), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("5370*")
+	s := newTestService(t, Config{Workers: 1, AllowFileHierarchies: true})
+	parent := submitAndWait(t, s, SubmitRequest{CSV: patientsCSV, QI: "Birthdate=suppress;Sex=round:1;Zipcode=csv:" + path,
+		Policy: Policy{K: 2, RetainState: true}})
+
+	write("5371*")
+	resp, serr := s.SubmitDelta(parent.ID, DeltaRequest{AddCSV: addOneCSV})
+	if serr != nil {
+		t.Fatalf("SubmitDelta: %v", serr)
+	}
+	st := waitTerminal(t, s, resp.ID)
+	if st.State != StateFailed || !strings.Contains(st.Error, `"Zipcode"`) {
+		t.Fatalf("delta under a rewritten hierarchy file = %s (%q), want failed naming \"Zipcode\"", st.State, st.Error)
+	}
+}
+
+// TestSubmissionBodyCappedAtCacheBudget: POST /v1/jobs and POST
+// /v1/jobs/{id}/delta read at most the result cache's byte budget. A body
+// of exactly that size decodes; one byte more is refused with 413, and the
+// message names the limit.
+func TestSubmissionBodyCappedAtCacheBudget(t *testing.T) {
+	const limit = 8 << 10
+	s := newTestService(t, Config{Workers: 1, CacheMaxBytes: limit})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	parent := submitAndWait(t, s, retainRequest())
+	for _, tc := range []struct {
+		path string
+		req  any
+	}{
+		{"/v1/jobs", validRequest()},
+		{"/v1/jobs/" + parent.ID + "/delta", DeltaRequest{AddCSV: addOneCSV}},
+	} {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{limit, limit + 1} {
+			padded := append(append([]byte(nil), body...), bytes.Repeat([]byte(" "), size-len(body))...)
+			resp, err := http.Post(ts.URL+tc.path, "application/json", bytes.NewReader(padded))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			switch {
+			case size == limit && resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted:
+				t.Errorf("%s with a %d-byte body (the limit): status %d, want it decoded\n%s", tc.path, size, resp.StatusCode, msg)
+			case size > limit && (resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "8192-byte limit")):
+				t.Errorf("%s with a %d-byte body: status %d, want 413 naming the 8192-byte limit\n%s", tc.path, size, resp.StatusCode, msg)
+			}
+		}
 	}
 }

@@ -7,11 +7,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -73,38 +75,149 @@ func TestJournalAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// A torn final line — the crash landed mid-append — is truncated away;
-// the verified prefix survives and the file accepts appends again.
-func TestJournalTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	seedJournal(t, dir, acceptedRecord("job-000001"))
-	path := filepath.Join(dir, journalName)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+// TestJournalTornWriteProperty: a journal of three acknowledged jobs (one
+// done, one interrupted mid-run, one still queued) is damaged at every byte
+// offset, once by truncating it there and once by flipping that byte.
+// Every damaged copy recovers the same way:
+//   - ReplayJournal returns exactly the records before the first damaged
+//     line and truncates the file there, and the file accepts appends
+//     again;
+//   - a journaled service started on the damaged copy re-enqueues exactly
+//     that prefix's unfinished jobs and runs each of them once;
+//   - it re-runs no job whose terminal record survived, and no job from
+//     outside the prefix appears.
+func TestJournalTornWriteProperty(t *testing.T) {
+	tiny := func(id, value string) journalRecord {
+		pol := Policy{K: 2}
+		return journalRecord{Type: "accepted", Job: id, CSV: "A\n" + value + "\n" + value + "\n", QI: "A=suppress", Policy: &pol}
+	}
+	src := t.TempDir()
+	seedJournal(t, src,
+		tiny("job-000001", "x"),
+		tiny("job-000002", "y"),
+		journalRecord{Type: "state", Job: "job-000002", State: StateRunning},
+		tiny("job-000003", "z"),
+		journalRecord{Type: "state", Job: "job-000001", State: StateDone},
+	)
+	intact, err := os.ReadFile(filepath.Join(src, journalName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	intact, _ := os.Stat(path)
-	if _, err := f.WriteString("deadbeefdeadbeef {\"seq\":2,\"ty"); err != nil {
-		t.Fatal(err)
+	var recs []journalRecord
+	var ends []int // ends[i] is the offset just past line i's newline
+	for off := 0; off < len(intact); {
+		n := bytes.IndexByte(intact[off:], '\n') + 1
+		rec, err := decodeRecord(intact[off : off+n-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+		off += n
+		ends = append(ends, off)
 	}
-	f.Close()
+	jobIDs := []string{"job-000001", "job-000002", "job-000003"}
+	appended := make(map[int]bool)
+	// Each case rewrites the journal in these two directories; the service
+	// of the case before has drained by then.
+	replayDir, serviceDir := t.TempDir(), t.TempDir()
 
-	recs, _, err := ReplayJournal(dir)
-	if err != nil {
-		t.Fatal(err)
+	check := func(damaged []byte, lines int, what string) {
+		prefixEnd := 0
+		if lines > 0 {
+			prefixEnd = ends[lines-1]
+		}
+		// Replay alone.
+		path := filepath.Join(replayDir, journalName)
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := ReplayJournal(replayDir)
+		if err != nil {
+			t.Fatalf("%s: replay: %v", what, err)
+		}
+		if !reflect.DeepEqual(got, recs[:lines:lines]) && !(lines == 0 && len(got) == 0) {
+			t.Fatalf("%s: replay returned %d records, want the %d before the damage", what, len(got), lines)
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() != int64(prefixEnd) {
+			t.Fatalf("%s: journal is %d bytes after replay, want truncated to %d", what, st.Size(), prefixEnd)
+		}
+		if !appended[lines] {
+			// The truncated file is the same for every damage within one
+			// line, so one append per intact prefix covers them all.
+			appended[lines] = true
+			seedJournal(t, replayDir, journalRecord{Type: "state", Job: "job-000001", State: StateFailed})
+			if again, _, err := ReplayJournal(replayDir); err != nil || len(again) != lines+1 {
+				t.Fatalf("%s: replay after an append returned %d records (err %v), want %d", what, len(again), err, lines+1)
+			}
+		}
+
+		// A service started on another damaged copy.
+		if err := os.WriteFile(filepath.Join(serviceDir, journalName), damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		state := make(map[string]State) // each job's last journaled state in the prefix
+		for _, rec := range recs[:lines] {
+			if rec.Type == "accepted" {
+				state[rec.Job] = StateQueued
+			} else {
+				state[rec.Job] = rec.State
+			}
+		}
+		s, err := New(Config{Workers: 1, JournalDir: serviceDir, TraceJobs: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Drain()
+		s.WaitRecovered()
+		var unfinished []*Job
+		for _, id := range jobIDs {
+			j, ok := s.Job(id)
+			st, inPrefix := state[id]
+			switch {
+			case ok != inPrefix:
+				t.Fatalf("%s: job %s present after restart = %v, in the intact prefix = %v", what, id, ok, inPrefix)
+			case !ok:
+			case st.Terminal():
+				if got := j.Status(); got.State != st || got.Recovered {
+					t.Fatalf("%s: terminal job %s came back %s (recovered %v), want its journaled %s", what, id, got.State, got.Recovered, st)
+				}
+			default:
+				unfinished = append(unfinished, j)
+			}
+		}
+		if got := s.RecoveredJobs(); got != int64(len(unfinished)) {
+			t.Fatalf("%s: %d jobs re-enqueued, want the prefix's %d unfinished ones", what, got, len(unfinished))
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for _, j := range unfinished {
+			for !j.Status().State.Terminal() {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: re-enqueued job %s never finished", what, j.ID)
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+			if got := j.Status(); got.State != StateDone || !got.Recovered {
+				t.Fatalf("%s: re-enqueued job %s finished %s (recovered %v, err %q), want done", what, j.ID, got.State, got.Recovered, got.Error)
+			}
+		}
+		if got := s.runs.Load(); got != int64(len(unfinished)) {
+			t.Fatalf("%s: %d runs after the restart, want one per unfinished job (%d)", what, got, len(unfinished))
+		}
 	}
-	if len(recs) != 1 || recs[0].Job != "job-000001" {
-		t.Fatalf("replay after torn tail = %d records, want the 1 intact one", len(recs))
-	}
-	if st, _ := os.Stat(path); st.Size() != intact.Size() {
-		t.Errorf("file is %d bytes after replay, want truncated back to %d", st.Size(), intact.Size())
-	}
-	// Bit rot mid-file ends the replay there too: nothing after garbage is
-	// trusted, even if it checksums.
-	seedJournal(t, dir, journalRecord{Type: "state", Job: "job-000001", State: StateDone})
-	recs, _, err = ReplayJournal(dir)
-	if err != nil || len(recs) != 2 {
-		t.Fatalf("append after truncation replayed %d records (err %v), want 2", len(recs), err)
+
+	for off := range intact {
+		whole := 0 // lines that end at or before off
+		for whole < len(ends) && ends[whole] <= off {
+			whole++
+		}
+		check(intact[:off], whole, fmt.Sprintf("truncated at byte %d", off))
+		flipped := append([]byte(nil), intact...)
+		flipped[off] ^= 0x01
+		check(flipped, whole, fmt.Sprintf("byte %d flipped", off))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -200,15 +201,35 @@ func decodeBody(body io.Reader, v any) error {
 		return err
 	}
 	if _, err := dec.Token(); err != io.EOF {
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			return err
+		}
 		return fmt.Errorf("unexpected data after the JSON value")
 	}
 	return nil
 }
 
+// decodeSubmission decodes a job or delta submission into v, reading at
+// most the result cache's byte budget: a dataset larger than the cache can
+// hold is refused before the daemon buffers it. A body over the limit
+// gets 413, any other bad body 400; false means the response is written.
+func (s *Service) decodeSubmission(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := decodeBody(http.MaxBytesReader(w, r.Body, s.cache.maxBytes), v)
+	if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds the %d-byte limit (the result cache's byte budget, -cache-max-bytes)", tooLarge.Limit)
+		return false
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "request body: %v", err)
+		return false
+	}
+	return true
+}
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "request body: %v", err)
+	if !s.decodeSubmission(w, r, &req) {
 		return
 	}
 	req.RequestID = requestIDFrom(r)
@@ -231,8 +252,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // from the cache (the parent's entry was just invalidated) or coalesced.
 func (s *Service) handleDelta(w http.ResponseWriter, r *http.Request) {
 	var req DeltaRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "request body: %v", err)
+	if !s.decodeSubmission(w, r, &req) {
 		return
 	}
 	req.RequestID = requestIDFrom(r)

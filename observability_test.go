@@ -207,9 +207,9 @@ func TestAnonymizeDeltaTraceLayers(t *testing.T) {
 		}
 	}
 	for attr, want := range map[string]int{
-		"base_groups": len(cold.State().Base),
-		"added":       len(add),
-		"removed":     len(del),
+		"state_rows": cold.State().Rows,
+		"added":      len(add),
+		"removed":    len(del),
 	} {
 		if got := prepare.Attrs[attr]; got != want {
 			t.Errorf("delta.prepare attr %s = %v, want %d", attr, got, want)
